@@ -19,12 +19,13 @@ import math
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 import numpy as np
 
 from lidecomp.constants import ConstantProfile, DerivedQuantities
 from lidecomp.errors import InputError
-from lidecomp.graphs import EdgeSubset, Graph
+from lidecomp.graphs import EdgeSubset, Graph, degree_vector
 
 
 def mod_distance(m: int, n: int, modulus: int) -> int:
@@ -100,10 +101,53 @@ def closeness_bound(profile: ConstantProfile, d: int) -> int:
     return math.floor((Fraction(str(profile.s)) * d + 7) / 2)
 
 
-def _color_arrays(c: VertexColoring) -> tuple[np.ndarray, np.ndarray]:
-    return (
-        np.asarray(c.first, dtype=np.int64),
-        np.asarray(c.second, dtype=np.int64),
+class _SetMasks(NamedTuple):
+    """Boolean masks of the distinguished sets, named as in DistinguishedSets."""
+
+    uncolored: np.ndarray  # over vertices; the rest are over edges
+    uncolored_edges: np.ndarray
+    touching: np.ndarray
+    special: np.ndarray
+    risky: np.ndarray
+    risky_not_special: np.ndarray
+    residual: np.ndarray
+    residual_nonspecial: np.ndarray
+
+
+def _set_masks(
+    g: Graph, first: np.ndarray, second: np.ndarray, palette: int, bound: int
+) -> _SetMasks:
+    """Evaluate the set definitions for colour arrays with values in 1..palette."""
+    eu, ev = g.endpoint_arrays()
+    fu, fv, su, sv = first[eu], first[ev], second[eu], second[ev]
+    first_eq = fu == fv
+    second_eq = su == sv
+    pair_eq = first_eq & second_eq
+
+    uflag = np.zeros(g.n, dtype=bool)
+    uflag[eu[pair_eq]] = True
+    uflag[ev[pair_eq]] = True
+
+    inside = uflag[eu] & uflag[ev]
+    touch = uflag[eu] | uflag[ev]
+    special = ~touch & (first_eq | second_eq)
+
+    def close(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        # Both values lie in 1..palette, so |a - b| is one of the two cyclic gaps.
+        gap = np.abs(a - b)
+        return (gap >= 1) & (np.minimum(gap, palette - gap) <= bound)
+
+    risky = ~touch & (close(fu, fv) | close(su, sv))
+    residual = ~touch & ~risky
+    return _SetMasks(
+        uncolored=uflag,
+        uncolored_edges=inside,
+        touching=touch,
+        special=special,
+        risky=risky,
+        risky_not_special=risky & ~special,
+        residual=residual,
+        residual_nonspecial=residual & ~special,
     )
 
 
@@ -117,54 +161,14 @@ def distinguish(
     """
     c.validate(g)
     profile.validate()
-    eu, ev = g.endpoint_arrays()
-    first, second = _color_arrays(c)
-    return _distinguish_arrays(g, eu, ev, first, second, c.palette, closeness_bound(profile, d))
+    first = np.asarray(c.first, dtype=np.int64)
+    second = np.asarray(c.second, dtype=np.int64)
+    return _collect(_set_masks(g, first, second, c.palette, closeness_bound(profile, d)))
 
 
-def _distinguish_arrays(
-    g: Graph,
-    eu: np.ndarray,
-    ev: np.ndarray,
-    first: np.ndarray,
-    second: np.ndarray,
-    palette: int,
-    bound: int,
-) -> DistinguishedSets:
-    first_eq = first[eu] == first[ev]
-    second_eq = second[eu] == second[ev]
-    pair_eq = first_eq & second_eq
-
-    uflag = np.zeros(g.n, dtype=bool)
-    uflag[eu[pair_eq]] = True
-    uflag[ev[pair_eq]] = True
-
-    inside = uflag[eu] & uflag[ev]
-    touch = uflag[eu] | uflag[ev]
-    special = ~touch & (first_eq | second_eq)
-
-    def close(vals: np.ndarray) -> np.ndarray:
-        diff = (vals[eu] - vals[ev]) % palette
-        dist = np.minimum(diff, palette - diff)
-        return (dist >= 1) & (dist <= bound)
-
-    risky = ~touch & (close(first) | close(second))
-    risky_not_special = risky & ~special
-    residual = ~touch & ~risky
-    residual_nonspecial = residual & ~special
-
-    def collect(mask: np.ndarray) -> EdgeSubset:
-        return frozenset(np.flatnonzero(mask).tolist())
-
+def _collect(masks: _SetMasks) -> DistinguishedSets:
     return DistinguishedSets(
-        uncolored=frozenset(np.flatnonzero(uflag).tolist()),
-        uncolored_edges=collect(inside),
-        touching=collect(touch),
-        special=collect(special),
-        risky=collect(risky),
-        risky_not_special=collect(risky_not_special),
-        residual=collect(residual),
-        residual_nonspecial=collect(residual_nonspecial),
+        **{name: frozenset(np.flatnonzero(mask).tolist()) for name, mask in masks._asdict().items()}
     )
 
 
@@ -204,18 +208,38 @@ class ColoringAudit:
         return data
 
 
-def _strict_cap(threshold: Fraction) -> int:
-    # count < threshold over integers is count <= ceil(threshold) - 1
-    return math.ceil(threshold) - 1
+def _audit_caps(profile: ConstantProfile, d: int) -> np.ndarray:
+    """Largest passing special, risky and uncoloured counts, in that order.
+
+    A count must stay strictly below its threshold t*d, i.e. at most
+    ceil(t*d) - 1. A zero count never violates; the floor only matters for the
+    degenerate d = 0 thresholds, where the strict bound would otherwise flag
+    everything.
+    """
+    return np.array(
+        [max(0, math.ceil(Fraction(str(t)) * d) - 1) for t in (profile.s, profile.r, profile.u)],
+        dtype=np.int64,
+    )
 
 
-def _incidence_counts(g: Graph, edges: EdgeSubset) -> np.ndarray:
-    counts = np.zeros(g.n, dtype=np.int64)
-    for i in edges:
-        u, v = g.edges[i]
-        counts[u] += 1
-        counts[v] += 1
-    return counts
+def _audit_counts(
+    g: Graph, special: np.ndarray, risky: np.ndarray, uncolored: np.ndarray
+) -> np.ndarray:
+    """Rows: special and risky incidence, then uncoloured neighbours, per vertex.
+
+    ``special``/``risky`` select edges by mask or index array; ``uncolored``
+    is a vertex mask.
+    """
+    eu, ev = g.endpoint_arrays()
+    neighbours = np.bincount(eu[uncolored[ev]], minlength=g.n) + np.bincount(
+        ev[uncolored[eu]], minlength=g.n
+    )
+    return np.stack((degree_vector(g, special), degree_vector(g, risky), neighbours))
+
+
+def _violating(counts: np.ndarray, caps: np.ndarray) -> np.ndarray:
+    """Indices of the vertices with some count above its cap, ascending."""
+    return np.flatnonzero((counts > caps[:, None]).any(axis=0))
 
 
 def audit(
@@ -234,22 +258,15 @@ def audit(
     touching restriction respectively edge adjacency.
     """
     profile.validate()
-    sc = _incidence_counts(g, sets.special)
-    rc = _incidence_counts(g, sets.risky)
-    uflag = np.zeros(g.n, dtype=bool)
-    uflag[list(sets.uncolored)] = True
-    uc = np.zeros(g.n, dtype=np.int64)
-    eu, ev = g.endpoint_arrays()
-    np.add.at(uc, eu, uflag[ev])
-    np.add.at(uc, ev, uflag[eu])
 
-    # A zero count never violates; the floor only matters for the degenerate
-    # d = 0 thresholds, where the strict bound would otherwise flag everything.
-    s_cap = max(0, _strict_cap(Fraction(str(profile.s)) * d))
-    r_cap = max(0, _strict_cap(Fraction(str(profile.r)) * d))
-    u_cap = max(0, _strict_cap(Fraction(str(profile.u)) * d))
-    bad = (sc > s_cap) | (rc > r_cap) | (uc > u_cap)
-    violations = tuple(np.flatnonzero(bad).tolist())
+    def index(es: frozenset[int]) -> np.ndarray:
+        return np.fromiter(es, dtype=np.int64, count=len(es))
+
+    uflag = np.zeros(g.n, dtype=bool)
+    uflag[index(sets.uncolored)] = True
+    counts = _audit_counts(g, index(sets.special), index(sets.risky), uflag)
+    violations = tuple(_violating(counts, _audit_caps(profile, d)).tolist())
+    sc, rc, uc = counts.tolist()
 
     star_s = star_r = star_u = None
     if diagnostics:
@@ -258,9 +275,9 @@ def audit(
         star_s, star_r, star_u = _star_counts(g, c, profile, d)
 
     return ColoringAudit(
-        special_counts=tuple(sc.tolist()),
-        risky_counts=tuple(rc.tolist()),
-        uncolored_counts=tuple(uc.tolist()),
+        special_counts=tuple(sc),
+        risky_counts=tuple(rc),
+        uncolored_counts=tuple(uc),
         special_threshold=profile.s * d,
         risky_threshold=profile.r * d,
         uncolored_threshold=profile.u * d,
@@ -339,18 +356,17 @@ def resample_until_good(
     palette = DerivedQuantities.derive(profile, d).palette
     bound = closeness_bound(profile, d)
     rng = np.random.default_rng(seed)
-    eu, ev = g.endpoint_arrays()
     first = rng.integers(1, palette + 1, size=g.n)
     second = rng.integers(1, palette + 1, size=g.n)
+    caps = _audit_caps(profile, d)
 
     rounds = 0
     while True:
-        coloring = VertexColoring(palette, tuple(first.tolist()), tuple(second.tolist()))
-        sets = _distinguish_arrays(g, eu, ev, first, second, palette, bound)
-        result = audit(g, sets, profile, d)
-        if result.passed or rounds >= max_rounds:
-            return ResampleResult(coloring, sets, result, result.passed, rounds)
-        centre = result.violations[0]
+        masks = _set_masks(g, first, second, palette, bound)
+        bad = _violating(_audit_counts(g, masks.special, masks.risky, masks.uncolored), caps)
+        if not bad.size or rounds >= max_rounds:
+            break
+        centre = int(bad[0])
         ball = {centre}
         for w in g.neighbors(centre):
             ball.add(w)
@@ -359,3 +375,8 @@ def resample_until_good(
         first[redraw] = rng.integers(1, palette + 1, size=len(redraw))
         second[redraw] = rng.integers(1, palette + 1, size=len(redraw))
         rounds += 1
+
+    coloring = VertexColoring(palette, tuple(first.tolist()), tuple(second.tolist()))
+    sets = _collect(masks)
+    result = audit(g, sets, profile, d)
+    return ResampleResult(coloring, sets, result, result.passed, rounds)

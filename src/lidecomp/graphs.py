@@ -4,10 +4,12 @@ Vertices are dense integers ``0..n-1``. Edges are unordered pairs stored as
 ``(u, v)`` with ``u < v`` in lexicographic order; the position of an edge in
 that order is its canonical index, a contract relied on by the file format
 and by every "first feasible" tie-break elsewhere in the package. Graphs are
-immutable after construction and safe to share between threads.
+immutable after construction and safe to share between threads: the endpoint
+arrays are built once, on first use, and cached read-only.
 
 Edge subsets are plain ``frozenset[int]`` values over canonical edge indices
-(see :func:`validate_edge_subset`).
+(see :func:`validate_edge_subset`); array code selects edges with a boolean
+mask or an index array instead, and counts degrees with :func:`degree_vector`.
 """
 
 from __future__ import annotations
@@ -42,6 +44,9 @@ class Graph:
     adjacency: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
     degrees: tuple[int, ...] = field(init=False, repr=False, compare=False)
     _index: dict[tuple[int, int], int] = field(init=False, repr=False, compare=False)
+    _endpoints: tuple[np.ndarray, np.ndarray] | None = field(
+        init=False, repr=False, compare=False, default=None
+    )
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]]):
         if n < 0:
@@ -89,11 +94,14 @@ class Graph:
         return ((u, v) if u < v else (v, u)) in self._index
 
     def endpoint_arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        """Edge endpoints as two int64 arrays in canonical edge order."""
-        if self.m == 0:
-            return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64)
-        arr = np.asarray(self.edges, dtype=np.int64)
-        return arr[:, 0], arr[:, 1]
+        """Edge endpoints as two read-only int64 arrays in canonical edge order."""
+        if self._endpoints is None:
+            arr = np.asarray(self.edges, dtype=np.int64).reshape(-1, 2)
+            eu, ev = np.ascontiguousarray(arr[:, 0]), np.ascontiguousarray(arr[:, 1])
+            eu.flags.writeable = False
+            ev.flags.writeable = False
+            object.__setattr__(self, "_endpoints", (eu, ev))
+        return self._endpoints
 
     def is_regular(self) -> bool:
         return self.n == 0 or len(set(self.degrees)) == 1
@@ -106,14 +114,15 @@ def validate_edge_subset(g: Graph, es: EdgeSubset) -> None:
             raise InputError(f"edge index {i} out of range for m={g.m}")
 
 
+def degree_vector(g: Graph, edges: np.ndarray) -> np.ndarray:
+    """Per-vertex degree array of the edges a boolean mask or index array selects."""
+    eu, ev = g.endpoint_arrays()
+    return np.bincount(eu[edges], minlength=g.n) + np.bincount(ev[edges], minlength=g.n)
+
+
 def subgraph_degrees(g: Graph, es: EdgeSubset) -> list[int]:
     """Per-vertex degree vector of the spanning subgraph with edge set ``es``."""
-    deg = [0] * g.n
-    for i in es:
-        u, v = g.edges[i]
-        deg[u] += 1
-        deg[v] += 1
-    return deg
+    return degree_vector(g, np.fromiter(es, dtype=np.int64, count=len(es))).tolist()
 
 
 def is_subgraph_locally_irregular(g: Graph, es: EdgeSubset) -> bool:

@@ -95,7 +95,8 @@ def split_edges(
         u, v = g.edges[i]
         first_eq = coloring.first[u] == coloring.first[v]
         second_eq = coloring.second[u] == coloring.second[v]
-        assert first_eq != second_eq, "special edge must agree in exactly one coordinate"
+        if first_eq == second_eq:
+            raise AssertionError("special edge must agree in exactly one coordinate")
         if second_eq:
             labels[i] = 0
             rules[i] = RULE_SPECIAL_TO_ZERO
@@ -114,12 +115,14 @@ def split_edges(
             continue
         members = sorted(subset)
         sub = Graph(g.n, [g.edges[i] for i in members])
-        assert sub.edges == tuple(g.edges[i] for i in members)
+        if sub.edges != tuple(g.edges[i] for i in members):
+            raise AssertionError("rule-group subgraph must keep the canonical edge order")
         rounded = balanced_round(FractionalEdgeWeights.constant(sub, HALF), seed=int(child))
         for j, i in enumerate(members):
             labels[i] = rounded.values[j]
             rules[i] = rule
-    assert all(lab in (0, 1) for lab in labels), "rules must cover every edge"
+    if not all(lab in (0, 1) for lab in labels):
+        raise AssertionError("rules must cover every edge")
 
     balance = (
         _half_balance(g, sets.risky_not_special, labels),
@@ -127,7 +130,8 @@ def split_edges(
         _half_balance(g, sets.touching - sets.uncolored_edges, labels),
         _half_balance(g, sets.residual_nonspecial, labels),
     )
-    assert all(balance), "rounding contract violated inside a rule group"
+    if not all(balance):
+        raise AssertionError("rounding contract violated inside a rule group")
     zero = frozenset(i for i, lab in enumerate(labels) if lab == 0)
     one = frozenset(range(g.m)) - zero
     return HalfSplit(tuple(labels), tuple(rules), (zero, one), balance)
@@ -340,17 +344,26 @@ def decompose_half(
             (lam,) * host.n,
             tuple(targets[v] for v in sorted(alive)),
         )
-        cert = dcs_solve(inst, seed=seed, restarts=restarts, strict=strict)
-        core_ok = cert.passed
-        back = {}
-        for i in host_members:
-            u, v = g.edges[i]
-            back[host.edge_id(remap[u], remap[v])] = i
-        core = frozenset(back[j] for j in cert.edges)
+        try:
+            cert = dcs_solve(inst, seed=seed, restarts=restarts, strict=strict)
+        except BudgetError:
+            # Best effort keeps going with an empty core and reports the failure.
+            if strict:
+                raise
+            core_ok = False
+        else:
+            core_ok = cert.passed
+            back = {}
+            for i in host_members:
+                u, v = g.edges[i]
+                back[host.edge_id(remap[u], remap[v])] = i
+            core = frozenset(back[j] for j in cert.edges)
 
     first = frozenset(selected) | risky_half | core
-    assert first <= half_edges
-    assert len(first) == len(selected) + len(risky_half) + len(core), "parts overlap"
+    if not first <= half_edges:
+        raise AssertionError("first part must lie inside its half")
+    if len(first) != len(selected) + len(risky_half) + len(core):
+        raise AssertionError("parts overlap")
     second = half_edges - first
 
     diagnostics = _half_diagnostics(
@@ -571,11 +584,13 @@ def decompose_to_four(
         halves[1].second_part,
     )
     cover_ok, verdicts, conflicts = verify_decomposition(g, parts)
-    assert cover_ok, "parts must cover the edge set exactly"
+    if not cover_ok:
+        raise AssertionError("parts must cover the edge set exactly")
     rule_domains = tuple(
         frozenset(i for i, r in enumerate(split.rules) if r == rule) for rule in range(5)
     )
-    assert sum(len(dom) for dom in rule_domains) == g.m
+    if sum(len(dom) for dom in rule_domains) != g.m:
+        raise AssertionError("every edge must carry exactly one rule")
 
     success = all(verdicts)
     report = {

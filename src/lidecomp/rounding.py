@@ -28,6 +28,7 @@ Every result is re-verified before being returned.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -109,18 +110,26 @@ class RoundingReport:
 
 
 def verify_rounding(weights: FractionalEdgeWeights, labels: BinaryEdgeLabels) -> RoundingReport:
-    """Exact check of the per-vertex window (z-sum - 1, z-sum + 1]."""
-    if labels.graph != weights.graph:
+    """Exact check of the per-vertex window (z-sum - 1, z-sum + 1].
+
+    Sums are compared as integers over the common denominator ``L`` of the
+    weights: ``gap[v]`` is ``L`` times the x-sum minus ``L`` times the z-sum,
+    and the window reads ``-L < gap[v] <= L``. Each drift ``gap[v] / L`` is
+    an int/int true division, correctly rounded like ``float`` of the exact
+    rational.
+    """
+    g = weights.graph
+    if labels.graph != g:
         raise InputError("labels and weights live on different graphs")
-    zsums = weights.vertex_sums()
-    xsums = labels.vertex_sums()
-    violations = [
-        v
-        for v in range(weights.graph.n)
-        if not (zsums[v] - 1 < xsums[v] <= zsums[v] + 1)
-    ]
-    drifts = tuple(float(x - z) for x, z in zip(xsums, zsums))
-    return RoundingReport(passed=not violations, drifts=drifts, violations=tuple(violations))
+    den = math.lcm(*{z.denominator for z in weights.values})
+    gap = [0] * g.n
+    for (u, v), z, x in zip(g.edges, weights.values, labels.values):
+        step = x * den - z.numerator * (den // z.denominator)
+        gap[u] += step
+        gap[v] += step
+    violations = tuple(v for v, t in enumerate(gap) if not -den < t <= den)
+    drifts = tuple(t / den for t in gap)
+    return RoundingReport(passed=not violations, drifts=drifts, violations=violations)
 
 
 def balanced_round(weights: FractionalEdgeWeights, seed: int | None = None) -> BinaryEdgeLabels:
@@ -135,13 +144,14 @@ def balanced_round(weights: FractionalEdgeWeights, seed: int | None = None) -> B
     x: list[int | None] = [None] * g.m
     fractional: dict[int, Fraction] = {}
     for i, val in enumerate(weights.values):
-        if val == 0 or val == 1:
-            x[i] = int(val)
+        if val.denominator == 1:
+            x[i] = val.numerator
         else:
             fractional[i] = val
 
     if fractional:
-        if all(val == HALF for val in fractional.values()):
+        # Weights lie in [0, 1] in lowest terms, so denominator 2 means 1/2.
+        if all(val.denominator == 2 for val in fractional.values()):
             _round_half_euler(g, fractional, x)
         else:
             _round_general(g, fractional, x)

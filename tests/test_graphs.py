@@ -58,6 +58,20 @@ def test_subgraph_degrees_examples() -> None:
     assert subgraph_degrees(k3, frozenset({k3.edge_id(0, 1)})) == [1, 1, 0]
 
 
+def test_endpoint_arrays_cached_and_read_only() -> None:
+    g = Graph(4, [(3, 1), (0, 2), (1, 0)])
+    eu, ev = g.endpoint_arrays()
+    assert eu.tolist() == [0, 0, 1] and ev.tolist() == [1, 2, 3]
+    assert eu.dtype == ev.dtype == np.int64
+    assert g.endpoint_arrays()[0] is eu
+    with pytest.raises(ValueError):
+        eu[0] = 2
+    assert g == Graph(4, g.edges)  # the cache takes no part in equality
+    empty_u, empty_v = Graph(3, []).endpoint_arrays()
+    assert empty_u.shape == empty_v.shape == (0,)
+    assert subgraph_degrees(Graph(0, []), frozenset()) == []
+
+
 def test_subgraph_degree_sum_matches_edge_count() -> None:
     rng = np.random.default_rng(7)
     g = generate_regular(20, 5, seed=3)

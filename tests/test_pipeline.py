@@ -1,11 +1,17 @@
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import lidecomp
 from lidecomp.coloring import VertexColoring, assign_random, distinguish
 from lidecomp.constants import ConstantProfile, DerivedQuantities, REFERENCE_PROFILE
-from lidecomp.errors import InputError
+from lidecomp.errors import BudgetError, InputError
 from lidecomp.graphs import (
     Graph,
     generate_circulant,
@@ -196,6 +202,57 @@ def test_decompose_half_with_core_subgraph() -> None:
     core_deg = subgraph_degrees(g, half.core)
     for v in range(g.n):
         assert host_deg[v] <= 3 * core_deg[v] <= 2 * host_deg[v]
+
+
+def test_decompose_half_reports_core_budget_failure(monkeypatch) -> None:
+    # Best effort keeps an empty core and flags it; strict mode still raises.
+    m = 26
+    g = complete_bipartite(m)
+    prof = ConstantProfile(k=0.03, s=0.003, r=0.26, u=0.13, s1=0.0015, r1=0.242, u1=0.059)
+    c = far_apart_coloring(g, [(1, 1)] * m + [(20, 20)] * m, palette=40)
+    sets = distinguish(g, c, prof, d=m)
+    split = split_edges(g, c, sets, seed=1)
+
+    def exhausted(*args, **kwargs):
+        raise BudgetError("no certified subgraph after 50 restarts")
+
+    monkeypatch.setattr("lidecomp.pipeline.dcs_solve", exhausted)
+    half = decompose_half(g, c, sets, split, 0, prof, m, seed=5)
+    assert half.core == frozenset()
+    assert half.diagnostics["core_certificate_ok"] is False
+    assert half.first_part == frozenset()
+    assert half.second_part == split.halves[0]
+    with pytest.raises(BudgetError):
+        decompose_half(g, c, sets, split, 0, prof, m, seed=5, strict=True)
+
+
+def test_split_contract_check_survives_optimize_flag() -> None:
+    # A "special" edge agreeing in both coordinates breaks the rule contract;
+    # the check must fire even when python -O strips assert statements.
+    code = """
+import sys
+from lidecomp.coloring import DistinguishedSets, VertexColoring
+from lidecomp.graphs import Graph
+from lidecomp.pipeline import split_edges
+
+assert False, "assert statements are live"
+empty = frozenset()
+sets = DistinguishedSets(
+    uncolored=empty, uncolored_edges=empty, touching=empty, special=frozenset({0}),
+    risky=empty, risky_not_special=empty, residual=empty, residual_nonspecial=empty,
+)
+try:
+    split_edges(Graph(2, [(0, 1)]), VertexColoring(3, (1, 1), (2, 2)), sets, seed=0)
+except AssertionError as exc:
+    print("raised:", exc)
+"""
+    src = str(Path(lidecomp.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", code], capture_output=True, text=True, env=env, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "raised: special edge must agree in exactly one coordinate"
 
 
 def test_decompose_half_residues_make_first_part_irregular() -> None:
