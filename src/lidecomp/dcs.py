@@ -249,6 +249,7 @@ def solve(
                     violating.discard(w)
         if not violating:
             cert = verify(inst, frozenset(i for i, f in enumerate(inside) if f))
-            assert cert.passed, "zero-potential state failed verification"
+            if not cert.passed:
+                raise AssertionError("zero-potential state failed verification")
             return cert
     raise BudgetError(f"no certified subgraph within {restarts} restarts")

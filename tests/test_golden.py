@@ -2,7 +2,9 @@
 
 The CLI promises that an identical manifest reproduces byte-identical output.
 These hashes were recorded before the array-native colouring and integer
-rounding rewrites; any change to them is a change of behaviour, not of speed.
+rounding rewrites (the dyadic one before the general rounding engine moved to
+integer numerators and an early-exit search); any change to them is a change
+of behaviour, not of speed.
 Every path is relative, because the manifest embeds the ``--in``/``--out``
 arguments verbatim.
 """
@@ -13,6 +15,7 @@ import hashlib
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from lidecomp.cli import main
@@ -58,6 +61,18 @@ def test_golden_round_non_dyadic(workdir) -> None:
     argv = ["round", "--in", "g.txt", "--z-file", "z.txt", "--out", "out.json"]
     assert _digest(argv, 0) == (
         "a1c85fdefd972b565a538c63ee447bc22996c3b6892cc8fb9f895b2e41ec44cf"
+    )
+
+
+def test_golden_round_dyadic(workdir) -> None:
+    # The round-general benchmark's weight shape: k/64 numerators on d = 10.
+    g = generate_regular(100, 10, seed=1)
+    write_graph(g, "g.txt")
+    numerators = np.random.default_rng(0).integers(1, 64, size=g.m).tolist()
+    Path("z.txt").write_text("".join(f"{k}/64\n" for k in numerators))
+    argv = ["round", "--in", "g.txt", "--z-file", "z.txt", "--out", "out.json"]
+    assert _digest(argv, 0) == (
+        "2bf19e7930732518248c769fc58692b7ab7ba453be09b3f65f0e2f56bf98b2b0"
     )
 
 

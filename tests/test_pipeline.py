@@ -226,6 +226,17 @@ def test_decompose_half_reports_core_budget_failure(monkeypatch) -> None:
         decompose_half(g, c, sets, split, 0, prof, m, seed=5, strict=True)
 
 
+def _run_optimized(code: str) -> str:
+    """Run ``code`` under ``python -O`` (assert statements stripped); return stdout."""
+    src = str(Path(lidecomp.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", code], capture_output=True, text=True, env=env, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.strip()
+
+
 def test_split_contract_check_survives_optimize_flag() -> None:
     # A "special" edge agreeing in both coordinates breaks the rule contract;
     # the check must fire even when python -O strips assert statements.
@@ -246,13 +257,26 @@ try:
 except AssertionError as exc:
     print("raised:", exc)
 """
-    src = str(Path(lidecomp.__file__).resolve().parent.parent)
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-    proc = subprocess.run(
-        [sys.executable, "-O", "-c", code], capture_output=True, text=True, env=env, timeout=60
-    )
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "raised: special edge must agree in exactly one coordinate"
+    assert _run_optimized(code) == "raised: special edge must agree in exactly one coordinate"
+
+
+def test_rounding_contract_check_survives_optimize_flag() -> None:
+    # A closed walk of odd length (a triangle) cannot preserve every vertex
+    # sum; the general rounding engine must refuse it under python -O too.
+    code = """
+from fractions import Fraction
+from lidecomp.graphs import Graph
+from lidecomp.rounding import _State
+
+assert False, "assert statements are live"
+weights = {e: Fraction(1, 3) for e in range(3)}
+state = _State(Graph(3, [(0, 1), (0, 2), (1, 2)]), weights, [None] * 3)
+try:
+    state.apply_shift([0, 2, 1], closed=True)
+except AssertionError as exc:
+    print("raised:", exc)
+"""
+    assert _run_optimized(code) == "raised: closed walk must have even length"
 
 
 def test_decompose_half_residues_make_first_part_irregular() -> None:

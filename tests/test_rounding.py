@@ -1,10 +1,13 @@
 from __future__ import annotations
 
 import itertools
+import time
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lidecomp.errors import InputError
 from lidecomp.graphs import Graph, generate_circulant, generate_regular
@@ -36,6 +39,10 @@ def brute_force_feasible(g: Graph, z: list[Fraction]) -> list[tuple[int, ...]]:
 
 def complete_graph(n: int) -> Graph:
     return Graph(n, [(i, j) for i in range(n) for j in range(i + 1, n)])
+
+
+# Two triangles joined by a path.
+DUMBBELL = Graph(8, [(0, 1), (0, 2), (1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (5, 7), (6, 7)])
 
 
 def test_k3_half_brute_force_oracle() -> None:
@@ -145,7 +152,7 @@ def test_odd_cycle_general_weights() -> None:
 
 def test_dumbbell_two_odd_cycles() -> None:
     # Two triangles joined by a path: the even-closed-walk case.
-    g = Graph(8, [(0, 1), (0, 2), (1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (5, 7), (6, 7)])
+    g = DUMBBELL
     rng = np.random.default_rng(5)
     for _ in range(20):
         z = [Fraction(x) for x in rng.random(g.m)]
@@ -233,3 +240,82 @@ def test_report_drifts_shape() -> None:
     assert all(-1 < dr <= 1 for dr in report.drifts)
     data = report.to_json()
     assert set(data) == {"passed", "drifts", "violations"}
+
+
+@pytest.mark.parametrize(
+    "n, edges, z, expected",
+    [
+        # Triangle with a pendant edge of weight exactly 1/2: the tail
+        # finisher's nearest-integer choice rounds the tie up.
+        (4, [(0, 1), (0, 3), (1, 3), (2, 3)], ["1/2", "1/4", "1/4", "1/2"], (1, 0, 0, 1)),
+        (
+            6,
+            [(0, 2), (0, 3), (0, 5), (1, 4), (1, 5), (2, 3),
+             (2, 4), (2, 5), (3, 4), (3, 5), (4, 5)],
+            ["0", "1/4", "1", "1/2", "3/4", "0", "1", "3/4", "1/4", "0", "1/2"],
+            (0, 1, 1, 0, 1, 0, 1, 1, 0, 0, 1),
+        ),
+        (
+            6,
+            [(0, 3), (0, 5), (1, 2), (1, 3), (1, 4), (1, 5),
+             (2, 4), (2, 5), (3, 4), (3, 5), (4, 5)],
+            ["1/2", "1", "3/4", "1", "0", "0", "1/4", "3/4", "1/4", "1/2", "1/4"],
+            (1, 1, 1, 1, 0, 0, 0, 1, 0, 0, 1),
+        ),
+    ],
+)
+def test_general_engine_labels_pinned(n, edges, z, expected) -> None:
+    # Labels recorded on the Fraction-based engine; any change here is a
+    # change of behaviour even when the new labels are also feasible.
+    g = Graph(n, edges)
+    w = FractionalEdgeWeights.from_values(g, [Fraction(v) for v in z])
+    assert balanced_round(w).values == expected
+
+# Weight families: dyadic steps (k/8, k/64), non-dyadic thirds and sevenths,
+# exact 0/1/half mixes (the Euler path), and halves beside thirds (the general
+# engine on half values).
+WEIGHT_FAMILIES = (
+    [Fraction(k, 8) for k in range(9)],
+    [Fraction(k, 64) for k in range(65)],
+    [Fraction(k, 3) for k in range(4)] + [Fraction(k, 7) for k in range(1, 7)],
+    [Fraction(0), Fraction(1), Fraction(1, 2)],
+    [Fraction(0), Fraction(1), Fraction(1, 2), Fraction(1, 3)],
+)
+
+
+@st.composite
+def weighted_graphs(draw) -> FractionalEdgeWeights:
+    if draw(st.integers(0, 9)) == 0:
+        g = DUMBBELL
+    else:
+        n = draw(st.integers(2, 8))
+        pairs = list(itertools.combinations(range(n), 2))
+        keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+        g = Graph(n, [p for p, k in zip(pairs, keep) if k])
+    family = draw(st.sampled_from(WEIGHT_FAMILIES))
+    z = draw(st.lists(st.sampled_from(family), min_size=g.m, max_size=g.m))
+    return FractionalEdgeWeights.from_values(g, z)
+
+
+@settings(max_examples=300, deadline=None)
+@given(weighted_graphs())
+def test_property_general_engine_meets_window(w: FractionalEdgeWeights) -> None:
+    out = balanced_round(w)
+    assert verify_rounding(w, out).passed
+    if w.graph.m <= 10:
+        assert out.values in brute_force_feasible(w.graph, list(w.values))
+
+
+def test_general_engine_scale_m4000() -> None:
+    # The engine once walked the whole fractional component twice for every
+    # settled edge (about 190 s here, about 0.5 s now); the limit catches a
+    # return of that per-step full-component work.
+    g = generate_regular(800, 10, seed=1)
+    numerators = np.random.default_rng(0).integers(1, 64, size=g.m)
+    w = FractionalEdgeWeights.from_values(g, [Fraction(int(k), 64) for k in numerators])
+    assert g.m == 4000
+    start = time.perf_counter()
+    out = balanced_round(w)
+    elapsed = time.perf_counter() - start
+    assert verify_rounding(w, out).passed
+    assert elapsed < 30, f"m = 4000 general rounding took {elapsed:.1f} s"
