@@ -10,6 +10,13 @@ certificate, never on the search.
 Window comparisons are exact integer cross-multiplications; the search
 potential weights window violations above residue distance so repair never
 trades feasibility of one for the other.
+
+A vertex's potential depends only on its subgraph degree, so each vertex gets
+a table of it over degrees 0..d(v). The search keeps every edge's flip gain
+between steps, with the candidate edges (those with a violating endpoint) in
+buckets keyed by gain. A flip changes only the degrees of its two endpoints,
+so only the edges incident to them are re-scored and re-bucketed: a step
+costs O(d) rather than a rescan of every candidate.
 """
 
 from __future__ import annotations
@@ -149,6 +156,18 @@ def exhaustive_solve(inst: DcsInstance, max_edges: int = 25) -> EdgeSubset | Non
     return None
 
 
+def _penalty_table(
+    deg_host: int, lam: int, allowed: tuple[int, int], big: int
+) -> tuple[int, ...]:
+    """Search potential of a vertex at each subgraph degree 0..deg_host."""
+    lower, upper = -(-deg_host // 3), (2 * deg_host) // 3
+    return tuple(
+        big * max(0, lower - x, x - upper)
+        + min(min((x - r) % lam, (r - x) % lam) for r in allowed)
+        for x in range(deg_host + 1)
+    )
+
+
 def solve(
     inst: DcsInstance,
     seed: int,
@@ -162,8 +181,10 @@ def solve(
     Each restart draws edges independently with probability 1/2, then toggles
     single edges to reduce a potential that weights window distance above the
     cyclic residue distance; zero-gain moves are allowed for a bounded plateau
-    budget. The first restart reaching zero potential returns its certificate
-    (asserted to verify). Exhausting all restarts raises ``BudgetError``.
+    budget. A step takes the lowest-index edge of the most negative gain, or
+    draws uniformly among the zero-gain edges in index order. The first
+    restart reaching zero potential returns its certificate (checked to
+    verify). Exhausting all restarts raises ``BudgetError``.
     """
     inst.validate(strict=strict)
     g = inst.graph
@@ -175,21 +196,39 @@ def solve(
         plateau_budget = 4 * g.n + g.m // 2
 
     big = max(inst.moduli) + 1
-    lower = [-(-g.degree(v) // 3) for v in range(g.n)]
-    upper = [(2 * g.degree(v)) // 3 for v in range(g.n)]
-    allowed = [inst.allowed_residues(v) for v in range(g.n)]
+    tables: dict[tuple[int, int, tuple[int, int]], tuple[int, ...]] = {}
+    table: list[tuple[int, ...]] = []
+    for v in range(g.n):
+        key = (g.degree(v), inst.moduli[v], inst.allowed_residues(v))
+        if key not in tables:
+            tables[key] = _penalty_table(*key, big)
+        table.append(tables[key])
+    # A flip moves each endpoint's potential by at most `span`, so every gain
+    # lies in [-2*span, 2*span]; bucket `offset + gain` holds the candidates.
+    span = max(
+        (abs(b - a) for t in tables.values() for a, b in zip(t, t[1:])), default=0
+    )
+    offset = 2 * span
     incident: list[list[int]] = [[] for _ in range(g.n)]
     for i, (u, v) in enumerate(g.edges):
         incident[u].append(i)
         incident[v].append(i)
 
-    def penalty(v: int, deg_v: int) -> int:
-        win = max(0, lower[v] - deg_v, deg_v - upper[v])
-        lam = inst.moduli[v]
-        res = min(
-            min((deg_v - r) % lam, (r - deg_v) % lam) for r in allowed[v]
-        )
-        return big * win + res
+    def rescore(e: int) -> None:
+        # Candidates are the edges with a violating endpoint.
+        u, v = g.edges[e]
+        if pen[u] or pen[v]:
+            d = -1 if inside[e] else 1
+            key = offset + table[u][deg[u] + d] - pen[u] + table[v][deg[v] + d] - pen[v]
+        else:
+            key = -1
+        old = slot[e]
+        if key != old:
+            if old >= 0:
+                buckets[old].discard(e)
+            if key >= 0:
+                buckets[key].add(e)
+            slot[e] = key
 
     for restart in range(restarts):
         rng = np.random.default_rng([seed, restart])
@@ -200,54 +239,43 @@ def solve(
                 u, v = g.edges[i]
                 deg[u] += 1
                 deg[v] += 1
-        pen = [penalty(v, deg[v]) for v in range(g.n)]
-        violating = {v for v in range(g.n) if pen[v]}
+        pen = [table[v][deg[v]] for v in range(g.n)]
+        violating = sum(1 for p in pen if p)
+        buckets: list[set[int]] = [set() for _ in range(2 * offset + 1)]
+        slot = [-1] * g.m
+        for e in range(g.m):
+            rescore(e)
         plateau_left = plateau_budget
         for _ in range(max_steps):
             if not violating:
                 break
-            candidates: set[int] = set()
-            for v in violating:
-                candidates.update(incident[v])
-            best_delta = None
-            best_edges: list[int] = []
-            for e in sorted(candidates):
-                u, v = g.edges[e]
-                d = -1 if inside[e] else 1
-                delta = (
-                    penalty(u, deg[u] + d)
-                    - pen[u]
-                    + penalty(v, deg[v] + d)
-                    - pen[v]
-                )
-                if best_delta is None or delta < best_delta:
-                    best_delta = delta
-                    best_edges = [e]
-                elif delta == best_delta:
-                    best_edges.append(e)
-            if best_delta is None:
+            low = next((k for k, bucket in enumerate(buckets) if bucket), None)
+            if low is None:
                 break
-            if best_delta > 0:
+            if low > offset:
                 break  # local minimum with no sideways escape
-            if best_delta == 0:
+            if low == offset:
                 if plateau_left <= 0:
                     break
                 plateau_left -= 1
-                e = best_edges[int(rng.integers(0, len(best_edges)))]
+                ties = sorted(buckets[low])
+                e = ties[int(rng.integers(0, len(ties)))]
             else:
-                e = best_edges[0]
+                e = min(buckets[low])
             u, v = g.edges[e]
             d = -1 if inside[e] else 1
             inside[e] = not inside[e]
-            deg[u] += d
-            deg[v] += d
             for w in (u, v):
-                pen[w] = penalty(w, deg[w])
-                if pen[w]:
-                    violating.add(w)
-                else:
-                    violating.discard(w)
+                deg[w] += d
+                was = pen[w]
+                pen[w] = table[w][deg[w]]
+                violating += (pen[w] > 0) - (was > 0)
+            for f in incident[u]:
+                rescore(f)
+            for f in incident[v]:
+                rescore(f)
         if not violating:
+            del buckets  # the sets keep their peak size; free them before verify
             cert = verify(inst, frozenset(i for i, f in enumerate(inside) if f))
             if not cert.passed:
                 raise AssertionError("zero-potential state failed verification")

@@ -15,25 +15,10 @@ out mid-search: a returned boolean is always exact.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from lidecomp.errors import BudgetError, InputError
 from lidecomp.graphs import Graph
 
 DEFAULT_NODE_BUDGET = 2_000_000
-
-
-@dataclass(frozen=True)
-class SearchConfig:
-    parts: int
-    node_budget: int = DEFAULT_NODE_BUDGET
-    force: bool = False  # run even when k^m exceeds the budget estimate
-
-    def validate(self) -> None:
-        if self.parts < 1:
-            raise InputError(f"part count must be >= 1, got {self.parts}")
-        if self.node_budget < 1:
-            raise InputError("node budget must be positive")
 
 
 def is_decomposable(
@@ -47,8 +32,10 @@ def is_decomposable(
     The witness assigns a label in 1..k to every edge in canonical order and
     every label class induces a locally irregular subgraph.
     """
-    config = SearchConfig(parts=k, node_budget=node_budget, force=force)
-    config.validate()
+    if k < 1:
+        raise InputError(f"part count must be >= 1, got {k}")
+    if node_budget < 1:
+        raise InputError("node budget must be positive")
     if g.m == 0:
         return True, ()
     if not force and k**g.m > node_budget:

@@ -231,32 +231,35 @@ def choose_selections(
 def _peel_core_host(
     g: Graph, vertices: set[int], edges: EdgeSubset, min_degree: int
 ) -> tuple[set[int], EdgeSubset]:
-    """Iteratively drop vertices until the induced subgraph clears ``min_degree``."""
-    deg: dict[int, int] = {v: 0 for v in vertices}
-    active = set()
+    """The ``min_degree``-core of the subgraph ``edges`` induce on ``vertices``.
+
+    A worklist drops each vertex once its degree falls below ``min_degree``;
+    the core is unique, so the removal order does not matter.
+    """
+    incident: dict[int, list[int]] = {v: [] for v in vertices}
     for i in edges:
         u, v = g.edges[i]
-        if u in deg and v in deg:
-            deg[u] += 1
-            deg[v] += 1
-            active.add(i)
+        if u in incident and v in incident:
+            incident[u].append(i)
+            incident[v].append(i)
+    deg = {v: len(es) for v, es in incident.items()}
     alive = set(vertices)
-    changed = True
-    while changed:
-        changed = False
-        for v in sorted(alive):
-            if deg[v] < min_degree:
-                alive.discard(v)
-                changed = True
-                for i in list(active):
-                    a, b = g.edges[i]
-                    if a == v or b == v:
-                        active.discard(i)
-                        other = b if a == v else a
-                        if other in alive:
-                            deg[other] -= 1
-                deg[v] = 0
-    return alive, frozenset(active)
+    # Each vertex enters the worklist once: at the start, or when its degree
+    # drops from min_degree to min_degree - 1.
+    worklist = [v for v in vertices if deg[v] < min_degree]
+    while worklist:
+        v = worklist.pop()
+        alive.discard(v)
+        for i in incident[v]:
+            a, b = g.edges[i]
+            other = b if a == v else a
+            if other in alive:
+                deg[other] -= 1
+                if deg[other] == min_degree - 1:
+                    worklist.append(other)
+    return alive, frozenset(
+        i for i in edges if g.edges[i][0] in alive and g.edges[i][1] in alive
+    )
 
 
 @dataclass(frozen=True)

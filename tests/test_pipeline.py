@@ -7,6 +7,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import lidecomp
 from lidecomp.coloring import VertexColoring, assign_random, distinguish
@@ -20,6 +22,7 @@ from lidecomp.graphs import (
     subgraph_degrees,
 )
 from lidecomp.pipeline import (
+    _peel_core_host,
     choose_selections,
     decompose_half,
     decompose_to_four,
@@ -389,3 +392,31 @@ def test_success_flag_soundness_fuzz() -> None:
             assert all(verdicts)
     # success is luck at this scale; the loop only checks soundness
     assert successes >= 0
+
+
+def reference_peel(
+    g: Graph, vertices: set[int], edges: frozenset[int], min_degree: int
+) -> tuple[set[int], frozenset[int]]:
+    """Fixed-point peel: sweep the survivors until none is below ``min_degree``."""
+    alive = set(vertices)
+    active = {i for i in edges if set(g.edges[i]) <= alive}
+    changed = True
+    while changed:
+        changed = False
+        for v in sorted(alive):
+            if sum(v in g.edges[i] for i in active) < min_degree:
+                alive.discard(v)
+                active = {i for i in active if v not in g.edges[i]}
+                changed = True
+    return alive, frozenset(active)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 14), st.floats(0.0, 1.0), st.randoms(use_true_random=False), st.integers(0, 7))
+def test_peel_core_host_matches_fixed_point(n, density, rnd, min_degree) -> None:
+    g = Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n) if rnd.random() < density])
+    vertices = {v for v in range(n) if rnd.random() < 0.8}
+    edges = frozenset(i for i in range(g.m) if rnd.random() < 0.8)
+    assert _peel_core_host(g, vertices, edges, min_degree) == reference_peel(
+        g, vertices, edges, min_degree
+    )
