@@ -195,7 +195,7 @@ def cmd_round(args: argparse.Namespace) -> tuple[dict, bool]:
                 except (ValueError, ZeroDivisionError):
                     raise InputError(f"{args.z_file}: line {ln}: bad weight {line!r}") from None
         weights = FractionalEdgeWeights.from_values(g, values)
-    labels = balanced_round(weights, seed=args.seed)
+    labels = balanced_round(weights)
     report = verify_rounding(weights, labels)
     payload = {
         "manifest": _manifest("round", args, ["input", "z", "z_file", "seed"]),
@@ -311,7 +311,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--in", dest="input", required=True)
     p.add_argument("--z", default=None, help="constant weight, e.g. 0.5 or 1/2")
     p.add_argument("--z-file", default=None, help="file with one weight per edge")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument(
+        "--seed", type=int, default=0, help="recorded in the manifest; rounding is deterministic"
+    )
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_round)
 

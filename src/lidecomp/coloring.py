@@ -184,12 +184,9 @@ class ColoringAudit:
     uncolored_threshold: float  # u*d
     violations: tuple[int, ...]
     passed: bool
-    special_star_counts: tuple[int, ...] | None = None
-    risky_star_counts: tuple[int, ...] | None = None
-    uncolored_star_counts: tuple[int, ...] | None = None
 
     def to_json(self) -> dict:
-        data = {
+        return {
             "special_counts": list(self.special_counts),
             "risky_counts": list(self.risky_counts),
             "uncolored_counts": list(self.uncolored_counts),
@@ -201,11 +198,6 @@ class ColoringAudit:
             "violations": list(self.violations),
             "passed": self.passed,
         }
-        if self.special_star_counts is not None:
-            data["special_star_counts"] = list(self.special_star_counts)
-            data["risky_star_counts"] = list(self.risky_star_counts)
-            data["uncolored_star_counts"] = list(self.uncolored_star_counts)
-        return data
 
 
 def _audit_caps(profile: ConstantProfile, d: int) -> np.ndarray:
@@ -247,15 +239,11 @@ def audit(
     sets: DistinguishedSets,
     profile: ConstantProfile,
     d: int,
-    c: VertexColoring | None = None,
-    diagnostics: bool = False,
 ) -> ColoringAudit:
     """Evaluate the three per-vertex bounds for a computed set family.
 
     The uncoloured count is the number of uncoloured *neighbours* in the whole
-    graph, not just endpoints of uncoloured edges. With ``diagnostics`` (needs
-    the colouring) the audit also reports the three supersets that ignore the
-    touching restriction respectively edge adjacency.
+    graph, not just endpoints of uncoloured edges.
     """
     profile.validate()
 
@@ -268,12 +256,6 @@ def audit(
     violations = tuple(_violating(counts, _audit_caps(profile, d)).tolist())
     sc, rc, uc = counts.tolist()
 
-    star_s = star_r = star_u = None
-    if diagnostics:
-        if c is None:
-            raise InputError("diagnostics require the colouring")
-        star_s, star_r, star_u = _star_counts(g, c, profile, d)
-
     return ColoringAudit(
         special_counts=tuple(sc),
         risky_counts=tuple(rc),
@@ -283,43 +265,7 @@ def audit(
         uncolored_threshold=profile.u * d,
         violations=violations,
         passed=not violations,
-        special_star_counts=star_s,
-        risky_star_counts=star_r,
-        uncolored_star_counts=star_u,
     )
-
-
-def _star_counts(
-    g: Graph, c: VertexColoring, profile: ConstantProfile, d: int
-) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]:
-    """Diagnostic supersets: same definitions without the touching restriction,
-    plus the uncoloured superset counting colour repeats across the joint
-    neighbourhood regardless of adjacency."""
-    bound = closeness_bound(profile, d)
-    kk = c.palette
-    star_s = [0] * g.n
-    star_r = [0] * g.n
-    for u, v in g.edges:
-        first_eq = c.first[u] == c.first[v]
-        second_eq = c.second[u] == c.second[v]
-        if first_eq or second_eq:
-            star_s[u] += 1
-            star_s[v] += 1
-        do = mod_distance(c.first[u], c.first[v], kk)
-        di = mod_distance(c.second[u], c.second[v], kk)
-        if (1 <= do <= bound) or (1 <= di <= bound):
-            star_r[u] += 1
-            star_r[v] += 1
-    pair = list(zip(c.first, c.second))
-    star_u = [0] * g.n
-    for v in range(g.n):
-        nv = g.neighbors(v)
-        for w in nv:
-            others = [pair[x] for x in nv if x != w]
-            others.extend(pair[x] for x in g.neighbors(w) if x != w)
-            if pair[w] in others:
-                star_u[v] += 1
-    return tuple(star_s), tuple(star_r), tuple(star_u)
 
 
 @dataclass(frozen=True)

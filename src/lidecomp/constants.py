@@ -2,20 +2,24 @@
 
 A profile fixes four fractions (k, s, r, u) of the common degree d plus the
 split points (s1, r1, u1) used by the tail bounds. Every closed-form
-inequality the construction needs is encoded as a named, checkable record:
-mean bounds, Chernoff/McDiarmid tail bounds with their monotonicity
-thresholds, the selection-size window, the core minimum-degree requirement
-and the separation margin. On top of the checks sit a minimal-feasible-degree
-scan and a small derivative-free optimizer over profiles.
+inequality the construction needs is one named row of a single table
+(``_constraint_table``): mean bounds, Chernoff/McDiarmid tail bounds with
+their monotonicity thresholds, the selection-size window, the core
+minimum-degree requirement and the separation margin.
 
-Polynomial/linear constraints are compared in exact rational arithmetic
-(profile constants are decimal by intent, so they are lifted via their
-decimal string); only the log/exp-based tail values use floats.
+The table has two backends. The exact one (``check_profile``) evaluates it at
+one degree with the constants as rationals (decimal by intent, so lifted via
+their decimal string); only the log/exp-based tail values are floats. The
+vector one (``_vector_feasible``) evaluates the same rows in floats over an
+array of degrees, so the minimal-feasible-degree scan and the small
+derivative-free optimizer over profiles can locate the feasible boundary
+quickly; the exact backend confirms every degree they report.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -110,6 +114,14 @@ REFERENCE_PROFILE = ConstantProfile(
 )
 
 
+def _separation(d, s, u):
+    """Selection-size cap ``d/6 - s*d/3 - u*d/6 - 13/3``.
+
+    Exact for a ``Fraction`` ``s``/``u``, elementwise for a float array ``d``.
+    """
+    return (d - 2 * s * d - u * d - 26) / 6
+
+
 @dataclass(frozen=True)
 class DerivedQuantities:
     """Degree-dependent quantities shared by the colouring and pipeline stages."""
@@ -125,12 +137,7 @@ class DerivedQuantities:
         if d < 0:
             raise InputError(f"degree must be nonnegative, got {d}")
         palette = max(1, math.ceil(_dec(profile.k) * d))
-        sep = (
-            Fraction(d, 6)
-            - _dec(profile.s) * d / 3
-            - _dec(profile.u) * d / 6
-            - Fraction(13, 3)
-        )
+        sep = _separation(d, _dec(profile.s), _dec(profile.u))
         size_count = max(0, math.ceil(sep))
         return cls(
             degree=d,
@@ -204,94 +211,84 @@ def monotonicity_thresholds(profile: ConstantProfile) -> tuple[float, float, flo
     return (-3.0 / ln_s3, -3.0 / ln_r3, 24.0 / profile.u2**2)
 
 
+def _constraint_table(profile: ConstantProfile, lift, d, tails: tuple) -> Iterator[tuple]:
+    """Every named constraint of the construction as a row ``(name, lhs, rhs, strict)``.
+
+    A row holds when ``lhs < rhs`` (strict) or ``lhs <= rhs``. ``lift`` maps
+    each profile constant to a number and ``tails`` holds the three tail bound
+    values at ``d``. The same arithmetic runs on an integer degree with
+    ``Fraction`` constants (exact backend) and on a float array of degrees with
+    float constants (vector backend).
+    """
+    k, s, r, u, s1, r1, u1 = (lift(getattr(profile, name)) for name in _PROFILE_FIELDS)
+    fs, fr, fu = tails
+    thr_s, thr_r, thr_u = monotonicity_thresholds(profile)
+    d1 = _separation(d, s, u)
+    tail_cap = 1.0 / (3.0 * math.e)
+    # Risky edges: the per-edge probability argument q must stay below 1.
+    q = s / k + 7 / (k * d)
+    # Dependency count of the local lemma: 3(d^3-d^2+d)+2 < 3d^3-1.
+    yield "dependency_count", 3 * (d**3 - d**2 + d) + 2, 3 * d**3 - 1, True
+    # Special edges: mean 2/k below s1*d, tail below 1/(3e) in the monotone range.
+    yield "special_mean", 2 / k, s1 * d, True
+    yield "special_tail", fs, tail_cap, True
+    yield "special_tail_monotone", thr_s, d, False
+    # Risky edges: mean bound 2q - q^2 below r1; tail as for special edges.
+    yield "risky_mean_arg", q, 1, True
+    yield "risky_mean", 2 * q - q * q, r1, True
+    yield "risky_tail", fr, tail_cap, True
+    yield "risky_tail_monotone", thr_r, d, False
+    # Uncoloured vertices: mean 2/k^2 - 1/(k^4 d) below u1*d, McDiarmid tail.
+    yield "uncolored_mean", 2 / k**2 - 1 / (k**4 * d), u1 * d, True
+    yield "uncolored_tail", fu, tail_cap, True
+    yield "uncolored_tail_monotone", thr_u, d, False
+    # Selection-size window: u*d/2 + 1 <= d1 <= (d - u*d)/2 - 1.
+    yield "selection_window_low", u * d / 2 + 1, d1, False
+    yield "selection_window_high", d1, (d - u * d) / 2 - 1, False
+    # Core host degrees must clear 12*k*d + 12 (hence six times the modulus).
+    yield "core_min_degree", 12 * k * d + 12, (d - s * d - u * d - r * d) / 2 - 1, False
+    # First-part degrees of coloured vertices must clear the selection cap.
+    # With an integer d, d / 6 is a float, so the exact backend compares d1
+    # with a rounded right-hand side; payloads pin that value.
+    yield "separation_margin", d1, d / 6 - s * d / 6 - u * d / 6 - 2 / 3, True
+
+
+def _holds(lhs, rhs, strict: bool):
+    return lhs < rhs if strict else lhs <= rhs
+
+
 def check_profile(profile: ConstantProfile, d: int) -> FeasibilityReport:
-    """Evaluate every named constraint of the construction at degree ``d``."""
+    """Evaluate every named constraint of the construction at degree ``d``, exactly."""
     profile.validate()
     if d < SCAN_LO:
         raise InputError(f"degree must be >= {SCAN_LO}, got {d}")
-
-    k, s, r, u = _dec(profile.k), _dec(profile.s), _dec(profile.r), _dec(profile.u)
-    s1, r1, u1 = _dec(profile.s1), _dec(profile.r1), _dec(profile.u1)
-    fs, fr, fu = bound_functions(profile, d)
-    thr_s, thr_r, thr_u = monotonicity_thresholds(profile)
-    tail_cap = 1.0 / (3.0 * math.e)
-    d1 = DerivedQuantities.derive(profile, d).separation
-
-    records: list[ConstraintRecord] = []
-
-    def add(name: str, lhs, rhs, passed: bool) -> None:
-        records.append(ConstraintRecord(name, float(lhs), float(rhs), passed))
-
-    # Dependency count of the local lemma: 3(d^3-d^2+d)+2 < 3d^3-1.
-    dep_lhs = 3 * (d**3 - d**2 + d) + 2
-    dep_rhs = 3 * d**3 - 1
-    add("dependency_count", dep_lhs, dep_rhs, dep_lhs < dep_rhs)
-
-    # Special edges: mean 2/k below s1*d, tail below 1/(3e) in the monotone range.
-    add("special_mean", 2 / k, s1 * d, 2 / k < s1 * d)
-    add("special_tail", fs, tail_cap, fs < tail_cap)
-    add("special_tail_monotone", thr_s, d, thr_s <= d)
-
-    # Risky edges: per-edge probability argument q must stay below 1 and give
-    # mean bound 2q - q^2 below r1; tail analogous to the special case.
-    q = s / k + Fraction(7) / (k * d)
-    add("risky_mean_arg", q, 1, q < 1)
-    add("risky_mean", 2 * q - q * q, r1, 2 * q - q * q < r1)
-    add("risky_tail", fr, tail_cap, fr < tail_cap)
-    add("risky_tail_monotone", thr_r, d, thr_r <= d)
-
-    # Uncoloured vertices: mean 2/k^2 - 1/(k^4 d) below u1*d, McDiarmid tail.
-    un_mean = 2 / k**2 - 1 / (k**4 * d)
-    add("uncolored_mean", un_mean, u1 * d, un_mean < u1 * d)
-    add("uncolored_tail", fu, tail_cap, fu < tail_cap)
-    add("uncolored_tail_monotone", thr_u, d, thr_u <= d)
-
-    # Selection-size window: u*d/2 + 1 <= d1 <= (d - u*d)/2 - 1 (non-strict).
-    win_lo = u * d / 2 + 1
-    win_hi = (d - u * d) / 2 - 1
-    add("selection_window_low", win_lo, d1, win_lo <= d1)
-    add("selection_window_high", d1, win_hi, d1 <= win_hi)
-
-    # Core host degrees must clear 12*k*d + 12 (hence six times the modulus).
-    core_lhs = 12 * k * d + 12
-    core_rhs = (d - s * d - u * d - r * d) / 2 - 1
-    add("core_min_degree", core_lhs, core_rhs, core_rhs >= core_lhs)
-
-    # First-part degrees of coloured vertices must clear the selection cap.
-    sep_rhs = d / 6 - s * d / 6 - u * d / 6 - Fraction(2, 3)
-    add("separation_margin", d1, sep_rhs, sep_rhs > d1)
-
-    return FeasibilityReport(
-        d=d, records=tuple(records), passed=all(rec.passed for rec in records)
+    records = tuple(
+        ConstraintRecord(name, float(lhs), float(rhs), _holds(lhs, rhs, strict))
+        for name, lhs, rhs, strict in _constraint_table(
+            profile, _dec, d, bound_functions(profile, d)
+        )
     )
+    return FeasibilityReport(d=d, records=records, passed=all(rec.passed for rec in records))
+
+
+def _vector_rows(profile: ConstantProfile, ds: np.ndarray) -> Iterator[tuple]:
+    """The constraint table in floats over an array of degrees."""
+    d = ds.astype(np.float64)
+    logd3 = 3.0 * np.log(d)
+    tails = tuple(
+        np.exp(np.minimum(logd3 + d * ln_base, 700.0)) for ln_base in profile.log_tail_bases()
+    )
+    return _constraint_table(profile, float, d, tails)
 
 
 def _vector_feasible(profile: ConstantProfile, ds: np.ndarray) -> np.ndarray:
-    """Float evaluation of the full constraint set over an array of degrees.
+    """Float evaluation of the constraint table over an array of degrees.
 
     Used only to locate the feasible boundary quickly; the exact scalar check
     confirms any candidate before it is reported.
     """
-    k, s, r, u = profile.k, profile.s, profile.r, profile.u
-    s1, r1, u1 = profile.s1, profile.r1, profile.u1
-    ln_s3, ln_r3, ln_u3 = profile.log_tail_bases()
-    thr_s, thr_r, thr_u = monotonicity_thresholds(profile)
-    ln_cap = -(1.0 + math.log(3.0))
-    d = ds.astype(np.float64)
-    logd3 = 3.0 * np.log(d)
-    d1 = d / 6 - s * d / 3 - u * d / 6 - 13.0 / 3.0
-    q = s / k + 7.0 / (k * d)
-    ok = 3 * (d**3 - d**2 + d) + 2 < 3 * d**3 - 1
-    ok &= 2.0 / k < s1 * d
-    ok &= (logd3 + d * ln_s3 < ln_cap) & (d >= thr_s)
-    ok &= (q < 1.0) & (2 * q - q * q < r1)
-    ok &= (logd3 + d * ln_r3 < ln_cap) & (d >= thr_r)
-    ok &= 2.0 / k**2 - 1.0 / (k**4 * d) < u1 * d
-    ok &= (logd3 + d * ln_u3 < ln_cap) & (d >= thr_u)
-    ok &= (u * d / 2 + 1 <= d1) & (d1 <= (d - u * d) / 2 - 1)
-    ok &= (d - s * d - u * d - r * d) / 2 - 1 >= 12 * k * d + 12
-    ok &= d / 6 - s * d / 6 - u * d / 6 - 2.0 / 3.0 > d1
-    return ok
+    rows = _vector_rows(profile, ds)
+    return np.logical_and.reduce([_holds(lhs, rhs, strict) for _, lhs, rhs, strict in rows])
 
 
 def min_feasible_d(profile: ConstantProfile, lo: int = SCAN_LO, hi: int = SCAN_HI) -> int:

@@ -137,12 +137,11 @@ def verify_rounding(weights: FractionalEdgeWeights, labels: BinaryEdgeLabels) ->
     return RoundingReport(passed=not violations, drifts=drifts, violations=violations)
 
 
-def balanced_round(weights: FractionalEdgeWeights, seed: int | None = None) -> BinaryEdgeLabels:
+def balanced_round(weights: FractionalEdgeWeights) -> BinaryEdgeLabels:
     """Round weights to labels satisfying the per-vertex window at every vertex.
 
     Deterministic: structures are discovered in canonical (lowest-index)
-    order, so the seed is accepted only for interface stability and is never
-    consulted. Raises ``BudgetError`` if the result fails its own verifier,
+    order. Raises ``BudgetError`` if the result fails its own verifier,
     which would indicate a defect rather than bad luck.
     """
     g = weights.graph

@@ -109,7 +109,7 @@ def test_criterion_3_rounding_contract(capsys) -> None:
             w = FractionalEdgeWeights.constant(g, Fraction(1, 2))
         else:
             w = FractionalEdgeWeights.from_values(g, [Fraction(x) for x in rng.random(g.m)])
-        labels = balanced_round(w, seed=trial)
+        labels = balanced_round(w)
         if not verify_rounding(w, labels).passed:
             failures += 1
         cases += 1

@@ -213,26 +213,51 @@ def test_audit_trivial_thresholds_always_pass() -> None:
     assert aud.passed
 
 
+def _star_counts(
+    g: Graph, c: VertexColoring, profile: ConstantProfile, d: int
+) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]:
+    """Diagnostic supersets: same definitions without the touching restriction,
+    plus the uncoloured superset counting colour repeats across the joint
+    neighbourhood regardless of adjacency."""
+    bound = closeness_bound(profile, d)
+    kk = c.palette
+    star_s = [0] * g.n
+    star_r = [0] * g.n
+    for u, v in g.edges:
+        first_eq = c.first[u] == c.first[v]
+        second_eq = c.second[u] == c.second[v]
+        if first_eq or second_eq:
+            star_s[u] += 1
+            star_s[v] += 1
+        do = mod_distance(c.first[u], c.first[v], kk)
+        di = mod_distance(c.second[u], c.second[v], kk)
+        if (1 <= do <= bound) or (1 <= di <= bound):
+            star_r[u] += 1
+            star_r[v] += 1
+    pair = list(zip(c.first, c.second))
+    star_u = [0] * g.n
+    for v in range(g.n):
+        nv = g.neighbors(v)
+        for w in nv:
+            others = [pair[x] for x in nv if x != w]
+            others.extend(pair[x] for x in g.neighbors(w) if x != w)
+            if pair[w] in others:
+                star_u[v] += 1
+    return tuple(star_s), tuple(star_r), tuple(star_u)
+
+
 def test_audit_diagnostic_supersets_dominate() -> None:
     rng = np.random.default_rng(3)
     for trial in range(10):
         g = generate_regular(14, 4, seed=trial)
         c = assign_random(g, int(rng.integers(1, 5)), seed=trial)
         sets = distinguish(g, c, DEMO, d=4)
-        aud = audit(g, sets, DEMO, d=4, c=c, diagnostics=True)
-        assert aud.special_star_counts is not None
+        aud = audit(g, sets, DEMO, d=4)
+        star_s, star_r, star_u = _star_counts(g, c, DEMO, 4)
         for v in range(g.n):
-            assert aud.special_counts[v] <= aud.special_star_counts[v]
-            assert aud.risky_counts[v] <= aud.risky_star_counts[v]
-            assert aud.uncolored_counts[v] <= aud.uncolored_star_counts[v]
-
-
-def test_audit_requires_coloring_for_diagnostics() -> None:
-    g = Graph(2, [(0, 1)])
-    c = assign_random(g, 2, seed=0)
-    sets = distinguish(g, c, DEMO, d=2)
-    with pytest.raises(InputError):
-        audit(g, sets, DEMO, d=2, diagnostics=True)
+            assert aud.special_counts[v] <= star_s[v]
+            assert aud.risky_counts[v] <= star_r[v]
+            assert aud.uncolored_counts[v] <= star_u[v]
 
 
 def test_resample_empty_graph_immediate_success() -> None:

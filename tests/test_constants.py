@@ -3,12 +3,16 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from lidecomp.constants import (
+    SCAN_LO,
     ConstantProfile,
     DerivedQuantities,
     REFERENCE_PROFILE,
+    _holds,
+    _vector_rows,
     bound_functions,
     check_profile,
     min_feasible_d,
@@ -194,3 +198,42 @@ def test_optimize_deterministic_and_never_worse() -> None:
     assert a == b
     assert a[1] <= REFERENCE_MIN_D
     assert check_profile(a[0], a[1]).passed
+
+
+def _feasible_perturbations() -> list[ConstantProfile]:
+    """The reference with one field scaled by 0.98 or 1.02, where still feasible."""
+    out = []
+    for name, val in REFERENCE_PROFILE.to_json().items():
+        for factor in (0.98, 1.02):
+            prof = ConstantProfile.from_json({**REFERENCE_PROFILE.to_json(), name: val * factor})
+            try:
+                prof.validate()
+                min_feasible_d(prof, hi=4 * REFERENCE_MIN_D)
+            except (InputError, BudgetError):
+                continue
+            out.append(prof)
+    return out
+
+
+def test_vector_backend_agrees_with_exact_rows() -> None:
+    # Row by row, at every degree within 40 of the minimal feasible degree and
+    # within 4 of every degree where a row's float verdict flips (below 4x the
+    # minimal degree), the float table must give the exact table's verdict.
+    profiles = [REFERENCE_PROFILE, optimize_profile(seed=0, budget=60)[0]]
+    profiles += _feasible_perturbations()
+    assert len(profiles) >= 10
+    for prof in profiles:
+        m = min_feasible_d(prof)
+        ds = np.arange(SCAN_LO, 4 * m)
+        verdicts = [
+            (name, np.asarray(_holds(lhs, rhs, strict)))
+            for name, lhs, rhs, strict in _vector_rows(prof, ds)
+        ]
+        probes = set(range(m - 40, m + 41))
+        for _, v in verdicts:
+            for j in np.flatnonzero(v[1:] != v[:-1]):
+                probes.update(range(max(SCAN_LO, int(ds[j]) - 3), int(ds[j]) + 5))
+        for d in sorted(probes):
+            exact = [(rec.name, rec.passed) for rec in check_profile(prof, d).records]
+            vector = [(name, bool(v[d - SCAN_LO])) for name, v in verdicts]
+            assert vector == exact, (prof, d)

@@ -3,8 +3,9 @@
 The CLI promises that an identical manifest reproduces byte-identical output.
 These hashes were recorded before the array-native colouring and integer
 rounding rewrites (the dyadic one before the general rounding engine moved to
-integer numerators and an early-exit search); any change to them is a change
-of behaviour, not of speed.
+integer numerators and an early-exit search, the ``constants`` ones before the
+feasibility system became one constraint table); any change to them is a
+change of behaviour, not of speed.
 Every path is relative, because the manifest embeds the ``--in``/``--out``
 arguments verbatim.
 """
@@ -84,3 +85,23 @@ def test_golden_dcs(workdir) -> None:
     assert _digest(argv, 0) == (
         "551490216cf54f04b7223a8d3a14376f6af8c37b45ccc9c42c388187cca3946d"
     )
+
+
+@pytest.mark.parametrize(
+    ("argv", "rc", "expected"),
+    [
+        (["check", "--d", "54000"], 0,
+         "cbf55d44055dba580b9c1b4b4cb768c7825c29bc65cf2fbbc121231831dc53bb"),
+        (["check", "--d", "100"], 1,
+         "26949b1ea3e9ce7c58efb71f1f336a08267225d8ba43aecd134c4babcae8ee6f"),
+        (["min-d"], 0,
+         "89eec5bc451416b36fbdd093ef4c8c5f41cbc63739d434cdc1a600b8cd14072f"),
+        # The optimizer's path runs through the float pre-filter: every
+        # candidate's scan is capped at the incumbent's minimal degree.
+        (["optimize", "--seed", "0", "--budget", "60"], 0,
+         "9697ac2f3676fe5c2a826203e8033eb16b18b3c16e969b7283ad51dbcadffbe6"),
+    ],
+    ids=["check-54000", "check-100", "min-d", "optimize"],
+)
+def test_golden_constants(workdir, argv: list[str], rc: int, expected: str) -> None:
+    assert _digest(["constants", *argv, "--out", "out.json"], rc) == expected

@@ -49,7 +49,7 @@ def test_split_single_group_when_no_distinguished_edges() -> None:
     c = far_apart_coloring(g, colors, palette=100)
     sets = distinguish(g, c, REFERENCE_PROFILE, d=4)
     assert sets.residual_nonspecial == frozenset(range(g.m))
-    split = split_edges(g, c, sets, seed=0)
+    split = split_edges(g, c, sets)
     assert set(split.rules) == {4}
     for v, dz in enumerate(subgraph_degrees(g, split.halves[0])):
         assert abs(2 * dz - g.degree(v)) <= 2
@@ -61,7 +61,7 @@ def test_split_special_edges_deterministic() -> None:
     c = VertexColoring(palette=40, first=(1, 12, 25, 25), second=(5, 5, 9, 30))
     sets = distinguish(g, c, DEMO, d=20)
     assert sets.special == {0, 1}
-    split = split_edges(g, c, sets, seed=3)
+    split = split_edges(g, c, sets)
     assert split.labels[0] == 0 and split.rules[0] == 0
     assert split.labels[1] == 1 and split.rules[1] == 1
 
@@ -93,8 +93,7 @@ def test_split_fuzz_balance_and_rule_partition() -> None:
         g = generate_regular(n, d, seed=trial)
         c = assign_random(g, int(rng.integers(1, 8)), seed=trial)
         sets = distinguish(g, c, DEMO, d=d)
-        split = split_edges(g, c, sets, seed=trial)
-        assert all(split.balance_ok)
+        split = split_edges(g, c, sets)
         assert split.halves[0] | split.halves[1] == frozenset(range(g.m))
         assert split.halves[0].isdisjoint(split.halves[1])
         assert all(r in range(5) for r in split.rules)
@@ -158,7 +157,7 @@ def test_choose_selections_fuzz_postcondition() -> None:
         g = generate_regular(n, d, seed=200 + trial)
         c = assign_random(g, 2, seed=trial)
         sets = distinguish(g, c, DEMO, d=d)
-        split = split_edges(g, c, sets, seed=trial)
+        split = split_edges(g, c, sets)
         restricted = split.restrict(sets, 0)
         inside = restricted["uncolored_edges"]
         fringe = restricted["touching"] - inside
@@ -191,7 +190,7 @@ def test_decompose_half_with_core_subgraph() -> None:
     sets = distinguish(g, c, prof, d=m)
     assert sets.uncolored == frozenset()
     assert sets.residual == frozenset(range(g.m))
-    split = split_edges(g, c, sets, seed=1)
+    split = split_edges(g, c, sets)
     half = decompose_half(g, c, sets, split, 0, prof, m, seed=5)
     assert half.core, "core solver should have produced a nonempty subgraph"
     assert half.first_part == half.core
@@ -214,7 +213,7 @@ def test_decompose_half_reports_core_budget_failure(monkeypatch) -> None:
     prof = ConstantProfile(k=0.03, s=0.003, r=0.26, u=0.13, s1=0.0015, r1=0.242, u1=0.059)
     c = far_apart_coloring(g, [(1, 1)] * m + [(20, 20)] * m, palette=40)
     sets = distinguish(g, c, prof, d=m)
-    split = split_edges(g, c, sets, seed=1)
+    split = split_edges(g, c, sets)
 
     def exhausted(*args, **kwargs):
         raise BudgetError("no certified subgraph after 50 restarts")
@@ -256,7 +255,7 @@ sets = DistinguishedSets(
     risky=empty, risky_not_special=empty, residual=empty, residual_nonspecial=empty,
 )
 try:
-    split_edges(Graph(2, [(0, 1)]), VertexColoring(3, (1, 1), (2, 2)), sets, seed=0)
+    split_edges(Graph(2, [(0, 1)]), VertexColoring(3, (1, 1), (2, 2)), sets)
 except AssertionError as exc:
     print("raised:", exc)
 """
@@ -297,7 +296,7 @@ def test_decompose_half_residues_make_first_part_irregular() -> None:
     c = far_apart_coloring(g, colors, palette=40)
     sets = distinguish(g, c, prof, d=m)
     assert sets.residual == frozenset(range(g.m))
-    split = split_edges(g, c, sets, seed=9)
+    split = split_edges(g, c, sets)
     for half_idx in (0, 1):
         half = decompose_half(g, c, sets, split, half_idx, prof, m, seed=7)
         assert half.core and half.first_part == half.core
@@ -311,7 +310,7 @@ def test_decompose_half_degenerate_all_uncolored() -> None:
     c = assign_random(g, 1, seed=0)  # single colour: everyone uncoloured
     sets = distinguish(g, c, DEMO, d=4)
     assert sets.uncolored == frozenset(range(12))
-    split = split_edges(g, c, sets, seed=2)
+    split = split_edges(g, c, sets)
     half = decompose_half(g, c, sets, split, 0, DEMO, 4, seed=3)
     assert half.core == frozenset()
     assert half.first_part == frozenset()  # no fringe edges to select from

@@ -135,8 +135,8 @@ def test_determinism_and_seed_independence() -> None:
     rng = np.random.default_rng(0)
     z = [Fraction(x) for x in rng.random(g.m)]
     w = FractionalEdgeWeights.from_values(g, z)
-    a = balanced_round(w, seed=1)
-    b = balanced_round(w, seed=2)
+    a = balanced_round(w)
+    b = balanced_round(w)
     assert a == b
 
 
