@@ -185,7 +185,11 @@ def cmd_round(args: argparse.Namespace) -> tuple[dict, bool]:
             raise InputError(f"cannot parse weight {args.z!r}") from None
     else:
         values = []
-        with open(args.z_file, "r", encoding="utf-8") as fh:
+        try:
+            fh = open(args.z_file, "r", encoding="utf-8")
+        except OSError as exc:
+            raise InputError(f"cannot read {args.z_file}: {exc}") from None
+        with fh:
             for ln, raw in enumerate(fh, start=1):
                 line = raw.strip()
                 if not line or line.startswith("#"):
@@ -206,6 +210,13 @@ def cmd_round(args: argparse.Namespace) -> tuple[dict, bool]:
     return payload, report.passed
 
 
+def _targets(path: str, values) -> tuple[int, ...]:
+    try:
+        return tuple(int(x) for x in values)
+    except (TypeError, ValueError) as exc:
+        raise InputError(f"{path}: malformed targets: {exc}") from None
+
+
 def cmd_dcs(args: argparse.Namespace) -> tuple[dict, bool]:
     g = read_graph(args.input)
     data = _load_json(args.t_file)
@@ -217,11 +228,13 @@ def cmd_dcs(args: argparse.Namespace) -> tuple[dict, bool]:
         else:
             if args.lam is None:
                 raise InputError("need --lambda when the instance file has none")
-            inst = DcsInstance(g, (args.lam,) * g.n, tuple(int(x) for x in data["t"]))
+            if "t" not in data:
+                raise InputError(f"{args.t_file}: instance object has no 't' field")
+            inst = DcsInstance(g, (args.lam,) * g.n, _targets(args.t_file, data["t"]))
     elif isinstance(data, list):
         if args.lam is None:
             raise InputError("need --lambda with a bare target list")
-        inst = DcsInstance(g, (args.lam,) * g.n, tuple(int(x) for x in data))
+        inst = DcsInstance(g, (args.lam,) * g.n, _targets(args.t_file, data))
     else:
         raise InputError(f"{args.t_file}: expected an object or list")
     cert = dcs_solve(inst, seed=args.seed, restarts=args.restarts, strict=not args.relaxed)

@@ -45,18 +45,23 @@ def is_decomposable(
 
     # Process edges with large endpoint degree sums first: conflicts surface
     # earlier and vertices close sooner.
-    order = sorted(range(g.m), key=lambda i: (-(g.degrees[g.edges[i][0]] + g.degrees[g.edges[i][1]]), i))
+    edges = g.edges
+    order = sorted(range(g.m), key=lambda i: (-(g.degrees[edges[i][0]] + g.degrees[edges[i][1]]), i))
     counts = [[0] * (k + 1) for _ in range(g.n)]
     remaining = list(g.degrees)
     labels = [0] * g.m
+    incident: list[list[tuple[int, int]]] = [[] for _ in range(g.n)]
+    for i, (u, v) in enumerate(edges):
+        incident[u].append((v, i))
+        incident[v].append((u, i))
     nodes = 0
 
     def closed_ok(v: int) -> bool:
         # v just closed: every incident edge whose other end is also closed
         # now has final degrees on both sides.
-        for w in g.adjacency[v]:
+        for w, e in incident[v]:
             if remaining[w] == 0:
-                c = labels[g.edge_id(v, w)]
+                c = labels[e]
                 if counts[v][c] == counts[w][c]:
                     return False
         return True
@@ -66,7 +71,7 @@ def is_decomposable(
         if pos == g.m:
             return True
         e = order[pos]
-        u, v = g.edges[e]
+        u, v = edges[e]
         top = min(k, max_used + 1)
         for c in range(1, top + 1):
             nodes += 1

@@ -18,7 +18,6 @@ that passes the full feasibility check.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -30,16 +29,8 @@ from lidecomp.coloring import (
 from lidecomp.constants import ConstantProfile, DerivedQuantities, check_profile
 from lidecomp.dcs import DcsInstance, solve as dcs_solve
 from lidecomp.errors import BudgetError, InputError
-from lidecomp.graphs import (
-    EdgeSubset,
-    Graph,
-    is_subgraph_locally_irregular,
-    subgraph_conflicts,
-    subgraph_degrees,
-)
-from lidecomp.rounding import FractionalEdgeWeights, balanced_round
-
-HALF = Fraction(1, 2)
+from lidecomp.graphs import EdgeSubset, Graph, degree_vector, edge_conflicts, subgraph_degrees
+from lidecomp.rounding import round_half_edges
 
 #: Per-rule domains: 0/1 are the special-edge rules, 2..4 the rounded groups.
 RULE_SPECIAL_TO_ZERO = 0
@@ -58,24 +49,27 @@ class HalfSplit:
     halves: tuple[EdgeSubset, EdgeSubset]
 
     def restrict(self, sets: DistinguishedSets, half: int) -> dict[str, EdgeSubset]:
-        """Intersections of the distinguished sets with one half."""
+        """Intersections of the distinguished sets that ``decompose_half`` reads with one half."""
         subset = self.halves[half]
         return {
             "uncolored_edges": sets.uncolored_edges & subset,
             "touching": sets.touching & subset,
-            "special": sets.special & subset,
             "risky": sets.risky & subset,
-            "risky_not_special": sets.risky_not_special & subset,
             "residual": sets.residual & subset,
-            "residual_nonspecial": sets.residual_nonspecial & subset,
         }
 
 
-def _half_balance(g: Graph, subset: EdgeSubset, labels: list[int]) -> bool:
-    """Check |deg_zero(v) - deg(v)/2| <= 1 within ``subset`` at every vertex."""
-    total = subgraph_degrees(g, subset)
-    zeros = subgraph_degrees(g, frozenset(i for i in subset if labels[i] == 0))
-    return all(abs(2 * z - t) <= 2 for z, t in zip(zeros, total))
+def _mask(m: int, es: EdgeSubset) -> np.ndarray:
+    mask = np.zeros(m, dtype=bool)
+    mask[np.fromiter(es, dtype=np.int64, count=len(es))] = True
+    return mask
+
+
+def _half_balance(g: Graph, subset: np.ndarray, labels: np.ndarray) -> bool:
+    """Check |deg_zero(v) - deg(v)/2| <= 1 within the edges ``subset`` masks, at every vertex."""
+    total = degree_vector(g, subset)
+    zeros = degree_vector(g, subset & (labels == 0))
+    return bool((np.abs(2 * zeros - total) <= 2).all())
 
 
 def split_edges(g: Graph, coloring: VertexColoring, sets: DistinguishedSets) -> HalfSplit:
@@ -86,51 +80,44 @@ def split_edges(g: Graph, coloring: VertexColoring, sets: DistinguishedSets) -> 
     groups are each balanced-rounded with weight one half, so within each
     group every vertex ends within one of an even split.
     """
-    labels = [-1] * g.m
-    rules = [-1] * g.m
-    for i in sets.special:
-        u, v = g.edges[i]
-        first_eq = coloring.first[u] == coloring.first[v]
-        second_eq = coloring.second[u] == coloring.second[v]
-        if first_eq == second_eq:
-            raise AssertionError("special edge must agree in exactly one coordinate")
-        if second_eq:
-            labels[i] = 0
-            rules[i] = RULE_SPECIAL_TO_ZERO
-        else:
-            labels[i] = 1
-            rules[i] = RULE_SPECIAL_TO_ONE
+    eu, ev = g.endpoint_arrays()
+    labels = np.full(g.m, -1, dtype=np.int64)
+    rules = np.full(g.m, -1, dtype=np.int64)
+    special = np.flatnonzero(_mask(g.m, sets.special))
+    first, second = np.asarray(coloring.first), np.asarray(coloring.second)
+    first_eq = first[eu[special]] == first[ev[special]]
+    second_eq = second[eu[special]] == second[ev[special]]
+    if (first_eq == second_eq).any():
+        raise AssertionError("special edge must agree in exactly one coordinate")
+    labels[special] = np.where(second_eq, 0, 1)
+    rules[special] = np.where(second_eq, RULE_SPECIAL_TO_ZERO, RULE_SPECIAL_TO_ONE)
 
-    groups = (
-        (RULE_RISKY_OR_INSIDE, sets.risky_not_special | sets.uncolored_edges),
-        (RULE_TOUCHING_FRINGE, sets.touching - sets.uncolored_edges),
-        (RULE_RESIDUAL_PLAIN, sets.residual_nonspecial),
-    )
-    for rule, subset in groups:
-        if not subset:
-            continue
-        members = sorted(subset)
-        sub = Graph(g.n, [g.edges[i] for i in members])
-        if sub.edges != tuple(g.edges[i] for i in members):
-            raise AssertionError("rule-group subgraph must keep the canonical edge order")
-        rounded = balanced_round(FractionalEdgeWeights.constant(sub, HALF))
-        for j, i in enumerate(members):
-            labels[i] = rounded.values[j]
-            rules[i] = rule
-    if not all(lab in (0, 1) for lab in labels):
+    inside = _mask(g.m, sets.uncolored_edges)
+    risky = _mask(g.m, sets.risky_not_special)
+    fringe = _mask(g.m, sets.touching) & ~inside
+    plain = _mask(g.m, sets.residual_nonspecial)
+    for rule, group in (
+        (RULE_RISKY_OR_INSIDE, risky | inside),
+        (RULE_TOUCHING_FRINGE, fringe),
+        (RULE_RESIDUAL_PLAIN, plain),
+    ):
+        members = np.flatnonzero(group)
+        labels[members] = round_half_edges(g.n, eu[members], ev[members])
+        rules[members] = rule
+    if (labels < 0).any():
         raise AssertionError("rules must cover every edge")
 
     balance = (
-        _half_balance(g, sets.risky_not_special, labels),
-        _half_balance(g, sets.uncolored_edges, labels),
-        _half_balance(g, sets.touching - sets.uncolored_edges, labels),
-        _half_balance(g, sets.residual_nonspecial, labels),
+        _half_balance(g, risky, labels),
+        _half_balance(g, inside, labels),
+        _half_balance(g, fringe, labels),
+        _half_balance(g, plain, labels),
     )
     if not all(balance):
         raise AssertionError("rounding contract violated inside a rule group")
-    zero = frozenset(i for i, lab in enumerate(labels) if lab == 0)
-    one = frozenset(range(g.m)) - zero
-    return HalfSplit(tuple(labels), tuple(rules), (zero, one))
+    zero = frozenset(np.flatnonzero(labels == 0).tolist())
+    one = frozenset(np.flatnonzero(labels == 1).tolist())
+    return HalfSplit(tuple(labels.tolist()), tuple(rules.tolist()), (zero, one))
 
 
 @dataclass(frozen=True)
@@ -162,14 +149,15 @@ def choose_selections(
     otherwise, with the eventual conflicts re-checked exhaustively.
     """
     deg_half = subgraph_degrees(g, half_edges)
+    edges = g.edges
     fringe_at: dict[int, list[int]] = {v: [] for v in uncolored}
     inside_neighbors: dict[int, list[int]] = {v: [] for v in uncolored}
     for i in sorted(fringe_half):
-        for v in g.edges[i]:
+        for v in edges[i]:
             if v in fringe_at:
                 fringe_at[v].append(i)
     for i in inside_half:
-        u, v = g.edges[i]
+        u, v = edges[i]
         inside_neighbors[u].append(v)
         inside_neighbors[v].append(u)
 
@@ -211,8 +199,8 @@ def choose_selections(
             i
             for i in inside_half
             if (
-                deg_half[g.edges[i][0]] - sizes[g.edges[i][0]]
-                == deg_half[g.edges[i][1]] - sizes[g.edges[i][1]]
+                deg_half[edges[i][0]] - sizes[edges[i][0]]
+                == deg_half[edges[i][1]] - sizes[edges[i][1]]
             )
         )
     )
@@ -232,9 +220,10 @@ def _peel_core_host(
     A worklist drops each vertex once its degree falls below ``min_degree``;
     the core is unique, so the removal order does not matter.
     """
+    ends = g.edges
     incident: dict[int, list[int]] = {v: [] for v in vertices}
     for i in edges:
-        u, v = g.edges[i]
+        u, v = ends[i]
         if u in incident and v in incident:
             incident[u].append(i)
             incident[v].append(i)
@@ -247,14 +236,14 @@ def _peel_core_host(
         v = worklist.pop()
         alive.discard(v)
         for i in incident[v]:
-            a, b = g.edges[i]
+            a, b = ends[i]
             other = b if a == v else a
             if other in alive:
                 deg[other] -= 1
                 if deg[other] == min_degree - 1:
                     worklist.append(other)
     return alive, frozenset(
-        i for i in edges if g.edges[i][0] in alive and g.edges[i][1] in alive
+        i for i in edges if ends[i][0] in alive and ends[i][1] in alive
     )
 
 
@@ -311,8 +300,9 @@ def decompose_half(
     # the target must equal twice the colour coordinate modulo the modulus.
     lam = derived.modulus
     base_count = [0] * g.n
+    ends = g.edges
     for i in set(selected) | set(risky_half):
-        for v in g.edges[i]:
+        for v in ends[i]:
             base_count[v] += 1
     targets = {
         v: (2 * coord[v] - base_count[v]) % lam
@@ -335,7 +325,7 @@ def decompose_half(
     if alive and host_edges:
         remap = {v: j for j, v in enumerate(sorted(alive))}
         host = Graph(len(alive), [
-            (remap[g.edges[i][0]], remap[g.edges[i][1]]) for i in sorted(host_edges)
+            (remap[ends[i][0]], remap[ends[i][1]]) for i in sorted(host_edges)
         ])
         host_members = sorted(host_edges)
         inst = DcsInstance(
@@ -352,11 +342,8 @@ def decompose_half(
             core_ok = False
         else:
             core_ok = cert.passed
-            back = {}
-            for i in host_members:
-                u, v = g.edges[i]
-                back[host.edge_id(remap[u], remap[v])] = i
-            core = frozenset(back[j] for j in cert.edges)
+            # remap is increasing, so host edge j is the j-th member in canonical order.
+            core = frozenset(host_members[j] for j in cert.edges)
 
     first = frozenset(selected) | risky_half | core
     if not first <= half_edges:
@@ -493,15 +480,15 @@ def verify_decomposition(
     g: Graph, parts: tuple[EdgeSubset, ...]
 ) -> tuple[bool, tuple[bool, ...], tuple[tuple[int, ...], ...]]:
     """Independent check: exact cover plus per-part local irregularity."""
-    union: set[int] = set()
-    total = 0
-    for part in parts:
-        union.update(part)
-        total += len(part)
-    cover_ok = union == set(range(g.m)) and total == g.m
-    verdicts = tuple(is_subgraph_locally_irregular(g, part) for part in parts)
-    conflicts = tuple(tuple(subgraph_conflicts(g, part)) for part in parts)
-    return cover_ok, verdicts, conflicts
+    members = [np.fromiter(part, dtype=np.int64, count=len(part)) for part in parts]
+    every = np.concatenate(members) if members else np.zeros(0, dtype=np.int64)
+    # m indices, all in range and each hit: every edge exactly once.
+    cover_ok = every.size == g.m and (
+        not g.m or (every.min() >= 0 and every.max() < g.m and np.bincount(every).all())
+    )
+    conflicts = tuple(tuple(edge_conflicts(g, idx).tolist()) for idx in members)
+    verdicts = tuple(not c for c in conflicts)
+    return bool(cover_ok), verdicts, conflicts
 
 
 def decompose_to_four(
@@ -586,10 +573,8 @@ def decompose_to_four(
     cover_ok, verdicts, conflicts = verify_decomposition(g, parts)
     if not cover_ok:
         raise AssertionError("parts must cover the edge set exactly")
-    rule_domains = tuple(
-        frozenset(i for i, r in enumerate(split.rules) if r == rule) for rule in range(5)
-    )
-    if sum(len(dom) for dom in rule_domains) != g.m:
+    rule_counts = np.bincount(split.rules, minlength=5).tolist()
+    if len(rule_counts) != 5 or sum(rule_counts) != g.m:
         raise AssertionError("every edge must carry exactly one rule")
 
     success = all(verdicts)
@@ -609,7 +594,7 @@ def decompose_to_four(
             "violations": len(resample.audit.violations),
         },
         "split": {
-            "rule_counts": [len(dom) for dom in rule_domains],
+            "rule_counts": rule_counts,
             # split_edges raises unless every rule group balances; the key
             # stays so the report keeps its format.
             "balance_ok": [True] * 4,

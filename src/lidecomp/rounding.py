@@ -12,7 +12,13 @@ Two engines sit behind :func:`balanced_round`:
   auxiliary vertex absorbs odd degrees) and alternate labels along it. Even
   vertices come out perfectly balanced, odd ones drift by a half, and an
   odd-length circuit parks its +1 drift either on the auxiliary vertex or on
-  the start vertex, where the closed right bound permits it.
+  the start vertex, where the closed right bound permits it. The walk takes
+  the endpoint arrays of the half edges and runs Hierholzer's algorithm over
+  a CSR adjacency (neighbours ascending, the auxiliary vertex last) with a
+  list of per-vertex pointers and ``bytearray`` marks for used edges and seen
+  vertices. :func:`round_half_edges` is the same walk for callers that hold
+  an edge-index array rather than weights (the pipeline's rule groups); it
+  checks the window with ``np.bincount`` in integers.
 
 * general weights: repeatedly shift mass along structures of the fractional
   subgraph until an edge hits 0 or 1 (a deterministic form of dependent
@@ -40,8 +46,11 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
+import numpy as np
+
 from lidecomp.errors import BudgetError, InputError
 from lidecomp.graphs import Graph
+
 
 def _as_fraction(value) -> Fraction:
     out = Fraction(value)
@@ -156,7 +165,10 @@ def balanced_round(weights: FractionalEdgeWeights) -> BinaryEdgeLabels:
     if fractional:
         # Weights lie in [0, 1] in lowest terms, so denominator 2 means 1/2.
         if all(val.denominator == 2 for val in fractional.values()):
-            _round_half_euler(g, fractional, x)
+            members = np.fromiter(fractional, dtype=np.int64, count=len(fractional))
+            eu, ev = g.endpoint_arrays()
+            for i, bit in zip(fractional, _round_half_euler(g.n, eu[members], ev[members])):
+                x[i] = bit
         else:
             _round_general(g, fractional, x)
 
@@ -172,64 +184,79 @@ def balanced_round(weights: FractionalEdgeWeights) -> BinaryEdgeLabels:
 # ---------------------------------------------------------------------------
 
 
-def _round_half_euler(g: Graph, fractional: dict[int, Fraction], x: list[int | None]) -> None:
-    aux = g.n
-    adj: dict[int, list[tuple[int, int]]] = {}
-    deg: dict[int, int] = {}
-    for i in sorted(fractional):
-        u, v = g.edges[i]
-        adj.setdefault(u, []).append((v, i))
-        adj.setdefault(v, []).append((u, i))
-        deg[u] = deg.get(u, 0) + 1
-        deg[v] = deg.get(v, 0) + 1
-    odd = sorted(v for v, dv in deg.items() if dv % 2)
-    for j, v in enumerate(odd):
-        key = g.m + j  # auxiliary edge ids live past the real range
-        adj.setdefault(aux, []).append((v, key))
-        adj[v].append((aux, key))
-    for lst in adj.values():
-        lst.sort()
+def _round_half_euler(n: int, eu: np.ndarray, ev: np.ndarray) -> bytearray:
+    """Labels of the edges ``(eu[j], ev[j])`` of a simple graph on ``0..n-1``.
 
-    seen: set[int] = set()
-    for start in ([aux] if aux in adj else []) + sorted(v for v in adj if v != aux):
-        if start in seen or not adj[start]:
+    Vertex ``n`` is auxiliary: the j-th odd-degree vertex joins it by the edge
+    keyed ``k + j`` (k real edges). Adjacency is CSR with neighbours ascending,
+    so the auxiliary vertex comes last; circuits start at the auxiliary vertex,
+    then at every unvisited vertex in ascending order.
+    """
+    k = len(eu)
+    deg = np.bincount(eu, minlength=n) + np.bincount(ev, minlength=n)
+    odd = np.flatnonzero(deg % 2)
+    hub = np.full(len(odd), n)
+    real, extra = np.arange(k), np.arange(k, k + len(odd))
+    src = np.concatenate((eu, ev, odd, hub))
+    dst = np.concatenate((ev, eu, hub, odd))
+    order = np.argsort(src * (n + 1) + dst)
+    nbr = dst[order].tolist()
+    key = np.concatenate((real, real, extra, extra))[order].tolist()
+    counts = np.bincount(src, minlength=n + 1)
+    end = np.cumsum(counts)
+    ptr, end = (end - counts).tolist(), end.tolist()
+
+    used = bytearray(k + len(odd))
+    seen = bytearray(n + 1)
+    x = bytearray(k)
+    starts = ([n] if len(odd) else []) + np.flatnonzero(deg).tolist()
+    for start in starts:
+        if seen[start]:
             continue
-        circuit = _euler_circuit(adj, start, seen)
-        bit = 1  # first edge takes +1/2; odd circuits then drift +1 at the start
-        for key in circuit:
-            if key < g.m:
-                x[key] = bit
-            bit = 1 - bit
-
-
-def _euler_circuit(adj: dict[int, list[tuple[int, int]]], start: int, seen: set[int]) -> list[int]:
-    """Hierholzer walk over the component of ``start``; returns edge keys in order."""
-    ptr: dict[int, int] = {}
-    used: set[int] = set()
-    stack: list[tuple[int, int | None]] = [(start, None)]
-    out: list[int] = []
-    while stack:
-        v, incoming = stack[-1]
-        seen.add(v)
-        lst = adj.get(v, ())
-        i = ptr.get(v, 0)
-        advanced = False
-        while i < len(lst):
-            w, key = lst[i]
-            i += 1
-            if key not in used:
-                used.add(key)
+        # Hierholzer walk over the component of start; an edge joins the
+        # circuit when the walk backs out of it, so the circuit is reversed.
+        circuit: list[int] = []
+        verts, via = [start], [-1]
+        while verts:
+            v = verts[-1]
+            seen[v] = 1
+            i, stop = ptr[v], end[v]
+            while i < stop and used[key[i]]:
+                i += 1
+            if i < stop:
+                used[key[i]] = 1
+                ptr[v] = i + 1
+                verts.append(nbr[i])
+                via.append(key[i])
+            else:
                 ptr[v] = i
-                stack.append((w, key))
-                advanced = True
-                break
-        if not advanced:
-            ptr[v] = i
-            stack.pop()
-            if incoming is not None:
-                out.append(incoming)
-    out.reverse()
-    return out
+                verts.pop()
+                e = via.pop()
+                if e >= 0:
+                    circuit.append(e)
+        bit = 1  # first edge takes +1/2; odd circuits then drift +1 at the start
+        for e in reversed(circuit):
+            if e < k:
+                x[e] = bit
+            bit ^= 1
+    return x
+
+
+def round_half_edges(n: int, eu: np.ndarray, ev: np.ndarray) -> np.ndarray:
+    """Balanced 0/1 labels (uint8) for weight-1/2 edges given by endpoint arrays.
+
+    The same walk as :func:`balanced_round`'s all-1/2 path, checked by the
+    integer form of :func:`verify_rounding` with denominator 2: at every
+    vertex ``gap = 2 * ones - degree`` must satisfy ``-2 < gap <= 2``.
+    """
+    bits = np.frombuffer(_round_half_euler(n, eu, ev), dtype=np.uint8)
+    one = bits == 1
+    gap = 2 * (np.bincount(eu[one], minlength=n) + np.bincount(ev[one], minlength=n))
+    gap -= np.bincount(eu, minlength=n) + np.bincount(ev, minlength=n)
+    violations = np.flatnonzero((gap <= -2) | (gap > 2))
+    if violations.size:
+        raise BudgetError(f"rounding violated its window at vertices {tuple(violations.tolist())}")
+    return bits
 
 
 # ---------------------------------------------------------------------------
@@ -245,18 +272,18 @@ class _State:
     """
 
     def __init__(self, g: Graph, fractional: dict[int, Fraction], x: list[int | None]):
-        self.g = g
+        self.edges = g.edges
         self.den = math.lcm(*(val.denominator for val in fractional.values()))
         self.y = {e: val.numerator * (self.den // val.denominator) for e, val in fractional.items()}
         self.x = x
         self.adj: dict[int, set[int]] = {}
         for i in fractional:
-            u, v = g.edges[i]
+            u, v = self.edges[i]
             self.adj.setdefault(u, set()).add(i)
             self.adj.setdefault(v, set()).add(i)
 
     def other(self, edge: int, v: int) -> int:
-        a, b = self.g.edges[edge]
+        a, b = self.edges[edge]
         return b if a == v else a
 
     def fdeg(self, v: int) -> int:
@@ -268,7 +295,7 @@ class _State:
     def assign(self, edge: int, val: int) -> None:
         del self.y[edge]
         self.x[edge] = val
-        for v in self.g.edges[edge]:
+        for v in self.edges[edge]:
             self.adj[v].discard(edge)
             if not self.adj[v]:
                 del self.adj[v]
@@ -292,7 +319,7 @@ class _State:
             sign = -sign
         vertex_delta: dict[int, int] = {}
         for e, de in delta.items():
-            for v in self.g.edges[e]:
+            for v in self.edges[e]:
                 vertex_delta[v] = vertex_delta.get(v, 0) + de
         moved = [v for v, dv in vertex_delta.items() if dv]
         if closed and moved:
@@ -346,7 +373,7 @@ def _search(
     parent_edge: dict[int, int | None] = {root: None}
     depth = {root: 0}
     back: list[int] = []
-    edges = state.g.edges
+    edges = state.edges
     stack = [root]
     while stack:
         v = stack.pop()
@@ -391,7 +418,7 @@ def _tree_walk(
 def _fundamental_cycle(
     state: _State, parent_edge: dict[int, int | None], depth: dict[int, int], chord: int
 ) -> list[int]:
-    u, v = state.g.edges[chord]
+    u, v = state.edges[chord]
     return _tree_walk(state, parent_edge, depth, u, v) + [chord]
 
 
@@ -463,7 +490,7 @@ def _try_pattern(
     sums: dict[int, int] = {}
     totals: dict[int, int] = {}
     for e, bit in assign.items():
-        for v in state.g.edges[e]:
+        for v in state.edges[e]:
             sums[v] = sums.get(v, 0) + state.y[e]
             totals[v] = totals.get(v, 0) + bit
     den = state.den
@@ -540,8 +567,8 @@ def _round_general(g: Graph, fractional: dict[int, Fraction], x: list[int | None
             elif len(c2) % 2 == 0:
                 state.apply_shift(c2, closed=True)
             else:
-                u1 = state.g.edges[back[0]][0]
-                u2 = state.g.edges[back[1]][0]
+                u1 = state.edges[back[0]][0]
+                u2 = state.edges[back[1]][0]
                 link = _tree_walk(state, parent_edge, depth, u1, u2)
                 walk = c1 + link + c2 + link[::-1]
                 state.apply_shift(walk, closed=True)

@@ -205,6 +205,39 @@ def test_dcs_cli_instance_object(tmp_path, capsys) -> None:
     assert code == 2  # lambda fixed twice
 
 
+def test_round_missing_z_file_is_input_error(tmp_path, capsys) -> None:
+    gpath = tmp_path / "g.txt"
+    write_graph(generate_circulant(6, [1]), gpath)
+    missing = tmp_path / "absent.txt"
+    code, out, err = run(["round", "--in", str(gpath), "--z-file", str(missing)], capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: cannot read {missing}: ")
+
+
+def test_dcs_target_object_without_t_is_input_error(tmp_path, capsys) -> None:
+    gpath = tmp_path / "g.txt"
+    write_graph(Graph(13, [(i, j) for i in range(13) for j in range(i + 1, 13)]), gpath)
+    tfile = tmp_path / "t.json"
+    tfile.write_text(json.dumps({"targets": [0] * 13}))
+    code, _, err = run(["dcs", "--in", str(gpath), "--lambda", "2", "--t-file", str(tfile)], capsys)
+    assert code == 2
+    assert err == f"error: {tfile}: instance object has no 't' field\n"
+
+
+def test_dcs_non_integer_target_is_input_error(tmp_path, capsys) -> None:
+    gpath = tmp_path / "g.txt"
+    write_graph(Graph(13, [(i, j) for i in range(13) for j in range(i + 1, 13)]), gpath)
+    tfile = tmp_path / "t.json"
+    for data in ([0] * 12 + ["x"], {"t": [0] * 12 + ["x"]}, {"t": 5}):
+        tfile.write_text(json.dumps(data))
+        code, _, err = run(
+            ["dcs", "--in", str(gpath), "--lambda", "2", "--t-file", str(tfile)], capsys
+        )
+        assert code == 2
+        assert err.startswith(f"error: {tfile}: malformed targets: ")
+
+
 def test_manifest_reproducibility(tmp_path, capsys) -> None:
     gpath = tmp_path / "g.txt"
     write_graph(generate_circulant(12, [1, 2]), gpath)

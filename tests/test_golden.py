@@ -20,7 +20,7 @@ import numpy as np
 import pytest
 
 from lidecomp.cli import main
-from lidecomp.graphs import generate_regular, write_graph
+from lidecomp.graphs import Graph, generate_regular, write_graph
 
 DEMO = {"k": 0.1, "s": 0.05, "r": 0.3, "u": 0.2, "s1": 0.024, "r1": 0.279, "u1": 0.09}
 
@@ -51,6 +51,20 @@ def test_golden_round_all_half(workdir) -> None:
     argv = ["round", "--in", "g.txt", "--z", "1/2", "--out", "out.json"]
     assert _digest(argv, 0) == (
         "75597e7e52e74506002ea81edb5a9acf30ff353b58935d21cbf94fe8d016c5d3"
+    )
+
+
+def test_golden_round_all_half_disconnected(workdir) -> None:
+    # Components with odd degrees (K4, a star, a 5-regular graph), an even
+    # path and triangle, and isolated vertices: the auxiliary vertex joins
+    # several components and some starts see no edge.
+    shifted = [(u + 17, v + 17) for u, v in generate_regular(16, 5, seed=6).edges]
+    edges = [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3), (4, 5), (5, 6), (6, 7),
+             (8, 9), (8, 10), (8, 11), (13, 14), (14, 15), (13, 15), *shifted]
+    write_graph(Graph(35, edges), "g.txt")
+    argv = ["round", "--in", "g.txt", "--z", "1/2", "--out", "out.json"]
+    assert _digest(argv, 0) == (
+        "c0f8a89e43079f61529166121fee681f103ba48b257043f977d982626ffe1d64"
     )
 
 

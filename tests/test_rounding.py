@@ -14,7 +14,9 @@ from lidecomp.graphs import Graph, generate_circulant, generate_regular
 from lidecomp.rounding import (
     BinaryEdgeLabels,
     FractionalEdgeWeights,
+    _round_half_euler,
     balanced_round,
+    round_half_edges,
     verify_rounding,
 )
 
@@ -319,3 +321,116 @@ def test_general_engine_scale_m4000() -> None:
     elapsed = time.perf_counter() - start
     assert verify_rounding(w, out).passed
     assert elapsed < 30, f"m = 4000 general rounding took {elapsed:.1f} s"
+
+
+# ---------------------------------------------------------------------------
+# The all-1/2 Euler walk against its former dict-and-set implementation
+# ---------------------------------------------------------------------------
+
+
+def ref_round_half_euler(n: int, edges: list[tuple[int, int]]) -> list[int]:
+    """The walk as it was written over dicts and sets, kept as the reference.
+
+    ``edges`` are canonical pairs in canonical order; edge j carries key j and
+    the j-th odd vertex's auxiliary edge key ``len(edges) + j``.
+    """
+    m = len(edges)
+    x = [None] * m
+    aux = n
+    adj: dict[int, list[tuple[int, int]]] = {}
+    deg: dict[int, int] = {}
+    for i, (u, v) in enumerate(edges):
+        adj.setdefault(u, []).append((v, i))
+        adj.setdefault(v, []).append((u, i))
+        deg[u] = deg.get(u, 0) + 1
+        deg[v] = deg.get(v, 0) + 1
+    odd = sorted(v for v, dv in deg.items() if dv % 2)
+    for j, v in enumerate(odd):
+        key = m + j
+        adj.setdefault(aux, []).append((v, key))
+        adj[v].append((aux, key))
+    for lst in adj.values():
+        lst.sort()
+
+    seen: set[int] = set()
+    for start in ([aux] if aux in adj else []) + sorted(v for v in adj if v != aux):
+        if start in seen or not adj[start]:
+            continue
+        circuit = ref_euler_circuit(adj, start, seen)
+        bit = 1
+        for key in circuit:
+            if key < m:
+                x[key] = bit
+            bit = 1 - bit
+    return x
+
+
+def ref_euler_circuit(
+    adj: dict[int, list[tuple[int, int]]], start: int, seen: set[int]
+) -> list[int]:
+    ptr: dict[int, int] = {}
+    used: set[int] = set()
+    stack: list[tuple[int, int | None]] = [(start, None)]
+    out: list[int] = []
+    while stack:
+        v, incoming = stack[-1]
+        seen.add(v)
+        lst = adj.get(v, ())
+        i = ptr.get(v, 0)
+        advanced = False
+        while i < len(lst):
+            w, key = lst[i]
+            i += 1
+            if key not in used:
+                used.add(key)
+                ptr[v] = i
+                stack.append((w, key))
+                advanced = True
+                break
+        if not advanced:
+            ptr[v] = i
+            stack.pop()
+            if incoming is not None:
+                out.append(incoming)
+    out.reverse()
+    return out
+
+
+@st.composite
+def half_graphs(draw) -> Graph:
+    """Several components, odd degrees and isolated vertices; n = 0 included."""
+    n = draw(st.integers(0, 16))
+    if n < 2:
+        return Graph(n, [])
+    pairs = draw(
+        st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=3 * n)
+    )
+    return Graph(n, {(min(u, v), max(u, v)) for u, v in pairs if u != v})
+
+
+@settings(max_examples=400, deadline=None)
+@given(half_graphs())
+def test_csr_euler_walk_matches_reference(g: Graph) -> None:
+    expected = ref_round_half_euler(g.n, list(g.edges))
+    eu, ev = g.endpoint_arrays()
+    assert list(_round_half_euler(g.n, eu, ev)) == expected
+    assert list(round_half_edges(g.n, eu, ev)) == expected
+    w = FractionalEdgeWeights.constant(g, Fraction(1, 2))
+    assert list(balanced_round(w).values) == expected
+
+
+@settings(max_examples=100, deadline=None)
+@given(half_graphs(), st.data())
+def test_csr_euler_walk_on_edge_subsets_matches_reference(g: Graph, data) -> None:
+    # As in the pipeline's rule groups: a subset of a host's edges, in canonical order.
+    keep = data.draw(st.lists(st.booleans(), min_size=g.m, max_size=g.m))
+    members = np.flatnonzero(np.asarray(keep, dtype=bool))
+    eu, ev = g.endpoint_arrays()
+    expected = ref_round_half_euler(g.n, [g.edges[i] for i in members])
+    assert list(round_half_edges(g.n, eu[members], ev[members])) == expected
+
+
+def test_csr_euler_walk_matches_reference_on_odd_regular_graph() -> None:
+    g = generate_regular(300, 9, seed=4)
+    eu, ev = g.endpoint_arrays()
+    assert list(_round_half_euler(g.n, eu, ev)) == ref_round_half_euler(g.n, list(g.edges))
