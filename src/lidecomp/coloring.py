@@ -25,7 +25,7 @@ import numpy as np
 
 from lidecomp.constants import ConstantProfile, DerivedQuantities
 from lidecomp.errors import InputError
-from lidecomp.graphs import EdgeSubset, Graph, degree_vector
+from lidecomp.graphs import EdgeSubset, Graph, degree_vector, index_array
 
 
 def mod_distance(m: int, n: int, modulus: int) -> int:
@@ -247,12 +247,9 @@ def audit(
     """
     profile.validate()
 
-    def index(es: frozenset[int]) -> np.ndarray:
-        return np.fromiter(es, dtype=np.int64, count=len(es))
-
     uflag = np.zeros(g.n, dtype=bool)
-    uflag[index(sets.uncolored)] = True
-    counts = _audit_counts(g, index(sets.special), index(sets.risky), uflag)
+    uflag[index_array(sets.uncolored)] = True
+    counts = _audit_counts(g, index_array(sets.special), index_array(sets.risky), uflag)
     violations = tuple(_violating(counts, _audit_caps(profile, d)).tolist())
     sc, rc, uc = counts.tolist()
 

@@ -101,9 +101,8 @@ def verify(inst: DcsInstance, edges: EdgeSubset) -> DcsCertificate:
     validate_edge_subset(g, edges)
     inst.validate(strict=False)
     deg = [0] * g.n
-    ends = g.edges
     for i in edges:
-        u, v = ends[i]
+        u, v = g.edges[i]
         deg[u] += 1
         deg[v] += 1
     window = tuple(_window_ok(g.degree(v), deg[v]) for v in range(g.n))
@@ -131,7 +130,6 @@ def exhaustive_solve(inst: DcsInstance, max_edges: int = 25) -> EdgeSubset | Non
     lower = [-(-g.degree(v) // 3) for v in range(g.n)]
     upper = [(2 * g.degree(v)) // 3 for v in range(g.n)]
     allowed = [inst.allowed_residues(v) for v in range(g.n)]
-    edges = g.edges
 
     deg = [0] * g.n
 
@@ -144,7 +142,7 @@ def exhaustive_solve(inst: DcsInstance, max_edges: int = 25) -> EdgeSubset | Non
         return frozenset()
     for step in range(1, 1 << g.m):
         flip = (step & -step).bit_length() - 1
-        u, v = edges[flip]
+        u, v = g.edges[flip]
         was = [vertex_ok(u), vertex_ok(v)]
         delta = -1 if inside[flip] else 1
         inside[flip] = not inside[flip]
@@ -190,7 +188,6 @@ def solve(
     """
     inst.validate(strict=strict)
     g = inst.graph
-    edges = g.edges
     if restarts < 1:
         raise InputError(f"restarts must be >= 1, got {restarts}")
     if max_steps is None:
@@ -213,13 +210,13 @@ def solve(
     )
     offset = 2 * span
     incident: list[list[int]] = [[] for _ in range(g.n)]
-    for i, (u, v) in enumerate(edges):
+    for i, (u, v) in enumerate(g.edges):
         incident[u].append(i)
         incident[v].append(i)
 
     def rescore(e: int) -> None:
         # Candidates are the edges with a violating endpoint.
-        u, v = edges[e]
+        u, v = g.edges[e]
         if pen[u] or pen[v]:
             d = -1 if inside[e] else 1
             key = offset + table[u][deg[u] + d] - pen[u] + table[v][deg[v] + d] - pen[v]
@@ -239,7 +236,7 @@ def solve(
         deg = [0] * g.n
         for i, flag in enumerate(inside):
             if flag:
-                u, v = edges[i]
+                u, v = g.edges[i]
                 deg[u] += 1
                 deg[v] += 1
         pen = [table[v][deg[v]] for v in range(g.n)]
@@ -265,7 +262,7 @@ def solve(
                 e = ties[int(rng.integers(0, len(ties)))]
             else:
                 e = min(buckets[low])
-            u, v = edges[e]
+            u, v = g.edges[e]
             d = -1 if inside[e] else 1
             inside[e] = not inside[e]
             for w in (u, v):

@@ -45,13 +45,12 @@ def is_decomposable(
 
     # Process edges with large endpoint degree sums first: conflicts surface
     # earlier and vertices close sooner.
-    edges = g.edges
-    order = sorted(range(g.m), key=lambda i: (-(g.degrees[edges[i][0]] + g.degrees[edges[i][1]]), i))
+    order = sorted(range(g.m), key=lambda i: (-(g.degrees[g.edges[i][0]] + g.degrees[g.edges[i][1]]), i))
     counts = [[0] * (k + 1) for _ in range(g.n)]
     remaining = list(g.degrees)
     labels = [0] * g.m
     incident: list[list[tuple[int, int]]] = [[] for _ in range(g.n)]
-    for i, (u, v) in enumerate(edges):
+    for i, (u, v) in enumerate(g.edges):
         incident[u].append((v, i))
         incident[v].append((u, i))
     nodes = 0
@@ -71,7 +70,7 @@ def is_decomposable(
         if pos == g.m:
             return True
         e = order[pos]
-        u, v = edges[e]
+        u, v = g.edges[e]
         top = min(k, max_used + 1)
         for c in range(1, top + 1):
             nodes += 1

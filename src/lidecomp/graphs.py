@@ -10,12 +10,13 @@ endpoint arrays (sorted once, on the key ``u*n + v``), and the adjacency is
 in CSR form: the neighbours of ``v`` are ``indices[indptr[v]:indptr[v+1]]``,
 ascending. Queries return plain Python ints and tuples; the tuple view
 ``g.edges`` and the pair-to-index dict behind scalar :meth:`Graph.edge_id`
-lookups are built on first use and cached. Graphs are immutable after
-construction and safe to share between threads.
+lookups are built on first use and cached.
+Graphs are immutable after construction and safe to share between threads.
 
 Edge subsets are plain ``frozenset[int]`` values over canonical edge indices
 (see :func:`validate_edge_subset`); array code selects edges with a boolean
-mask or an index array instead, and counts degrees with :func:`degree_vector`.
+mask or an index array instead (:func:`index_array` converts a subset), and
+counts degrees with :func:`degree_vector`.
 """
 
 from __future__ import annotations
@@ -118,8 +119,6 @@ class Graph:
     def __repr__(self) -> str:
         return f"Graph(n={self.n}, m={self.m})"
 
-    # CPython reads a cached_property through its generic (slower) attribute
-    # path, so callers that index ``edges`` in a loop bind it to a local first.
     @cached_property
     def edges(self) -> tuple[tuple[int, int], ...]:
         """Canonical edge list as a tuple of ``(u, v)`` pairs, built on first use."""
@@ -165,16 +164,17 @@ def degree_vector(g: Graph, edges: np.ndarray) -> np.ndarray:
     return np.bincount(eu[edges], minlength=g.n) + np.bincount(ev[edges], minlength=g.n)
 
 
-def _index_array(es: EdgeSubset) -> np.ndarray:
+def index_array(es: EdgeSubset) -> np.ndarray:
+    """The members of an edge subset as an int64 index array (in set order)."""
     return np.fromiter(es, dtype=np.int64, count=len(es))
 
 
 def subgraph_degrees(g: Graph, es: EdgeSubset) -> list[int]:
     """Per-vertex degree vector of the spanning subgraph with edge set ``es``."""
-    return degree_vector(g, _index_array(es)).tolist()
+    return degree_vector(g, index_array(es)).tolist()
 
 
-def edge_conflicts(g: Graph, edges: np.ndarray) -> np.ndarray:
+def _edge_conflicts(g: Graph, edges: np.ndarray) -> np.ndarray:
     """Ascending indices of the selected edges whose ends have equal degree among them.
 
     ``edges`` is an index array of distinct edges; degrees are counted once.
@@ -186,12 +186,12 @@ def edge_conflicts(g: Graph, edges: np.ndarray) -> np.ndarray:
 
 def is_subgraph_locally_irregular(g: Graph, es: EdgeSubset) -> bool:
     """True iff within the subgraph ``es`` every edge joins vertices of distinct degree."""
-    return not edge_conflicts(g, _index_array(es)).size
+    return not _edge_conflicts(g, index_array(es)).size
 
 
 def subgraph_conflicts(g: Graph, es: EdgeSubset) -> list[int]:
     """Edge indices in ``es`` whose endpoints have equal degree within ``es``."""
-    return edge_conflicts(g, _index_array(es)).tolist()
+    return _edge_conflicts(g, index_array(es)).tolist()
 
 
 def is_locally_irregular(g: Graph) -> bool:

@@ -29,7 +29,14 @@ from lidecomp.coloring import (
 from lidecomp.constants import ConstantProfile, DerivedQuantities, check_profile
 from lidecomp.dcs import DcsInstance, solve as dcs_solve
 from lidecomp.errors import BudgetError, InputError
-from lidecomp.graphs import EdgeSubset, Graph, degree_vector, edge_conflicts, subgraph_degrees
+from lidecomp.graphs import (
+    EdgeSubset,
+    Graph,
+    degree_vector,
+    index_array,
+    subgraph_conflicts,
+    subgraph_degrees,
+)
 from lidecomp.rounding import round_half_edges
 
 #: Per-rule domains: 0/1 are the special-edge rules, 2..4 the rounded groups.
@@ -61,7 +68,7 @@ class HalfSplit:
 
 def _mask(m: int, es: EdgeSubset) -> np.ndarray:
     mask = np.zeros(m, dtype=bool)
-    mask[np.fromiter(es, dtype=np.int64, count=len(es))] = True
+    mask[index_array(es)] = True
     return mask
 
 
@@ -149,15 +156,14 @@ def choose_selections(
     otherwise, with the eventual conflicts re-checked exhaustively.
     """
     deg_half = subgraph_degrees(g, half_edges)
-    edges = g.edges
     fringe_at: dict[int, list[int]] = {v: [] for v in uncolored}
     inside_neighbors: dict[int, list[int]] = {v: [] for v in uncolored}
     for i in sorted(fringe_half):
-        for v in edges[i]:
+        for v in g.edges[i]:
             if v in fringe_at:
                 fringe_at[v].append(i)
     for i in inside_half:
-        u, v = edges[i]
+        u, v = g.edges[i]
         inside_neighbors[u].append(v)
         inside_neighbors[v].append(u)
 
@@ -199,8 +205,8 @@ def choose_selections(
             i
             for i in inside_half
             if (
-                deg_half[edges[i][0]] - sizes[edges[i][0]]
-                == deg_half[edges[i][1]] - sizes[edges[i][1]]
+                deg_half[g.edges[i][0]] - sizes[g.edges[i][0]]
+                == deg_half[g.edges[i][1]] - sizes[g.edges[i][1]]
             )
         )
     )
@@ -220,10 +226,9 @@ def _peel_core_host(
     A worklist drops each vertex once its degree falls below ``min_degree``;
     the core is unique, so the removal order does not matter.
     """
-    ends = g.edges
     incident: dict[int, list[int]] = {v: [] for v in vertices}
     for i in edges:
-        u, v = ends[i]
+        u, v = g.edges[i]
         if u in incident and v in incident:
             incident[u].append(i)
             incident[v].append(i)
@@ -236,14 +241,14 @@ def _peel_core_host(
         v = worklist.pop()
         alive.discard(v)
         for i in incident[v]:
-            a, b = ends[i]
+            a, b = g.edges[i]
             other = b if a == v else a
             if other in alive:
                 deg[other] -= 1
                 if deg[other] == min_degree - 1:
                     worklist.append(other)
     return alive, frozenset(
-        i for i in edges if ends[i][0] in alive and ends[i][1] in alive
+        i for i in edges if g.edges[i][0] in alive and g.edges[i][1] in alive
     )
 
 
@@ -300,9 +305,8 @@ def decompose_half(
     # the target must equal twice the colour coordinate modulo the modulus.
     lam = derived.modulus
     base_count = [0] * g.n
-    ends = g.edges
     for i in set(selected) | set(risky_half):
-        for v in ends[i]:
+        for v in g.edges[i]:
             base_count[v] += 1
     targets = {
         v: (2 * coord[v] - base_count[v]) % lam
@@ -325,7 +329,7 @@ def decompose_half(
     if alive and host_edges:
         remap = {v: j for j, v in enumerate(sorted(alive))}
         host = Graph(len(alive), [
-            (remap[ends[i][0]], remap[ends[i][1]]) for i in sorted(host_edges)
+            (remap[g.edges[i][0]], remap[g.edges[i][1]]) for i in sorted(host_edges)
         ])
         host_members = sorted(host_edges)
         inst = DcsInstance(
@@ -480,13 +484,13 @@ def verify_decomposition(
     g: Graph, parts: tuple[EdgeSubset, ...]
 ) -> tuple[bool, tuple[bool, ...], tuple[tuple[int, ...], ...]]:
     """Independent check: exact cover plus per-part local irregularity."""
-    members = [np.fromiter(part, dtype=np.int64, count=len(part)) for part in parts]
-    every = np.concatenate(members) if members else np.zeros(0, dtype=np.int64)
+    every = np.concatenate([index_array(part) for part in parts] or [index_array(frozenset())])
     # m indices, all in range and each hit: every edge exactly once.
     cover_ok = every.size == g.m and (
-        not g.m or (every.min() >= 0 and every.max() < g.m and np.bincount(every).all())
+        not g.m
+        or (every.min() >= 0 and every.max() < g.m and np.bincount(every, minlength=g.m).all())
     )
-    conflicts = tuple(tuple(edge_conflicts(g, idx).tolist()) for idx in members)
+    conflicts = tuple(tuple(subgraph_conflicts(g, part)) for part in parts)
     verdicts = tuple(not c for c in conflicts)
     return bool(cover_ok), verdicts, conflicts
 

@@ -272,18 +272,18 @@ class _State:
     """
 
     def __init__(self, g: Graph, fractional: dict[int, Fraction], x: list[int | None]):
-        self.edges = g.edges
+        self.g = g
         self.den = math.lcm(*(val.denominator for val in fractional.values()))
         self.y = {e: val.numerator * (self.den // val.denominator) for e, val in fractional.items()}
         self.x = x
         self.adj: dict[int, set[int]] = {}
         for i in fractional:
-            u, v = self.edges[i]
+            u, v = g.edges[i]
             self.adj.setdefault(u, set()).add(i)
             self.adj.setdefault(v, set()).add(i)
 
     def other(self, edge: int, v: int) -> int:
-        a, b = self.edges[edge]
+        a, b = self.g.edges[edge]
         return b if a == v else a
 
     def fdeg(self, v: int) -> int:
@@ -295,7 +295,7 @@ class _State:
     def assign(self, edge: int, val: int) -> None:
         del self.y[edge]
         self.x[edge] = val
-        for v in self.edges[edge]:
+        for v in self.g.edges[edge]:
             self.adj[v].discard(edge)
             if not self.adj[v]:
                 del self.adj[v]
@@ -319,7 +319,7 @@ class _State:
             sign = -sign
         vertex_delta: dict[int, int] = {}
         for e, de in delta.items():
-            for v in self.edges[e]:
+            for v in self.g.edges[e]:
                 vertex_delta[v] = vertex_delta.get(v, 0) + de
         moved = [v for v, dv in vertex_delta.items() if dv]
         if closed and moved:
@@ -373,7 +373,7 @@ def _search(
     parent_edge: dict[int, int | None] = {root: None}
     depth = {root: 0}
     back: list[int] = []
-    edges = state.edges
+    edges = state.g.edges
     stack = [root]
     while stack:
         v = stack.pop()
@@ -418,7 +418,7 @@ def _tree_walk(
 def _fundamental_cycle(
     state: _State, parent_edge: dict[int, int | None], depth: dict[int, int], chord: int
 ) -> list[int]:
-    u, v = state.edges[chord]
+    u, v = state.g.edges[chord]
     return _tree_walk(state, parent_edge, depth, u, v) + [chord]
 
 
@@ -490,7 +490,7 @@ def _try_pattern(
     sums: dict[int, int] = {}
     totals: dict[int, int] = {}
     for e, bit in assign.items():
-        for v in state.edges[e]:
+        for v in state.g.edges[e]:
             sums[v] = sums.get(v, 0) + state.y[e]
             totals[v] = totals.get(v, 0) + bit
     den = state.den
@@ -567,8 +567,8 @@ def _round_general(g: Graph, fractional: dict[int, Fraction], x: list[int | None
             elif len(c2) % 2 == 0:
                 state.apply_shift(c2, closed=True)
             else:
-                u1 = state.edges[back[0]][0]
-                u2 = state.edges[back[1]][0]
+                u1 = state.g.edges[back[0]][0]
+                u2 = state.g.edges[back[1]][0]
                 link = _tree_walk(state, parent_edge, depth, u1, u2)
                 walk = c1 + link + c2 + link[::-1]
                 state.apply_shift(walk, closed=True)

@@ -177,6 +177,20 @@ def test_verify_rejects_broken_partition(tmp_path, capsys) -> None:
     assert "partition" in err
 
 
+def test_verify_rejects_overlap_that_leaves_top_edges_uncovered(tmp_path, capsys) -> None:
+    # K_{1,4}: two copies of {0, 1} have total size m = 4 but miss edges 2 and 3.
+    gpath = tmp_path / "g.txt"
+    write_graph(Graph(5, [(0, i) for i in range(1, 5)]), gpath)
+    dpath = tmp_path / "d.json"
+    dpath.write_text(json.dumps({"parts": [[0, 1], [0, 1]]}))
+    code, out, err = run(["verify", "--graph", str(gpath), "--decomp", str(dpath)], capsys)
+    assert code == 1
+    data = json.loads(out)
+    assert data["cover_ok"] is False
+    assert data["verdicts"] == [True, True] and data["passed"] is False
+    assert "partition" in err
+
+
 def test_dcs_cli(tmp_path, capsys) -> None:
     gpath = tmp_path / "g.txt"
     write_graph(Graph(13, [(i, j) for i in range(13) for j in range(i + 1, 13)]), gpath)

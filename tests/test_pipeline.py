@@ -351,6 +351,21 @@ def test_decompose_to_four_invariants_best_effort() -> None:
         assert sum(res.report["split"]["rule_counts"]) == g.m
 
 
+def test_verify_decomposition_cover_matches_set_reference() -> None:
+    # Exact cover means: the parts' union is every edge and their sizes sum to m.
+    g = Graph(5, [(0, i) for i in range(1, 5)] + [(1, 2)])
+    rng = np.random.default_rng(3)
+    for _ in range(300):
+        parts = tuple(
+            frozenset(np.flatnonzero(rng.random(g.m) < 0.4).tolist())
+            for _ in range(int(rng.integers(0, 4)))
+        )
+        union = frozenset().union(*parts)
+        expected = union == frozenset(range(g.m)) and sum(map(len, parts)) == g.m
+        assert verify_decomposition(g, parts)[0] == expected
+    assert not verify_decomposition(g, (frozenset({0, 1, 2}), frozenset({0, 1})))[0]
+
+
 def test_decompose_to_four_deterministic() -> None:
     g = generate_circulant(24, [1, 2, 3])
     a = decompose_to_four(g, DEMO, mode="best-effort", seed=11, max_rounds=20)
