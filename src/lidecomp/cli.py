@@ -24,13 +24,14 @@ from lidecomp.constants import (
     optimize_profile,
 )
 from lidecomp.dcs import DcsInstance, solve as dcs_solve
-from lidecomp.errors import BudgetError, InputError
+from lidecomp.errors import BudgetError, InputError, json_int
 from lidecomp.exact import is_decomposable, min_parts, witness_parts
 from lidecomp.graphs import (
     Graph,
     generate_circulant,
     generate_regular,
     read_graph,
+    validate_edge_subset,
     write_graph,
 )
 from lidecomp.pipeline import decompose_to_four, verify_decomposition
@@ -130,13 +131,11 @@ def cmd_verify(args: argparse.Namespace) -> tuple[dict, bool]:
     if not isinstance(data, dict) or "parts" not in data:
         raise InputError(f"{args.decomp}: expected a JSON object with a 'parts' field")
     try:
-        parts = tuple(frozenset(int(i) for i in part) for part in data["parts"])
+        parts = tuple(frozenset(json_int(i) for i in part) for part in data["parts"])
     except (TypeError, ValueError) as exc:
         raise InputError(f"{args.decomp}: malformed parts: {exc}") from None
     for part in parts:
-        for i in part:
-            if not 0 <= i < g.m:
-                raise InputError(f"edge index {i} out of range for m={g.m}")
+        validate_edge_subset(g, part)
     cover_ok, verdicts, conflicts = verify_decomposition(g, parts)
     ok = cover_ok and all(verdicts)
     if not cover_ok:
@@ -212,7 +211,7 @@ def cmd_round(args: argparse.Namespace) -> tuple[dict, bool]:
 
 def _targets(path: str, values) -> tuple[int, ...]:
     try:
-        return tuple(int(x) for x in values)
+        return tuple(json_int(x) for x in values)
     except (TypeError, ValueError) as exc:
         raise InputError(f"{path}: malformed targets: {exc}") from None
 

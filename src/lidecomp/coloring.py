@@ -19,13 +19,12 @@ import math
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import NamedTuple
 
 import numpy as np
 
 from lidecomp.constants import ConstantProfile, DerivedQuantities
-from lidecomp.errors import InputError
-from lidecomp.graphs import EdgeSubset, Graph, degree_vector, index_array
+from lidecomp.errors import InputError, json_int
+from lidecomp.graphs import Graph, degree_vector
 
 
 def mod_distance(m: int, n: int, modulus: int) -> int:
@@ -64,9 +63,9 @@ class VertexColoring:
     def from_json(cls, data: dict) -> "VertexColoring":
         try:
             return cls(
-                palette=int(data["K"]),
-                first=tuple(int(x) for x in data["O"]),
-                second=tuple(int(x) for x in data["I"]),
+                palette=json_int(data["K"]),
+                first=tuple(json_int(x) for x in data["O"]),
+                second=tuple(json_int(x) for x in data["I"]),
             )
         except (KeyError, TypeError, ValueError) as exc:
             raise InputError(f"malformed colouring JSON: {exc}") from None
@@ -84,16 +83,18 @@ def assign_random(g: Graph, palette: int, seed: int) -> VertexColoring:
 
 @dataclass(frozen=True)
 class DistinguishedSets:
-    """The edge/vertex sets a fixed colouring induces on a host graph."""
+    """The vertex and edge sets a fixed colouring induces on a host graph.
 
-    uncolored: frozenset[int]  # vertices whose full pair repeats on a neighbour
-    uncolored_edges: EdgeSubset  # edges with both ends uncoloured
-    touching: EdgeSubset  # edges with at least one uncoloured end
-    special: EdgeSubset  # untouched edges agreeing in exactly one coordinate
-    risky: EdgeSubset  # untouched edges with a coordinate cyclically close
-    risky_not_special: EdgeSubset
-    residual: EdgeSubset  # edges in neither touching nor risky
-    residual_nonspecial: EdgeSubset  # residual minus special
+    ``uncolored`` lists vertices in ascending order; every other field is a
+    boolean mask over the canonical edge indices.
+    """
+
+    uncolored: np.ndarray  # vertices whose full pair repeats on a neighbour
+    uncolored_edges: np.ndarray  # edges with both ends uncoloured
+    touching: np.ndarray  # edges with at least one uncoloured end
+    special: np.ndarray  # untouched edges agreeing in exactly one coordinate
+    risky: np.ndarray  # untouched edges with a coordinate cyclically close
+    residual: np.ndarray  # edges in neither touching nor risky
 
 
 def closeness_bound(profile: ConstantProfile, d: int) -> int:
@@ -101,22 +102,9 @@ def closeness_bound(profile: ConstantProfile, d: int) -> int:
     return math.floor((Fraction(str(profile.s)) * d + 7) / 2)
 
 
-class _SetMasks(NamedTuple):
-    """Boolean masks of the distinguished sets, named as in DistinguishedSets."""
-
-    uncolored: np.ndarray  # over vertices; the rest are over edges
-    uncolored_edges: np.ndarray
-    touching: np.ndarray
-    special: np.ndarray
-    risky: np.ndarray
-    risky_not_special: np.ndarray
-    residual: np.ndarray
-    residual_nonspecial: np.ndarray
-
-
 def _set_masks(
     g: Graph, first: np.ndarray, second: np.ndarray, palette: int, bound: int
-) -> _SetMasks:
+) -> DistinguishedSets:
     """Evaluate the set definitions for colour arrays with values in 1..palette."""
     eu, ev = g.endpoint_arrays()
     fu, fv, su, sv = first[eu], first[ev], second[eu], second[ev]
@@ -138,16 +126,13 @@ def _set_masks(
         return (gap >= 1) & (np.minimum(gap, palette - gap) <= bound)
 
     risky = ~touch & (close(fu, fv) | close(su, sv))
-    residual = ~touch & ~risky
-    return _SetMasks(
-        uncolored=uflag,
+    return DistinguishedSets(
+        uncolored=np.flatnonzero(uflag),
         uncolored_edges=inside,
         touching=touch,
         special=special,
         risky=risky,
-        risky_not_special=risky & ~special,
-        residual=residual,
-        residual_nonspecial=residual & ~special,
+        residual=~touch & ~risky,
     )
 
 
@@ -163,13 +148,7 @@ def distinguish(
     profile.validate()
     first = np.asarray(c.first, dtype=np.int64)
     second = np.asarray(c.second, dtype=np.int64)
-    return _collect(_set_masks(g, first, second, c.palette, closeness_bound(profile, d)))
-
-
-def _collect(masks: _SetMasks) -> DistinguishedSets:
-    return DistinguishedSets(
-        **{name: frozenset(np.flatnonzero(mask).tolist()) for name, mask in masks._asdict().items()}
-    )
+    return _set_masks(g, first, second, c.palette, closeness_bound(profile, d))
 
 
 @dataclass(frozen=True)
@@ -214,19 +193,15 @@ def _audit_caps(profile: ConstantProfile, d: int) -> np.ndarray:
     )
 
 
-def _audit_counts(
-    g: Graph, special: np.ndarray, risky: np.ndarray, uncolored: np.ndarray
-) -> np.ndarray:
-    """Rows: special and risky incidence, then uncoloured neighbours, per vertex.
-
-    ``special``/``risky`` select edges by mask or index array; ``uncolored``
-    is a vertex mask.
-    """
+def _audit_counts(g: Graph, sets: DistinguishedSets) -> np.ndarray:
+    """Rows: special and risky incidence, then uncoloured neighbours, per vertex."""
     eu, ev = g.endpoint_arrays()
-    neighbours = np.bincount(eu[uncolored[ev]], minlength=g.n) + np.bincount(
-        ev[uncolored[eu]], minlength=g.n
+    uflag = np.zeros(g.n, dtype=bool)
+    uflag[sets.uncolored] = True
+    neighbours = np.bincount(eu[uflag[ev]], minlength=g.n) + np.bincount(
+        ev[uflag[eu]], minlength=g.n
     )
-    return np.stack((degree_vector(g, special), degree_vector(g, risky), neighbours))
+    return np.stack((degree_vector(g, sets.special), degree_vector(g, sets.risky), neighbours))
 
 
 def _violating(counts: np.ndarray, caps: np.ndarray) -> np.ndarray:
@@ -246,10 +221,7 @@ def audit(
     graph, not just endpoints of uncoloured edges.
     """
     profile.validate()
-
-    uflag = np.zeros(g.n, dtype=bool)
-    uflag[index_array(sets.uncolored)] = True
-    counts = _audit_counts(g, index_array(sets.special), index_array(sets.risky), uflag)
+    counts = _audit_counts(g, sets)
     violations = tuple(_violating(counts, _audit_caps(profile, d)).tolist())
     sc, rc, uc = counts.tolist()
 
@@ -305,8 +277,8 @@ def resample_until_good(
 
     rounds = 0
     while True:
-        masks = _set_masks(g, first, second, palette, bound)
-        bad = _violating(_audit_counts(g, masks.special, masks.risky, masks.uncolored), caps)
+        sets = _set_masks(g, first, second, palette, bound)
+        bad = _violating(_audit_counts(g, sets), caps)
         if not bad.size or rounds >= max_rounds:
             break
         centre = int(bad[0])
@@ -320,6 +292,5 @@ def resample_until_good(
         rounds += 1
 
     coloring = VertexColoring(palette, tuple(first.tolist()), tuple(second.tolist()))
-    sets = _collect(masks)
     result = audit(g, sets, profile, d)
     return ResampleResult(coloring, sets, result, result.passed, rounds)

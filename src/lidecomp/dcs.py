@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from lidecomp.errors import BudgetError, InputError
+from lidecomp.errors import BudgetError, InputError, json_int
 from lidecomp.graphs import EdgeSubset, Graph, validate_edge_subset
 
 
@@ -63,8 +63,8 @@ class DcsInstance:
     @classmethod
     def from_json(cls, g: Graph, data: dict) -> "DcsInstance":
         try:
-            moduli = tuple(int(x) for x in data["lambda"])
-            targets = tuple(int(x) for x in data["t"])
+            moduli = tuple(json_int(x) for x in data["lambda"])
+            targets = tuple(json_int(x) for x in data["t"])
         except (KeyError, TypeError, ValueError) as exc:
             raise InputError(f"malformed instance JSON: {exc}") from None
         return cls(g, moduli, targets)

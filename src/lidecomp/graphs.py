@@ -13,10 +13,12 @@ ascending. Queries return plain Python ints and tuples; the tuple view
 lookups are built on first use and cached.
 Graphs are immutable after construction and safe to share between threads.
 
-Edge subsets are plain ``frozenset[int]`` values over canonical edge indices
-(see :func:`validate_edge_subset`); array code selects edges with a boolean
-mask or an index array instead (:func:`index_array` converts a subset), and
-counts degrees with :func:`degree_vector`.
+Inside the package an edge subset is a boolean mask of length ``m`` over
+canonical edge indices, and :func:`degree_vector` counts its degrees. Index
+collections (a ``frozenset[int]``, a list or an int64 array) are kept for
+subsets that enter or leave as JSON: parts read by the verifier, DCS
+certificates and exact-oracle witnesses. :func:`validate_edge_subset` checks
+one and :func:`index_array` converts it.
 """
 
 from __future__ import annotations
@@ -164,14 +166,14 @@ def degree_vector(g: Graph, edges: np.ndarray) -> np.ndarray:
     return np.bincount(eu[edges], minlength=g.n) + np.bincount(ev[edges], minlength=g.n)
 
 
-def index_array(es: EdgeSubset) -> np.ndarray:
-    """The members of an edge subset as an int64 index array (in set order)."""
+def index_array(es: EdgeSubset | Sequence[int] | np.ndarray) -> np.ndarray:
+    """The members of an index collection as an int64 array, in iteration order.
+
+    An int64 array is returned as it is, so converting twice costs nothing.
+    """
+    if isinstance(es, np.ndarray) and es.dtype == np.int64:
+        return es
     return np.fromiter(es, dtype=np.int64, count=len(es))
-
-
-def subgraph_degrees(g: Graph, es: EdgeSubset) -> list[int]:
-    """Per-vertex degree vector of the spanning subgraph with edge set ``es``."""
-    return degree_vector(g, index_array(es)).tolist()
 
 
 def _edge_conflicts(g: Graph, edges: np.ndarray) -> np.ndarray:

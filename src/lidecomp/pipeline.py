@@ -29,14 +29,7 @@ from lidecomp.coloring import (
 from lidecomp.constants import ConstantProfile, DerivedQuantities, check_profile
 from lidecomp.dcs import DcsInstance, solve as dcs_solve
 from lidecomp.errors import BudgetError, InputError
-from lidecomp.graphs import (
-    EdgeSubset,
-    Graph,
-    degree_vector,
-    index_array,
-    subgraph_conflicts,
-    subgraph_degrees,
-)
+from lidecomp.graphs import EdgeSubset, Graph, degree_vector, index_array, subgraph_conflicts
 from lidecomp.rounding import round_half_edges
 
 #: Per-rule domains: 0/1 are the special-edge rules, 2..4 the rounded groups.
@@ -49,27 +42,10 @@ RULE_RESIDUAL_PLAIN = 4
 
 @dataclass(frozen=True)
 class HalfSplit:
-    """0/1 edge labels, the rule that produced each label, and the two halves."""
+    """0/1 edge labels and the rule that produced each label; half h is ``labels == h``."""
 
-    labels: tuple[int, ...]
-    rules: tuple[int, ...]
-    halves: tuple[EdgeSubset, EdgeSubset]
-
-    def restrict(self, sets: DistinguishedSets, half: int) -> dict[str, EdgeSubset]:
-        """Intersections of the distinguished sets that ``decompose_half`` reads with one half."""
-        subset = self.halves[half]
-        return {
-            "uncolored_edges": sets.uncolored_edges & subset,
-            "touching": sets.touching & subset,
-            "risky": sets.risky & subset,
-            "residual": sets.residual & subset,
-        }
-
-
-def _mask(m: int, es: EdgeSubset) -> np.ndarray:
-    mask = np.zeros(m, dtype=bool)
-    mask[index_array(es)] = True
-    return mask
+    labels: np.ndarray
+    rules: np.ndarray
 
 
 def _half_balance(g: Graph, subset: np.ndarray, labels: np.ndarray) -> bool:
@@ -90,7 +66,7 @@ def split_edges(g: Graph, coloring: VertexColoring, sets: DistinguishedSets) -> 
     eu, ev = g.endpoint_arrays()
     labels = np.full(g.m, -1, dtype=np.int64)
     rules = np.full(g.m, -1, dtype=np.int64)
-    special = np.flatnonzero(_mask(g.m, sets.special))
+    special = np.flatnonzero(sets.special)
     first, second = np.asarray(coloring.first), np.asarray(coloring.second)
     first_eq = first[eu[special]] == first[ev[special]]
     second_eq = second[eu[special]] == second[ev[special]]
@@ -99,10 +75,10 @@ def split_edges(g: Graph, coloring: VertexColoring, sets: DistinguishedSets) -> 
     labels[special] = np.where(second_eq, 0, 1)
     rules[special] = np.where(second_eq, RULE_SPECIAL_TO_ZERO, RULE_SPECIAL_TO_ONE)
 
-    inside = _mask(g.m, sets.uncolored_edges)
-    risky = _mask(g.m, sets.risky_not_special)
-    fringe = _mask(g.m, sets.touching) & ~inside
-    plain = _mask(g.m, sets.residual_nonspecial)
+    inside = sets.uncolored_edges
+    risky = sets.risky & ~sets.special
+    fringe = sets.touching & ~inside
+    plain = sets.residual & ~sets.special
     for rule, group in (
         (RULE_RISKY_OR_INSIDE, risky | inside),
         (RULE_TOUCHING_FRINGE, fringe),
@@ -122,9 +98,7 @@ def split_edges(g: Graph, coloring: VertexColoring, sets: DistinguishedSets) -> 
     )
     if not all(balance):
         raise AssertionError("rounding contract violated inside a rule group")
-    zero = frozenset(np.flatnonzero(labels == 0).tolist())
-    one = frozenset(np.flatnonzero(labels == 1).tolist())
-    return HalfSplit(tuple(labels.tolist()), tuple(rules.tolist()), (zero, one))
+    return HalfSplit(labels, rules)
 
 
 @dataclass(frozen=True)
@@ -139,129 +113,115 @@ class SelectionResult:
 
 def choose_selections(
     g: Graph,
-    uncolored: frozenset[int],
-    half_edges: EdgeSubset,
-    inside_half: EdgeSubset,
-    fringe_half: EdgeSubset,
+    uncolored: np.ndarray,
+    half_edges: np.ndarray,
+    inside_half: np.ndarray,
+    fringe_half: np.ndarray,
     size_count: int,
     strict: bool = False,
 ) -> SelectionResult:
     """Pick per-vertex fringe-edge subsets making adjusted degrees distinct.
 
-    Processing uncoloured vertices in ascending order, each takes the
-    smallest admissible size (of its lowest-indexed fringe edges) whose
-    adjusted half-degree differs from every already-processed uncoloured
-    neighbour inside the half. Feasibility needs enough fringe edges and few
-    inside edges per vertex; violations raise in strict mode and are recorded
+    ``uncolored`` is the ascending vertex array, the three edge sets are
+    masks, and every inside edge joins two uncoloured vertices. Processing
+    uncoloured vertices in ascending order, each takes the smallest
+    admissible size (of its lowest-indexed fringe edges) whose adjusted
+    half-degree differs from every already-processed uncoloured neighbour
+    inside the half. Feasibility needs enough fringe edges and few inside
+    edges per vertex; violations raise in strict mode and are recorded
     otherwise, with the eventual conflicts re-checked exhaustively.
     """
-    deg_half = subgraph_degrees(g, half_edges)
-    fringe_at: dict[int, list[int]] = {v: [] for v in uncolored}
-    inside_neighbors: dict[int, list[int]] = {v: [] for v in uncolored}
-    for i in sorted(fringe_half):
-        for v in g.edges[i]:
-            if v in fringe_at:
-                fringe_at[v].append(i)
-    for i in inside_half:
-        u, v = g.edges[i]
-        inside_neighbors[u].append(v)
-        inside_neighbors[v].append(u)
+    eu, ev = g.endpoint_arrays()
+    is_uncolored = np.zeros(g.n, dtype=bool)
+    is_uncolored[uncolored] = True
+    # The fringe edges at uncoloured v, ascending: fringe[fptr[v]:fptr[v + 1]].
+    ids = np.flatnonzero(fringe_half)
+    ends, ids = np.concatenate((eu[ids], ev[ids])), np.concatenate((ids, ids))
+    keep = is_uncolored[ends]
+    ends, ids = ends[keep], ids[keep]
+    fringe = ids[np.lexsort((ids, ends))].tolist()
+    fcount = np.bincount(ends, minlength=g.n)
+    fptr = np.concatenate(([0], np.cumsum(fcount))).tolist()
+    # Canonical edges have u < v, so an inside edge's lower end u is processed
+    # before v; the lower inside neighbours of v are lower[lptr[v]:lptr[v + 1]].
+    inside = np.flatnonzero(inside_half)
+    lower = eu[inside][np.argsort(ev[inside], kind="stable")].tolist()
+    lptr = np.concatenate(([0], np.cumsum(np.bincount(ev[inside], minlength=g.n)))).tolist()
 
-    failures = []
-    for v in sorted(uncolored):
-        if len(fringe_at[v]) < size_count - 1 or len(inside_neighbors[v]) >= size_count:
-            failures.append(v)
+    infeasible = (fcount[uncolored] < size_count - 1) | (
+        degree_vector(g, inside_half)[uncolored] >= size_count
+    )
+    failures = uncolored[infeasible].tolist()
     if failures and strict:
         raise InputError(
             f"selection feasibility fails at vertices {failures[:10]} "
             f"(need {size_count - 1} fringe edges and < {size_count} inside edges)"
         )
 
+    adjusted = degree_vector(g, half_edges).tolist()  # minus the selection size, once chosen
     selections: dict[int, tuple[int, ...]] = {}
     sizes: dict[int, int] = {}
-    for v in sorted(uncolored):
-        forbidden = {
-            deg_half[v] - (deg_half[w] - sizes[w])
-            for w in inside_neighbors[v]
-            if w in sizes
-        }
-        avail = len(fringe_at[v])
-        size = None
-        for cand in range(0, min(size_count, avail + 1)):
-            if cand not in forbidden:
-                size = cand
-                break
+    for v in uncolored.tolist():
+        forbidden = {adjusted[v] - adjusted[w] for w in lower[lptr[v] : lptr[v + 1]]}
+        avail = fptr[v + 1] - fptr[v]
+        size = next((c for c in range(min(size_count, avail + 1)) if c not in forbidden), None)
         if size is None:
             if strict:
                 raise InputError(f"no admissible selection size at vertex {v}")
-            size = next(
-                (c for c in range(0, avail + 1) if c not in forbidden), 0
-            )
-        selections[v] = tuple(fringe_at[v][:size])
+            size = next((c for c in range(0, avail + 1) if c not in forbidden), 0)
+        selections[v] = tuple(fringe[fptr[v] : fptr[v] + size])
         sizes[v] = size
+        adjusted[v] -= size
 
-    conflicts = tuple(
-        sorted(
-            i
-            for i in inside_half
-            if (
-                deg_half[g.edges[i][0]] - sizes[g.edges[i][0]]
-                == deg_half[g.edges[i][1]] - sizes[g.edges[i][1]]
-            )
-        )
-    )
+    adjusted = np.asarray(adjusted)
+    conflicts = inside[adjusted[eu[inside]] == adjusted[ev[inside]]]
     return SelectionResult(
         selections=selections,
         sizes=sizes,
         precondition_failures=tuple(failures),
-        conflicts=conflicts,
+        conflicts=tuple(conflicts.tolist()),
     )
 
 
 def _peel_core_host(
-    g: Graph, vertices: set[int], edges: EdgeSubset, min_degree: int
-) -> tuple[set[int], EdgeSubset]:
-    """The ``min_degree``-core of the subgraph ``edges`` induce on ``vertices``.
+    g: Graph, vertices: np.ndarray, edges: np.ndarray, min_degree: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """The ``min_degree``-core of the subgraph the edge mask ``edges`` induces on ``vertices``.
 
-    A worklist drops each vertex once its degree falls below ``min_degree``;
-    the core is unique, so the removal order does not matter.
+    Returns the core's vertex and edge masks. Each round drops every vertex
+    below ``min_degree`` at once; the core is unique, so the order does not
+    matter. Only the neighbours of dropped vertices lose degree, so each host
+    edge is walked once from each end.
     """
-    incident: dict[int, list[int]] = {v: [] for v in vertices}
-    for i in edges:
-        u, v = g.edges[i]
-        if u in incident and v in incident:
-            incident[u].append(i)
-            incident[v].append(i)
-    deg = {v: len(es) for v, es in incident.items()}
-    alive = set(vertices)
-    # Each vertex enters the worklist once: at the start, or when its degree
-    # drops from min_degree to min_degree - 1.
-    worklist = [v for v in vertices if deg[v] < min_degree]
-    while worklist:
-        v = worklist.pop()
-        alive.discard(v)
-        for i in incident[v]:
-            a, b = g.edges[i]
-            other = b if a == v else a
-            if other in alive:
-                deg[other] -= 1
-                if deg[other] == min_degree - 1:
-                    worklist.append(other)
-    return alive, frozenset(
-        i for i in edges if g.edges[i][0] in alive and g.edges[i][1] in alive
-    )
+    eu, ev = g.endpoint_arrays()
+    host = edges & vertices[eu] & vertices[ev]
+    # Host adjacency in CSR form: the neighbours of x are nbr[ptr[x]:ptr[x + 1]].
+    src = np.concatenate((eu[host], ev[host]))
+    nbr = np.concatenate((ev[host], eu[host]))[np.argsort(src, kind="stable")]
+    deg = np.bincount(src, minlength=g.n)
+    ptr = np.concatenate(([0], np.cumsum(deg)))
+    alive = vertices.copy()
+    drop = np.flatnonzero(alive & (deg < min_degree))
+    while drop.size:
+        alive[drop] = False
+        hit = np.concatenate([nbr[ptr[v] : ptr[v + 1]] for v in drop.tolist()])
+        hit = hit[alive[hit]]
+        np.subtract.at(deg, hit, 1)
+        hit = np.unique(hit)
+        drop = hit[deg[hit] < min_degree]
+    return alive, host & alive[eu] & alive[ev]
 
 
 @dataclass(frozen=True)
 class HalfDecomposition:
-    """One half split into its first (selection/risky/core) and second parts."""
+    """One half split into its first (selection/risky/core) and second parts, as edge masks."""
 
     half: int
-    first_part: EdgeSubset
-    second_part: EdgeSubset
+    first_part: np.ndarray
+    second_part: np.ndarray
     selections: dict[int, tuple[int, ...]]
     residue_targets: dict[int, int]
-    core: EdgeSubset
+    core: np.ndarray
     core_excluded: tuple[int, ...]
     diagnostics: dict
 
@@ -280,13 +240,11 @@ def decompose_half(
 ) -> HalfDecomposition:
     """Decompose one half into two candidate locally irregular parts."""
     derived = DerivedQuantities.derive(profile, d)
-    half_edges = split.halves[half]
-    restricted = split.restrict(sets, half)
-    inside = restricted["uncolored_edges"]
-    fringe = restricted["touching"] - inside
-    risky_half = restricted["risky"]
-    host_pool = restricted["residual"]
-    coord = coloring.first if half == 0 else coloring.second
+    half_edges = split.labels == half
+    inside = sets.uncolored_edges & half_edges
+    fringe = sets.touching & half_edges & ~inside
+    risky_half = sets.risky & half_edges
+    coord = np.asarray(coloring.first if half == 0 else coloring.second)
 
     selection = choose_selections(
         g,
@@ -297,46 +255,37 @@ def decompose_half(
         derived.size_count,
         strict=strict,
     )
-    selected: set[int] = set()
-    for edges in selection.selections.values():
-        selected.update(edges)
+    selected = np.zeros(g.m, dtype=bool)
+    selected[[i for edges in selection.selections.values() for i in edges]] = True
 
     # Residue targets for coloured vertices: selection/risky incidence plus
     # the target must equal twice the colour coordinate modulo the modulus.
     lam = derived.modulus
-    base_count = [0] * g.n
-    for i in set(selected) | set(risky_half):
-        for v in g.edges[i]:
-            base_count[v] += 1
-    targets = {
-        v: (2 * coord[v] - base_count[v]) % lam
-        for v in range(g.n)
-        if v not in sets.uncolored
-    }
+    colored = np.ones(g.n, dtype=bool)
+    colored[sets.uncolored] = False
+    residue = (2 * coord - degree_vector(g, selected | risky_half)) % lam
+    targets = dict(zip(np.flatnonzero(colored).tolist(), residue[colored].tolist()))
 
     # Core host: coloured vertices with enough residual-half degree for the
     # degree-constrained solver; the rest are excluded and logged.
-    colored = set(range(g.n)) - set(sets.uncolored)
     need = max(12, 6 * lam)
-    alive, host_edges = _peel_core_host(g, colored, host_pool, need)
-    excluded = tuple(sorted(colored - alive))
+    alive, host_edges = _peel_core_host(g, colored, sets.residual & half_edges, need)
+    excluded = tuple(np.flatnonzero(colored & ~alive).tolist())
     if strict and excluded:
         raise InputError(
             f"half {half}: core host degree below {need} at {len(excluded)} vertices"
         )
-    core: EdgeSubset = frozenset()
+    core = np.zeros(g.m, dtype=bool)
     core_ok = True
-    if alive and host_edges:
-        remap = {v: j for j, v in enumerate(sorted(alive))}
-        host = Graph(len(alive), [
-            (remap[g.edges[i][0]], remap[g.edges[i][1]]) for i in sorted(host_edges)
-        ])
-        host_members = sorted(host_edges)
-        inst = DcsInstance(
-            host,
-            (lam,) * host.n,
-            tuple(targets[v] for v in sorted(alive)),
+    if alive.any() and host_edges.any():
+        eu, ev = g.endpoint_arrays()
+        host_members = np.flatnonzero(host_edges)
+        remap = np.cumsum(alive) - 1
+        host = Graph(
+            int(alive.sum()),
+            np.column_stack((remap[eu[host_members]], remap[ev[host_members]])),
         )
+        inst = DcsInstance(host, (lam,) * host.n, tuple(residue[alive].tolist()))
         try:
             cert = dcs_solve(inst, seed=seed, restarts=restarts, strict=strict)
         except BudgetError:
@@ -347,18 +296,17 @@ def decompose_half(
         else:
             core_ok = cert.passed
             # remap is increasing, so host edge j is the j-th member in canonical order.
-            core = frozenset(host_members[j] for j in cert.edges)
+            core[host_members[index_array(cert.edges)]] = True
 
-    first = frozenset(selected) | risky_half | core
-    if not first <= half_edges:
+    first = selected | risky_half | core
+    if (first & ~half_edges).any():
         raise AssertionError("first part must lie inside its half")
-    if len(first) != len(selected) + len(risky_half) + len(core):
+    if np.count_nonzero(first) != sum(map(np.count_nonzero, (selected, risky_half, core))):
         raise AssertionError("parts overlap")
-    second = half_edges - first
+    second = half_edges & ~first
 
     diagnostics = _half_diagnostics(
         g,
-        sets,
         profile,
         d,
         derived,
@@ -368,8 +316,8 @@ def decompose_half(
         first,
         second,
         selection,
-        targets,
         coord,
+        colored,
         alive,
         core_ok,
     )
@@ -387,59 +335,52 @@ def decompose_half(
 
 def _half_diagnostics(
     g: Graph,
-    sets: DistinguishedSets,
     profile: ConstantProfile,
     d: int,
     derived: DerivedQuantities,
-    half_edges: EdgeSubset,
-    inside: EdgeSubset,
-    fringe: EdgeSubset,
-    first: EdgeSubset,
-    second: EdgeSubset,
+    half_edges: np.ndarray,
+    inside: np.ndarray,
+    fringe: np.ndarray,
+    first: np.ndarray,
+    second: np.ndarray,
     selection: SelectionResult,
-    targets: dict[int, int],
-    coord: tuple[int, ...],
-    core_alive: set[int],
+    coord: np.ndarray,
+    colored: np.ndarray,
+    core_alive: np.ndarray,
     core_ok: bool,
 ) -> dict:
     """Violation counts for the degree-window chain; logged, never gating."""
     s, u = profile.s, profile.u
     d1 = float(derived.separation)
-    deg_half = subgraph_degrees(g, half_edges)
-    deg_inside = subgraph_degrees(g, inside)
-    deg_fringe = subgraph_degrees(g, fringe)
-    deg_first = subgraph_degrees(g, first)
-    deg_second = subgraph_degrees(g, second)
-    unc = sets.uncolored
-    col = [v for v in range(g.n) if v not in unc]
+    deg_half = degree_vector(g, half_edges)
+    deg_inside = degree_vector(g, inside)
+    deg_fringe = degree_vector(g, fringe)
+    deg_first = degree_vector(g, first)
+    deg_second = degree_vector(g, second)
+    unc, col = ~colored, colored
 
-    half_window_unc = sum(
-        1 for v in unc if not (d / 2 - 2 <= deg_half[v] <= d / 2 + 2)
+    def count(violated: np.ndarray) -> int:
+        return int(np.count_nonzero(violated))
+
+    half_window_unc = count(~((d / 2 - 2 <= deg_half[unc]) & (deg_half[unc] <= d / 2 + 2)))
+    half_window_col = count(
+        ~(((d - s * d) / 2 - 3 < deg_half[col]) & (deg_half[col] < (d + s * d) / 2 + 3))
     )
-    half_window_col = sum(
-        1
-        for v in col
-        if not ((d - s * d) / 2 - 3 < deg_half[v] < (d + s * d) / 2 + 3)
-    )
-    inside_cap = sum(1 for v in unc if not deg_inside[v] < u * d / 2 + 1)
-    fringe_floor = sum(1 for v in unc if not deg_fringe[v] > (d - u * d) / 2 - 1)
-    first_sep = sum(
-        1 for v in col if deg_first[v] > 0 and not deg_first[v] > d1
-    )
-    first_unc_cap = sum(1 for v in unc if not deg_first[v] < d1)
+    inside_cap = count(~(deg_inside[unc] < u * d / 2 + 1))
+    fringe_floor = count(~(deg_fringe[unc] > (d - u * d) / 2 - 1))
+    first_sep = count((deg_first[col] > 0) & ~(deg_first[col] > d1))
+    first_unc_cap = count(~(deg_first[unc] < d1))
     bound29 = d / 3 + s * d / 3 + u * d / 6 + 7 / 3
-    second_unc_floor = sum(1 for v in unc if not deg_second[v] > bound29)
-    second_col_cap = sum(1 for v in col if not deg_second[v] < bound29)
+    second_unc_floor = count(~(deg_second[unc] > bound29))
+    second_col_cap = count(~(deg_second[col] < bound29))
     lam = derived.modulus
-    residue_bad = sum(
-        1
-        for v in core_alive
-        if deg_first[v] % lam not in (2 * coord[v] % lam, (2 * coord[v] + 1) % lam)
-    )
+    have = deg_first[core_alive] % lam
+    want = 2 * coord[core_alive] % lam
+    residue_bad = count((have != want) & (have != (want + 1) % lam))
     return {
         "selection_precondition_failures": len(selection.precondition_failures),
         "selection_conflicts": list(selection.conflicts),
-        "core_excluded_count": g.n - len(unc) - len(core_alive),
+        "core_excluded_count": count(colored & ~core_alive),
         "core_certificate_ok": core_ok,
         "first_part_residue_violations": residue_bad,
         "half_degree_window_uncolored": half_window_unc,
@@ -455,14 +396,17 @@ def _half_diagnostics(
 
 @dataclass(frozen=True)
 class Decomposition:
-    """Ordered disjoint edge parts covering the host graph's edge set."""
+    """Ordered disjoint edge parts covering the host graph's edge set.
 
-    parts: tuple[EdgeSubset, ...]
+    Each part is an ascending int64 array of edge indices.
+    """
+
+    parts: tuple[np.ndarray, ...]
     verdicts: tuple[bool, ...]
 
     def to_json(self) -> dict:
         return {
-            "parts": [sorted(p) for p in self.parts],
+            "parts": [p.tolist() for p in self.parts],
             "verdicts": list(self.verdicts),
         }
 
@@ -481,16 +425,21 @@ class PipelineResult:
 
 
 def verify_decomposition(
-    g: Graph, parts: tuple[EdgeSubset, ...]
+    g: Graph, parts: tuple[EdgeSubset | np.ndarray, ...]
 ) -> tuple[bool, tuple[bool, ...], tuple[tuple[int, ...], ...]]:
-    """Independent check: exact cover plus per-part local irregularity."""
-    every = np.concatenate([index_array(part) for part in parts] or [index_array(frozenset())])
+    """Independent check: exact cover plus per-part local irregularity.
+
+    Parts are index collections (a frozenset, a list or an int64 array), not
+    masks: a mask cannot hold the overlaps this check must reject.
+    """
+    indices = [index_array(part) for part in parts]
+    every = np.concatenate(indices or [np.zeros(0, dtype=np.int64)])
     # m indices, all in range and each hit: every edge exactly once.
     cover_ok = every.size == g.m and (
         not g.m
         or (every.min() >= 0 and every.max() < g.m and np.bincount(every, minlength=g.m).all())
     )
-    conflicts = tuple(tuple(subgraph_conflicts(g, part)) for part in parts)
+    conflicts = tuple(tuple(subgraph_conflicts(g, part)) for part in indices)
     verdicts = tuple(not c for c in conflicts)
     return bool(cover_ok), verdicts, conflicts
 
@@ -520,7 +469,7 @@ def decompose_to_four(
     d = g.degrees[0] if g.n else 0
 
     if g.m == 0:
-        decomp = Decomposition((frozenset(),) * 4, (True,) * 4)
+        decomp = Decomposition((np.zeros(0, dtype=np.int64),) * 4, (True,) * 4)
         report = {
             "mode": mode,
             "seed": seed,
@@ -568,11 +517,10 @@ def decompose_to_four(
         )
         for half in (0, 1)
     )
-    parts = (
-        halves[0].first_part,
-        halves[0].second_part,
-        halves[1].first_part,
-        halves[1].second_part,
+    parts = tuple(
+        np.flatnonzero(part)
+        for h in halves
+        for part in (h.first_part, h.second_part)
     )
     cover_ok, verdicts, conflicts = verify_decomposition(g, parts)
     if not cover_ok:

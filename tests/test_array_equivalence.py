@@ -18,11 +18,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lidecomp.coloring import (
+    DistinguishedSets,
     ResampleResult,
     VertexColoring,
     _audit_caps,
     _audit_counts,
-    _collect,
     _set_masks,
     _violating,
     audit,
@@ -105,17 +105,17 @@ def reference_sets(g: Graph, c: VertexColoring, profile: ConstantProfile, d: int
     return sets
 
 
-def reference_counts(g: Graph, sets, profile: ConstantProfile, d: int):
-    def incidence(es: frozenset[int]) -> list[int]:
+def reference_counts(g: Graph, sets: dict, profile: ConstantProfile, d: int):
+    def incidence(es: set[int]) -> list[int]:
         deg = [0] * g.n
         for i in es:
             for v in g.edges[i]:
                 deg[v] += 1
         return deg
 
-    special = incidence(sets.special)
-    risky = incidence(sets.risky)
-    unc = [sum(w in sets.uncolored for w in g.neighbors(v)) for v in range(g.n)]
+    special = incidence(sets["special"])
+    risky = incidence(sets["risky"])
+    unc = [sum(w in sets["uncolored"] for w in g.neighbors(v)) for v in range(g.n)]
     thresholds = [Fraction(str(t)) * d for t in (profile.s, profile.r, profile.u)]
     violations = tuple(
         v
@@ -128,6 +128,15 @@ def reference_counts(g: Graph, sets, profile: ConstantProfile, d: int):
     return (special, risky, unc), violations
 
 
+def as_sets(sets: DistinguishedSets) -> dict:
+    """Every set, with the two nonspecial groups ``split_edges`` rounds, as plain sets."""
+    out = {name: set(np.flatnonzero(mask).tolist()) for name, mask in vars(sets).items()}
+    out["uncolored"] = set(sets.uncolored.tolist())
+    out["risky_not_special"] = set(np.flatnonzero(sets.risky & ~sets.special).tolist())
+    out["residual_nonspecial"] = set(np.flatnonzero(sets.residual & ~sets.special).tolist())
+    return out
+
+
 @settings(max_examples=200, deadline=None)
 @given(colored_graphs(), st.sampled_from(PROFILES), st.integers(0, 60))
 def test_masks_and_counts_match_references(case, profile, d) -> None:
@@ -136,13 +145,12 @@ def test_masks_and_counts_match_references(case, profile, d) -> None:
     second = np.asarray(c.second, dtype=np.int64)
     masks = _set_masks(g, first, second, c.palette, closeness_bound(profile, d))
     sets = distinguish(g, c, profile, d)
-    assert _collect(masks) == sets
-    assert {k: set(v) for k, v in vars(sets).items()} == reference_sets(g, c, profile, d)
+    assert as_sets(masks) == as_sets(sets) == reference_sets(g, c, profile, d)
 
-    counts = _audit_counts(g, masks.special, masks.risky, masks.uncolored)
+    counts = _audit_counts(g, masks)
     loop_violations = tuple(_violating(counts, _audit_caps(profile, d)).tolist())
     full = audit(g, sets, profile, d)
-    ref_counts, ref_violations = reference_counts(g, sets, profile, d)
+    ref_counts, ref_violations = reference_counts(g, as_sets(sets), profile, d)
     assert counts.tolist() == [list(x) for x in ref_counts]
     assert (full.special_counts, full.risky_counts, full.uncolored_counts) == tuple(
         tuple(x) for x in ref_counts
@@ -188,8 +196,12 @@ def test_resample_matches_round_by_round_reference(g, profile, d, seed, max_roun
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         result = resample_until_good(g, profile, d, seed=seed, max_rounds=max_rounds)
-    assert result == reference_resample(g, profile, d, seed, max_rounds)
-    assert result.sets == distinguish(g, result.coloring, profile, d)
+    ref = reference_resample(g, profile, d, seed, max_rounds)
+    assert (result.coloring, result.audit, result.success, result.rounds) == (
+        ref.coloring, ref.audit, ref.success, ref.rounds
+    )
+    assert as_sets(result.sets) == as_sets(ref.sets)
+    assert as_sets(result.sets) == as_sets(distinguish(g, result.coloring, profile, d))
     assert result.audit == audit(g, result.sets, profile, d)
     assert result.success == result.audit.passed
     assert result.success or result.rounds == max_rounds

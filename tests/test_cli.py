@@ -191,6 +191,28 @@ def test_verify_rejects_overlap_that_leaves_top_edges_uncovered(tmp_path, capsys
     assert "partition" in err
 
 
+def test_verify_rejects_non_integer_edge_indices(tmp_path, capsys) -> None:
+    # JSON 0.5 and true are not edge indices; int() would read them as 0 and 1.
+    gpath = tmp_path / "g.txt"
+    write_graph(Graph(5, [(0, i) for i in range(1, 5)]), gpath)
+    dpath = tmp_path / "d.json"
+    for parts, bad in (([[0.5, 1.2, 2.9, 3.1]], "0.5"), ([[True, 0, 2, 3]], "True")):
+        dpath.write_text(json.dumps({"parts": parts}))
+        code, out, err = run(["verify", "--graph", str(gpath), "--decomp", str(dpath)], capsys)
+        assert code == 2 and out == ""
+        assert err == f"error: {dpath}: malformed parts: expected an integer, got {bad}\n"
+
+
+def test_verify_rejects_out_of_range_edge_index(tmp_path, capsys) -> None:
+    gpath = tmp_path / "g.txt"
+    write_graph(Graph(3, [(0, 1), (1, 2)]), gpath)
+    dpath = tmp_path / "d.json"
+    dpath.write_text(json.dumps({"parts": [[0], [1, 2]]}))
+    code, _, err = run(["verify", "--graph", str(gpath), "--decomp", str(dpath)], capsys)
+    assert code == 2
+    assert err == "error: edge index 2 out of range for m=2\n"
+
+
 def test_dcs_cli(tmp_path, capsys) -> None:
     gpath = tmp_path / "g.txt"
     write_graph(Graph(13, [(i, j) for i in range(13) for j in range(i + 1, 13)]), gpath)
@@ -250,6 +272,24 @@ def test_dcs_non_integer_target_is_input_error(tmp_path, capsys) -> None:
         )
         assert code == 2
         assert err.startswith(f"error: {tfile}: malformed targets: ")
+
+def test_dcs_fractional_or_boolean_targets_are_input_errors(tmp_path, capsys) -> None:
+    # JSON 1.5 and true are not residue targets; int() would read them as 1.
+    gpath = tmp_path / "g.txt"
+    write_graph(Graph(13, [(i, j) for i in range(13) for j in range(i + 1, 13)]), gpath)
+    tfile = tmp_path / "t.json"
+    for data in ([1.5] + [0] * 12, {"t": [True] + [0] * 12}):
+        tfile.write_text(json.dumps(data))
+        code, _, err = run(
+            ["dcs", "--in", str(gpath), "--lambda", "2", "--t-file", str(tfile)], capsys
+        )
+        assert code == 2
+        assert err.startswith(f"error: {tfile}: malformed targets: expected an integer, got ")
+    for data in ({"lambda": [2.0] * 13, "t": [1] * 13}, {"lambda": [2] * 13, "t": [1.5] * 13}):
+        tfile.write_text(json.dumps(data))
+        code, _, err = run(["dcs", "--in", str(gpath), "--t-file", str(tfile)], capsys)
+        assert code == 2
+        assert err.startswith("error: malformed instance JSON: expected an integer, got ")
 
 
 def test_manifest_reproducibility(tmp_path, capsys) -> None:

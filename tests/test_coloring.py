@@ -21,6 +21,11 @@ from lidecomp.graphs import Graph, generate_circulant, generate_regular
 DEMO = ConstantProfile(k=0.1, s=0.05, r=0.3, u=0.2, s1=0.024, r1=0.279, u1=0.09)
 
 
+def members(mask: np.ndarray) -> set[int]:
+    """The edge indices a boolean edge mask selects."""
+    return set(np.flatnonzero(mask).tolist())
+
+
 def test_mod_distance_examples() -> None:
     assert mod_distance(2, 9, 10) == 3
     assert mod_distance(9, 2, 10) == 3
@@ -71,13 +76,13 @@ def test_distinguish_path_example() -> None:
     g = Graph(3, [(0, 1), (1, 2)])
     c = VertexColoring(palette=4, first=(1, 1, 2), second=(1, 1, 3))
     sets = distinguish(g, c, REFERENCE_PROFILE, d=2)
-    assert sets.uncolored == {0, 1}
-    assert sets.uncolored_edges == {g.edge_id(0, 1)}
-    assert sets.touching == {0, 1}
-    assert sets.special == set()
-    assert sets.risky == set()
-    assert sets.residual == set()
-    assert sets.residual_nonspecial == set()
+    assert sets.uncolored.tolist() == [0, 1]
+    assert members(sets.uncolored_edges) == {g.edge_id(0, 1)}
+    assert members(sets.touching) == {0, 1}
+    assert members(sets.special) == set()
+    assert members(sets.risky) == set()
+    assert members(sets.residual) == set()
+    assert members(sets.residual & ~sets.special) == set()
 
     aud = audit(g, sets, REFERENCE_PROFILE, d=2)
     assert aud.uncolored_counts == (1, 1, 1)
@@ -91,10 +96,10 @@ def test_distinguish_distant_colors_all_residual() -> None:
     c = VertexColoring(palette=100, first=(1, 20, 40, 60), second=(5, 25, 45, 65))
     assert closeness_bound(REFERENCE_PROFILE, 10) == 3  # floor((0.031+7)/2)
     sets = distinguish(g, c, REFERENCE_PROFILE, d=10)
-    assert sets.uncolored == set()
-    assert sets.touching == set() and sets.special == set() and sets.risky == set()
-    assert sets.residual == set(range(g.m))
-    assert sets.residual_nonspecial == set(range(g.m))
+    assert sets.uncolored.size == 0
+    assert not (sets.touching.any() or sets.special.any() or sets.risky.any())
+    assert members(sets.residual) == set(range(g.m))
+    assert members(sets.residual & ~sets.special) == set(range(g.m))
     aud = audit(g, sets, REFERENCE_PROFILE, d=10)
     assert aud.passed
 
@@ -103,9 +108,9 @@ def test_distinguish_single_palette_collapses() -> None:
     g = generate_circulant(6, [1])
     c = assign_random(g, 1, seed=0)
     sets = distinguish(g, c, DEMO, d=2)
-    assert sets.uncolored == set(range(6))
-    assert sets.touching == set(range(g.m))
-    assert sets.special == set() and sets.risky == set()
+    assert sets.uncolored.tolist() == list(range(6))
+    assert members(sets.touching) == set(range(g.m))
+    assert members(sets.special) == set() and members(sets.risky) == set()
 
 
 def test_special_and_risky_membership() -> None:
@@ -117,14 +122,14 @@ def test_special_and_risky_membership() -> None:
     bound = closeness_bound(DEMO, 20)  # floor((1 + 7)/2) = 4
     assert bound == 4
     sets = distinguish(g, c, DEMO, d=20)
-    assert sets.uncolored == set()
-    assert sets.special == {0}
-    assert sets.risky == {1}
-    assert sets.risky_not_special == {1}
+    assert sets.uncolored.size == 0
+    assert members(sets.special) == {0}
+    assert members(sets.risky) == {1}
+    assert members(sets.risky & ~sets.special) == {1}
     # Special edges outside the risky band stay in the residual set; only
     # the nonspecial residual excludes them.
-    assert sets.residual == {0, 2}
-    assert sets.residual_nonspecial == {2}
+    assert members(sets.residual) == {0, 2}
+    assert members(sets.residual & ~sets.special) == {2}
 
 
 def test_special_inside_risky_band_overlap() -> None:
@@ -133,20 +138,20 @@ def test_special_inside_risky_band_overlap() -> None:
     g = Graph(2, [(0, 1)])
     c = VertexColoring(palette=40, first=(7, 9), second=(3, 3))
     sets = distinguish(g, c, DEMO, d=20)
-    assert sets.special == {0}
-    assert sets.risky == {0}
-    assert sets.risky_not_special == set()
-    assert sets.residual == set()
-    assert sets.residual_nonspecial == set()
+    assert members(sets.special) == {0}
+    assert members(sets.risky) == {0}
+    assert members(sets.risky & ~sets.special) == set()
+    assert members(sets.residual) == set()
+    assert members(sets.residual & ~sets.special) == set()
 
 
 def _assert_partition(g: Graph, sets) -> None:
     parts = [
-        sets.special,
-        sets.risky_not_special,
-        sets.touching - sets.uncolored_edges,
-        sets.uncolored_edges,
-        sets.residual_nonspecial,
+        members(sets.special),
+        members(sets.risky & ~sets.special),
+        members(sets.touching) - members(sets.uncolored_edges),
+        members(sets.uncolored_edges),
+        members(sets.residual & ~sets.special),
     ]
     union: set[int] = set()
     total = 0
@@ -171,12 +176,13 @@ def test_partition_property_fuzz() -> None:
         c = assign_random(g, k, seed=trial + 1000)
         sets = distinguish(g, c, DEMO, d=d)
         _assert_partition(g, sets)
-        assert sets.special.isdisjoint(sets.touching)
-        assert sets.risky.isdisjoint(sets.touching)
-        assert sets.residual_nonspecial <= sets.residual
-        assert sets.residual == frozenset(range(g.m)) - sets.touching - sets.risky
+        assert members(sets.special).isdisjoint(members(sets.touching))
+        assert members(sets.risky).isdisjoint(members(sets.touching))
+        assert members(sets.residual & ~sets.special) <= members(sets.residual)
+        assert np.array_equal(sets.residual, ~sets.touching & ~sets.risky)
         # pure function: same inputs, same sets
-        assert distinguish(g, c, DEMO, d=d) == sets
+        again = distinguish(g, c, DEMO, d=d)
+        assert all(np.array_equal(getattr(again, f), v) for f, v in vars(sets).items())
 
 
 def test_audit_threshold_exact_at_integer_boundary() -> None:
@@ -190,7 +196,7 @@ def test_audit_threshold_exact_at_integer_boundary() -> None:
     )
     prof = ConstantProfile(k=0.5, s=0.7, r=0.9, u=0.9, s1=0.3, r1=0.5, u1=0.4)
     sets = distinguish(g, c, prof, d=10)
-    assert sets.special == frozenset(range(7))
+    assert members(sets.special) == frozenset(range(7))
     aud = audit(g, sets, prof, d=10)
     assert aud.special_counts[0] == 7
     assert 0 in aud.violations
@@ -274,7 +280,7 @@ def test_resample_forced_failure_when_palette_one() -> None:
     res = resample_until_good(g, prof, d=2, seed=3, max_rounds=12)
     assert not res.success
     assert res.rounds == 12
-    assert res.sets.uncolored == set(range(8))
+    assert res.sets.uncolored.tolist() == list(range(8))
 
 
 def test_resample_success_is_sound() -> None:
@@ -321,6 +327,13 @@ def test_coloring_json_round_trip() -> None:
     assert c.to_json()["K"] == 3
     with pytest.raises(InputError):
         VertexColoring.from_json({"K": 3})
+
+
+def test_coloring_json_rejects_non_integers() -> None:
+    # int() would load these as palette 3 and colours 1 and 2.
+    for data in ({"K": 3.7, "O": [1], "I": [1]}, {"K": 3, "O": [True], "I": [2.9]}):
+        with pytest.raises(InputError, match="expected an integer"):
+            VertexColoring.from_json(data)
 
 
 def test_audit_json_shape() -> None:

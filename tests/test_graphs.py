@@ -10,13 +10,13 @@ from hypothesis import strategies as st
 from lidecomp.errors import BudgetError, InputError
 from lidecomp.graphs import (
     Graph,
+    degree_vector,
     generate_circulant,
     generate_regular,
     is_locally_irregular,
     is_subgraph_locally_irregular,
     read_graph,
     subgraph_conflicts,
-    subgraph_degrees,
     validate_edge_subset,
     write_graph,
 )
@@ -176,10 +176,10 @@ def test_locally_irregular_basics() -> None:
 
 def test_subgraph_degrees_examples() -> None:
     c4 = generate_circulant(4, [1])
-    assert subgraph_degrees(c4, frozenset(range(c4.m))) == [2, 2, 2, 2]
-    assert subgraph_degrees(c4, frozenset()) == [0, 0, 0, 0]
+    assert degree_vector(c4, np.ones(c4.m, dtype=bool)).tolist() == [2, 2, 2, 2]
+    assert degree_vector(c4, np.zeros(c4.m, dtype=bool)).tolist() == [0, 0, 0, 0]
     k3 = complete_graph(3)
-    assert subgraph_degrees(k3, frozenset({k3.edge_id(0, 1)})) == [1, 1, 0]
+    assert degree_vector(k3, np.arange(k3.m) == k3.edge_id(0, 1)).tolist() == [1, 1, 0]
 
 
 def test_endpoint_arrays_cached_and_read_only() -> None:
@@ -193,7 +193,7 @@ def test_endpoint_arrays_cached_and_read_only() -> None:
     assert g == Graph(4, g.edges)  # the cache takes no part in equality
     empty_u, empty_v = Graph(3, []).endpoint_arrays()
     assert empty_u.shape == empty_v.shape == (0,)
-    assert subgraph_degrees(Graph(0, []), frozenset()) == []
+    assert degree_vector(Graph(0, []), np.zeros(0, dtype=bool)).tolist() == []
 
 
 def test_subgraph_degree_sum_matches_edge_count() -> None:
@@ -203,7 +203,7 @@ def test_subgraph_degree_sum_matches_edge_count() -> None:
         size = int(rng.integers(0, g.m + 1))
         es = frozenset(rng.choice(g.m, size=size, replace=False).tolist())
         validate_edge_subset(g, es)
-        assert sum(subgraph_degrees(g, es)) == 2 * len(es)
+        assert degree_vector(g, np.isin(np.arange(g.m), list(es))).sum() == 2 * len(es)
 
 
 def test_subgraph_local_irregularity_and_conflicts() -> None:
@@ -233,7 +233,7 @@ def test_generate_regular_properties_and_determinism() -> None:
     g1 = generate_regular(50, 6, seed=1)
     g2 = generate_regular(50, 6, seed=1)
     assert g1.edges == g2.edges
-    assert subgraph_degrees(g1, frozenset(range(g1.m))) == [6] * 50
+    assert degree_vector(g1, np.ones(g1.m, dtype=bool)).tolist() == [6] * 50
     g3 = generate_regular(50, 6, seed=2)
     assert g3.edges != g1.edges
 

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import hashlib
+import json
 import os
 import subprocess
 import sys
@@ -16,12 +18,13 @@ from lidecomp.constants import ConstantProfile, DerivedQuantities, REFERENCE_PRO
 from lidecomp.errors import BudgetError, InputError
 from lidecomp.graphs import (
     Graph,
+    degree_vector,
     generate_circulant,
     generate_regular,
     is_subgraph_locally_irregular,
-    subgraph_degrees,
 )
 from lidecomp.pipeline import (
+    SelectionResult,
     _peel_core_host,
     choose_selections,
     decompose_half,
@@ -31,6 +34,11 @@ from lidecomp.pipeline import (
 )
 
 DEMO = ConstantProfile(k=0.1, s=0.05, r=0.3, u=0.2, s1=0.024, r1=0.279, u1=0.09)
+
+
+def members(mask: np.ndarray) -> set[int]:
+    """The edge (or vertex) indices a boolean mask selects."""
+    return set(np.flatnonzero(mask).tolist())
 
 
 def complete_bipartite(m: int) -> Graph:
@@ -48,10 +56,10 @@ def test_split_single_group_when_no_distinguished_edges() -> None:
     colors = [(1 + 7 * i, 1 + 7 * i) for i in range(10)]
     c = far_apart_coloring(g, colors, palette=100)
     sets = distinguish(g, c, REFERENCE_PROFILE, d=4)
-    assert sets.residual_nonspecial == frozenset(range(g.m))
+    assert members(sets.residual & ~sets.special) == set(range(g.m))
     split = split_edges(g, c, sets)
     assert set(split.rules) == {4}
-    for v, dz in enumerate(subgraph_degrees(g, split.halves[0])):
+    for v, dz in enumerate(degree_vector(g, split.labels == 0).tolist()):
         assert abs(2 * dz - g.degree(v)) <= 2
 
 
@@ -60,19 +68,19 @@ def test_split_special_edges_deterministic() -> None:
     g = Graph(4, [(0, 1), (2, 3)])
     c = VertexColoring(palette=40, first=(1, 12, 25, 25), second=(5, 5, 9, 30))
     sets = distinguish(g, c, DEMO, d=20)
-    assert sets.special == {0, 1}
+    assert members(sets.special) == {0, 1}
     split = split_edges(g, c, sets)
     assert split.labels[0] == 0 and split.rules[0] == 0
     assert split.labels[1] == 1 and split.rules[1] == 1
 
 
 def _composite_balance_ok(g: Graph, sets, split) -> bool:
-    dz = subgraph_degrees(g, split.halves[0])
-    ds = subgraph_degrees(g, sets.special)
-    special_zero = frozenset(i for i in sets.special if split.labels[i] == 0)
-    dsz = subgraph_degrees(g, special_zero)
+    dz = degree_vector(g, split.labels == 0)
+    ds = degree_vector(g, sets.special)
+    dsz = degree_vector(g, sets.special & (split.labels == 0))
+    uncolored = set(sets.uncolored.tolist())
     for v in range(g.n):
-        if v in sets.uncolored:
+        if v in uncolored:
             if abs(2 * dz[v] - g.degree(v)) > 4:  # two rounded groups
                 return False
         else:
@@ -94,21 +102,22 @@ def test_split_fuzz_balance_and_rule_partition() -> None:
         c = assign_random(g, int(rng.integers(1, 8)), seed=trial)
         sets = distinguish(g, c, DEMO, d=d)
         split = split_edges(g, c, sets)
-        assert split.halves[0] | split.halves[1] == frozenset(range(g.m))
-        assert split.halves[0].isdisjoint(split.halves[1])
+        assert members(split.labels == 0) | members(split.labels == 1) == set(range(g.m))
+        assert members(split.labels == 0).isdisjoint(members(split.labels == 1))
         assert all(r in range(5) for r in split.rules)
         assert _composite_balance_ok(g, sets, split)
-        if not sets.special:
+        if not sets.special.any():
             special_free_seen += 1
-            for v, dz in enumerate(subgraph_degrees(g, split.halves[0])):
+            for v, dz in enumerate(degree_vector(g, split.labels == 0).tolist()):
                 assert abs(2 * dz - g.degree(v)) <= 6  # |d0 - d/2| <= 3 literally
     assert special_free_seen > 0
 
 
 def test_choose_selections_empty_uncolored() -> None:
     g = generate_circulant(6, [1])
+    none = np.zeros(g.m, dtype=bool)
     out = choose_selections(
-        g, frozenset(), frozenset(range(g.m)), frozenset(), frozenset(), size_count=3
+        g, np.zeros(0, dtype=np.int64), ~none, none, none, size_count=3
     )
     assert out.selections == {} and out.conflicts == ()
 
@@ -117,12 +126,12 @@ def test_choose_selections_forces_distinct_sizes() -> None:
     # Two adjacent uncoloured vertices with equal half-degrees must end up
     # with different selection sizes.
     g = Graph(6, [(0, 1), (0, 2), (0, 3), (1, 4), (1, 5)])
-    inside = frozenset({g.edge_id(0, 1)})
-    fringe = frozenset(range(g.m)) - inside
+    inside = np.arange(g.m) == g.edge_id(0, 1)
+    fringe = ~inside
     out = choose_selections(
         g,
-        frozenset({0, 1}),
-        frozenset(range(g.m)),
+        np.array([0, 1]),
+        np.ones(g.m, dtype=bool),
         inside,
         fringe,
         size_count=3,
@@ -130,7 +139,7 @@ def test_choose_selections_forces_distinct_sizes() -> None:
     assert out.sizes[0] != out.sizes[1]
     assert out.conflicts == ()
     assert out.selections[0] == tuple(sorted(out.selections[0]))
-    assert set(out.selections[1]) <= fringe
+    assert set(out.selections[1]) <= members(fringe)
 
 
 def test_choose_selections_strict_rejects_infeasible() -> None:
@@ -138,10 +147,10 @@ def test_choose_selections_strict_rejects_infeasible() -> None:
     with pytest.raises(InputError):
         choose_selections(
             g,
-            frozenset({0, 1}),
-            frozenset({0}),
-            frozenset({0}),
-            frozenset(),
+            np.array([0, 1]),
+            np.array([True]),
+            np.array([True]),
+            np.array([False]),
             size_count=1,
             strict=True,
         )
@@ -158,17 +167,17 @@ def test_choose_selections_fuzz_postcondition() -> None:
         c = assign_random(g, 2, seed=trial)
         sets = distinguish(g, c, DEMO, d=d)
         split = split_edges(g, c, sets)
-        restricted = split.restrict(sets, 0)
-        inside = restricted["uncolored_edges"]
-        fringe = restricted["touching"] - inside
+        half = split.labels == 0
+        inside = sets.uncolored_edges & half
+        fringe = sets.touching & half & ~inside
         out = choose_selections(
-            g, sets.uncolored, split.halves[0], inside, fringe, size_count=4
+            g, sets.uncolored, half, inside, fringe, size_count=4
         )
-        deg_half = subgraph_degrees(g, split.halves[0])
+        deg_half = degree_vector(g, half).tolist()
         # re-check the distinctness condition edge by edge
         expected_conflicts = {
             i
-            for i in inside
+            for i in members(inside)
             if deg_half[g.edges[i][0]] - out.sizes[g.edges[i][0]]
             == deg_half[g.edges[i][1]] - out.sizes[g.edges[i][1]]
         }
@@ -188,22 +197,67 @@ def test_decompose_half_with_core_subgraph() -> None:
     colors = [(1, 1)] * m + [(20, 20)] * m
     c = far_apart_coloring(g, colors, palette=40)
     sets = distinguish(g, c, prof, d=m)
-    assert sets.uncolored == frozenset()
-    assert sets.residual == frozenset(range(g.m))
+    assert sets.uncolored.size == 0
+    assert sets.residual.all()
     split = split_edges(g, c, sets)
     half = decompose_half(g, c, sets, split, 0, prof, m, seed=5)
-    assert half.core, "core solver should have produced a nonempty subgraph"
-    assert half.first_part == half.core
-    assert half.first_part | half.second_part == split.halves[0]
-    assert half.first_part.isdisjoint(half.second_part)
+    assert half.core.any(), "core solver should have produced a nonempty subgraph"
+    assert np.array_equal(half.first_part, half.core)
+    assert np.array_equal(half.first_part | half.second_part, split.labels == 0)
+    assert not (half.first_part & half.second_part).any()
     assert half.diagnostics["core_certificate_ok"]
     assert half.diagnostics["first_part_residue_violations"] == 0
     assert half.core_excluded == ()
     # core degrees inside the middle third of the half-residual host
-    host_deg = subgraph_degrees(g, split.halves[0])
-    core_deg = subgraph_degrees(g, half.core)
+    host_deg = degree_vector(g, split.labels == 0)
+    core_deg = degree_vector(g, half.core)
     for v in range(g.n):
         assert host_deg[v] <= 3 * core_deg[v] <= 2 * host_deg[v]
+
+
+def _half_json(half) -> dict:
+    return {
+        "half": half.half,
+        "first_part": np.flatnonzero(half.first_part).tolist(),
+        "second_part": np.flatnonzero(half.second_part).tolist(),
+        "core": np.flatnonzero(half.core).tolist(),
+        "core_excluded": list(half.core_excluded),
+        "selections": {str(v): list(e) for v, e in half.selections.items()},
+        "residue_targets": {str(v): t for v, t in half.residue_targets.items()},
+        "diagnostics": half.diagnostics,
+    }
+
+
+@pytest.mark.parametrize(
+    "m, k, seed, digest",
+    [
+        (26, 0.03, 5, "3cc1d07c3b7ecabaf7fc92f3cb86f6d11485b7a64c3b2954b3c3342d52d5fbe3"),
+        (52, 0.038, 7, "8b1a5c67499c7adf2a675b11c4a5acd7d092e81d25964109c18534f71f39c04e"),
+    ],
+)
+def test_decompose_half_core_path_pinned(m, k, seed, digest) -> None:
+    # Both halves of the K_{m,m} fixtures, where DCS solves a nonempty core.
+    # The hashes were recorded while stage two still ran on frozensets; the
+    # golden decompose runs with an empty core, so only these pin this path.
+    g = complete_bipartite(m)
+    prof = ConstantProfile(k=k, s=0.003, r=0.26, u=0.13, s1=0.0015, r1=0.242, u1=0.059)
+    c = far_apart_coloring(g, [(1, 1)] * m + [(20, 20)] * m, palette=40)
+    sets = distinguish(g, c, prof, d=m)
+    split = split_edges(g, c, sets)
+    halves = [
+        _half_json(decompose_half(g, c, sets, split, h, prof, m, seed=seed)) for h in (0, 1)
+    ]
+    assert all(h["core"] for h in halves)
+    text = json.dumps(halves, sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+    assert "edges" not in vars(g)
+
+
+def test_decompose_never_builds_the_edge_tuple_view() -> None:
+    g = generate_regular(60, 8, seed=2)
+    decompose_to_four(g, DEMO, mode="best-effort", seed=1, max_rounds=5)
+    assert "edges" not in vars(g)
+    assert g._ids is None
 
 
 def test_decompose_half_reports_core_budget_failure(monkeypatch) -> None:
@@ -220,10 +274,10 @@ def test_decompose_half_reports_core_budget_failure(monkeypatch) -> None:
 
     monkeypatch.setattr("lidecomp.pipeline.dcs_solve", exhausted)
     half = decompose_half(g, c, sets, split, 0, prof, m, seed=5)
-    assert half.core == frozenset()
+    assert not half.core.any()
     assert half.diagnostics["core_certificate_ok"] is False
-    assert half.first_part == frozenset()
-    assert half.second_part == split.halves[0]
+    assert not half.first_part.any()
+    assert np.array_equal(half.second_part, split.labels == 0)
     with pytest.raises(BudgetError):
         decompose_half(g, c, sets, split, 0, prof, m, seed=5, strict=True)
 
@@ -243,16 +297,16 @@ def test_split_contract_check_survives_optimize_flag() -> None:
     # A "special" edge agreeing in both coordinates breaks the rule contract;
     # the check must fire even when python -O strips assert statements.
     code = """
-import sys
+import numpy as np
 from lidecomp.coloring import DistinguishedSets, VertexColoring
 from lidecomp.graphs import Graph
 from lidecomp.pipeline import split_edges
 
 assert False, "assert statements are live"
-empty = frozenset()
+empty = np.zeros(1, dtype=bool)
 sets = DistinguishedSets(
-    uncolored=empty, uncolored_edges=empty, touching=empty, special=frozenset({0}),
-    risky=empty, risky_not_special=empty, residual=empty, residual_nonspecial=empty,
+    uncolored=np.zeros(0, dtype=np.int64), uncolored_edges=empty, touching=empty,
+    special=~empty, risky=empty, residual=empty,
 )
 try:
     split_edges(Graph(2, [(0, 1)]), VertexColoring(3, (1, 1), (2, 2)), sets)
@@ -295,26 +349,26 @@ def test_decompose_half_residues_make_first_part_irregular() -> None:
     colors = [(1, 1)] * m + [(20, 20)] * m
     c = far_apart_coloring(g, colors, palette=40)
     sets = distinguish(g, c, prof, d=m)
-    assert sets.residual == frozenset(range(g.m))
+    assert sets.residual.all()
     split = split_edges(g, c, sets)
     for half_idx in (0, 1):
         half = decompose_half(g, c, sets, split, half_idx, prof, m, seed=7)
-        assert half.core and half.first_part == half.core
+        assert half.core.any() and np.array_equal(half.first_part, half.core)
         assert half.core_excluded == ()
         assert half.diagnostics["first_part_residue_violations"] == 0
-        assert is_subgraph_locally_irregular(g, half.first_part)
+        assert is_subgraph_locally_irregular(g, np.flatnonzero(half.first_part))
 
 
 def test_decompose_half_degenerate_all_uncolored() -> None:
     g = generate_circulant(12, [1, 2])
     c = assign_random(g, 1, seed=0)  # single colour: everyone uncoloured
     sets = distinguish(g, c, DEMO, d=4)
-    assert sets.uncolored == frozenset(range(12))
+    assert sets.uncolored.tolist() == list(range(12))
     split = split_edges(g, c, sets)
     half = decompose_half(g, c, sets, split, 0, DEMO, 4, seed=3)
-    assert half.core == frozenset()
-    assert half.first_part == frozenset()  # no fringe edges to select from
-    assert half.second_part == split.halves[0]
+    assert not half.core.any()
+    assert not half.first_part.any()  # no fringe edges to select from
+    assert np.array_equal(half.second_part, split.labels == 0)
 
 
 def test_decompose_to_four_rejects_bad_inputs() -> None:
@@ -332,7 +386,7 @@ def test_decompose_to_four_trivial_on_edgeless() -> None:
     g = Graph(6, [])
     res = decompose_to_four(g, DEMO, mode="strict", seed=1)
     assert res.success
-    assert all(p == frozenset() for p in res.decomposition.parts)
+    assert all(p.size == 0 for p in res.decomposition.parts)
 
 
 def test_decompose_to_four_invariants_best_effort() -> None:
@@ -370,7 +424,7 @@ def test_decompose_to_four_deterministic() -> None:
     g = generate_circulant(24, [1, 2, 3])
     a = decompose_to_four(g, DEMO, mode="best-effort", seed=11, max_rounds=20)
     b = decompose_to_four(g, DEMO, mode="best-effort", seed=11, max_rounds=20)
-    assert a.decomposition == b.decomposition
+    assert a.decomposition.to_json() == b.decomposition.to_json()
     assert a.report == b.report
 
 
@@ -431,6 +485,120 @@ def test_peel_core_host_matches_fixed_point(n, density, rnd, min_degree) -> None
     g = Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n) if rnd.random() < density])
     vertices = {v for v in range(n) if rnd.random() < 0.8}
     edges = frozenset(i for i in range(g.m) if rnd.random() < 0.8)
-    assert _peel_core_host(g, vertices, edges, min_degree) == reference_peel(
+    alive, host = _peel_core_host(
+        g, np.isin(np.arange(n), list(vertices)), np.isin(np.arange(g.m), list(edges)), min_degree
+    )
+    assert (members(alive), frozenset(members(host))) == reference_peel(
         g, vertices, edges, min_degree
     )
+
+
+def reference_choose_selections(
+    g: Graph,
+    uncolored: frozenset[int],
+    half_edges: frozenset[int],
+    inside_half: frozenset[int],
+    fringe_half: frozenset[int],
+    size_count: int,
+    strict: bool = False,
+) -> SelectionResult:
+    """The greedy selection on frozensets and dicts, as written before the mask version."""
+    deg_half = [0] * g.n
+    for i in half_edges:
+        for v in g.edges[i]:
+            deg_half[v] += 1
+    fringe_at: dict[int, list[int]] = {v: [] for v in uncolored}
+    inside_neighbors: dict[int, list[int]] = {v: [] for v in uncolored}
+    for i in sorted(fringe_half):
+        for v in g.edges[i]:
+            if v in fringe_at:
+                fringe_at[v].append(i)
+    for i in inside_half:
+        u, v = g.edges[i]
+        inside_neighbors[u].append(v)
+        inside_neighbors[v].append(u)
+
+    failures = []
+    for v in sorted(uncolored):
+        if len(fringe_at[v]) < size_count - 1 or len(inside_neighbors[v]) >= size_count:
+            failures.append(v)
+    if failures and strict:
+        raise InputError(
+            f"selection feasibility fails at vertices {failures[:10]} "
+            f"(need {size_count - 1} fringe edges and < {size_count} inside edges)"
+        )
+
+    selections: dict[int, tuple[int, ...]] = {}
+    sizes: dict[int, int] = {}
+    for v in sorted(uncolored):
+        forbidden = {
+            deg_half[v] - (deg_half[w] - sizes[w])
+            for w in inside_neighbors[v]
+            if w in sizes
+        }
+        avail = len(fringe_at[v])
+        size = None
+        for cand in range(0, min(size_count, avail + 1)):
+            if cand not in forbidden:
+                size = cand
+                break
+        if size is None:
+            if strict:
+                raise InputError(f"no admissible selection size at vertex {v}")
+            size = next((c for c in range(0, avail + 1) if c not in forbidden), 0)
+        selections[v] = tuple(fringe_at[v][:size])
+        sizes[v] = size
+
+    conflicts = tuple(
+        sorted(
+            i
+            for i in inside_half
+            if (
+                deg_half[g.edges[i][0]] - sizes[g.edges[i][0]]
+                == deg_half[g.edges[i][1]] - sizes[g.edges[i][1]]
+            )
+        )
+    )
+    return SelectionResult(
+        selections=selections,
+        sizes=sizes,
+        precondition_failures=tuple(failures),
+        conflicts=conflicts,
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.integers(1, 10),
+    st.integers(2, 40),
+    st.integers(1, 5),
+    st.integers(0, 2**16),
+    st.integers(0, 1),
+    st.integers(1, 6),
+    st.booleans(),
+)
+def test_choose_selections_matches_reference(d, n, palette, seed, half, size_count, strict) -> None:
+    n = max(n, d + 1)
+    n += (n * d) % 2
+    g = generate_regular(n, d, seed=seed)
+    c = assign_random(g, palette, seed=seed)
+    sets = distinguish(g, c, DEMO, d=d)
+    half_edges = split_edges(g, c, sets).labels == half
+    inside = sets.uncolored_edges & half_edges
+    fringe = sets.touching & half_edges & ~inside
+
+    def run(fn, *args):
+        try:
+            return fn(g, *args, size_count, strict=strict)
+        except InputError as exc:
+            return str(exc)
+
+    got = run(choose_selections, sets.uncolored, half_edges, inside, fringe)
+    expected = run(
+        reference_choose_selections,
+        frozenset(sets.uncolored.tolist()),
+        frozenset(members(half_edges)),
+        frozenset(members(inside)),
+        frozenset(members(fringe)),
+    )
+    assert got == expected
