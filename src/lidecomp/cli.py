@@ -140,9 +140,10 @@ def cmd_verify(args: argparse.Namespace) -> tuple[dict, bool]:
     ok = cover_ok and all(verdicts)
     if not cover_ok:
         print("parts do not partition the edge set", file=sys.stderr)
+    eu, ev = g.endpoint_arrays()
     for part_idx, conf in enumerate(conflicts):
         for i in conf:
-            u, v = g.edges[i]
+            u, v = eu[i], ev[i]
             print(f"part {part_idx}: conflicting edge {i} = ({u},{v})", file=sys.stderr)
     payload = {
         "manifest": _manifest("verify", args, ["graph", "decomp"]),

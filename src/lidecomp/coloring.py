@@ -6,8 +6,10 @@ pair repeats on a neighbour become *uncoloured*; edges inside/touching that
 set, edges agreeing in exactly one coordinate (*special*), and edges whose
 coordinates are cyclically too close (*risky*) are split out, leaving a
 residual. A per-vertex audit checks the three incidence counts against their
-thresholds, and a resampling loop redraws two-hop neighbourhoods of failing
-vertices until the audit passes or the budget runs out.
+thresholds. The resampling loop redraws the two-hop neighbourhood of the
+lowest failing vertex until no vertex fails or the budget runs out. A round
+only looks for that first violator, scanning ascending vertex blocks on the
+CSR adjacency; the full sets and the audit are evaluated once, after the loop.
 
 Set membership must be bit-stable, so the risky closeness threshold and all
 audit thresholds are evaluated in exact rational arithmetic.
@@ -102,6 +104,13 @@ def closeness_bound(profile: ConstantProfile, d: int) -> int:
     return math.floor((Fraction(str(profile.s)) * d + 7) / 2)
 
 
+def _close(a: np.ndarray, b: np.ndarray, palette: int, bound: int) -> np.ndarray:
+    """Whether two colour values in 1..palette lie within ``bound`` cyclically, but differ."""
+    # Both values lie in 1..palette, so |a - b| is one of the two cyclic gaps.
+    gap = np.abs(a - b)
+    return (gap >= 1) & (np.minimum(gap, palette - gap) <= bound)
+
+
 def _set_masks(
     g: Graph, first: np.ndarray, second: np.ndarray, palette: int, bound: int
 ) -> DistinguishedSets:
@@ -119,13 +128,7 @@ def _set_masks(
     inside = uflag[eu] & uflag[ev]
     touch = uflag[eu] | uflag[ev]
     special = ~touch & (first_eq | second_eq)
-
-    def close(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        # Both values lie in 1..palette, so |a - b| is one of the two cyclic gaps.
-        gap = np.abs(a - b)
-        return (gap >= 1) & (np.minimum(gap, palette - gap) <= bound)
-
-    risky = ~touch & (close(fu, fv) | close(su, sv))
+    risky = ~touch & (_close(fu, fv, palette, bound) | _close(su, sv, palette, bound))
     return DistinguishedSets(
         uncolored=np.flatnonzero(uflag),
         uncolored_edges=inside,
@@ -209,6 +212,62 @@ def _violating(counts: np.ndarray, caps: np.ndarray) -> np.ndarray:
     return np.flatnonzero((counts > caps[:, None]).any(axis=0))
 
 
+def _first_violator(
+    g: Graph,
+    first: np.ndarray,
+    second: np.ndarray,
+    palette: int,
+    bound: int,
+    caps: np.ndarray,
+) -> int:
+    """The lowest vertex :func:`_violating` reports for these colours, or -1 if none.
+
+    The uncoloured flags take one pass over the edges. The counts are taken
+    only on the CSR half-edges of ascending vertex blocks that start at one
+    vertex and double, so the scan stops at the first block holding a
+    violator; when nothing violates it covers each half-edge once.
+    """
+    eu, ev = g.endpoint_arrays()
+    code = first * (palette + 1) + second  # equal codes <=> equal pairs
+    pair_eq = code[eu] == code[ev]
+    uflag = np.zeros(g.n, dtype=bool)
+    uflag[eu[pair_eq]] = True
+    uflag[ev[pair_eq]] = True
+    indptr, indices = g.indptr, g.indices
+    a, size = 0, 1
+    while a < g.n:
+        b = min(a + size, g.n)
+        row = np.repeat(np.arange(b - a), np.diff(indptr[a : b + 1]))  # block-local source
+        src, dst = row + a, indices[indptr[a] : indptr[b]]
+        touch = uflag[src] | uflag[dst]
+        fs, ft, ss, st = first[src], first[dst], second[src], second[dst]
+        special = ~touch & ((fs == ft) | (ss == st))
+        risky = ~touch & (_close(fs, ft, palette, bound) | _close(ss, st, palette, bound))
+        counts = np.stack(
+            [np.bincount(row[mask], minlength=b - a) for mask in (special, risky, uflag[dst])]
+        )
+        bad = _violating(counts, caps)
+        if bad.size:
+            return a + int(bad[0])
+        a, size = b, 2 * size
+    return -1
+
+
+def _two_hop_ball(g: Graph, centre: int) -> np.ndarray:
+    """The vertices within distance 2 of ``centre``, ascending."""
+    indptr, indices = g.indptr, g.indices
+    nb = indices[indptr[centre] : indptr[centre + 1]]
+    starts = indptr[nb]
+    lens = indptr[nb + 1] - starts
+    # Concatenated ranges starts[i]:starts[i]+lens[i]: each position plus its range's shift.
+    hops = np.arange(lens.sum()) + np.repeat(starts - (np.cumsum(lens) - lens), lens)
+    mark = np.zeros(g.n, dtype=bool)
+    mark[centre] = True
+    mark[nb] = True
+    mark[indices[hops]] = True
+    return np.flatnonzero(mark)
+
+
 def audit(
     g: Graph,
     sets: DistinguishedSets,
@@ -257,7 +316,8 @@ def resample_until_good(
     """Redraw two-hop neighbourhoods of violating vertices until the audit passes.
 
     Per round, the lowest-indexed violating vertex has every vertex within
-    distance 2 redrawn (the support that determines its events). Exhausting
+    distance 2 redrawn (the support that determines its events); the sets and
+    the audit are evaluated once, for the colouring the loop ends with. Exhausting
     ``max_rounds`` is a flagged return, not an error; termination is budgeted,
     not guaranteed.
     """
@@ -276,21 +336,16 @@ def resample_until_good(
     caps = _audit_caps(profile, d)
 
     rounds = 0
-    while True:
-        sets = _set_masks(g, first, second, palette, bound)
-        bad = _violating(_audit_counts(g, sets), caps)
-        if not bad.size or rounds >= max_rounds:
+    while rounds < max_rounds:
+        centre = _first_violator(g, first, second, palette, bound, caps)
+        if centre < 0:
             break
-        centre = int(bad[0])
-        ball = {centre}
-        for w in g.neighbors(centre):
-            ball.add(w)
-            ball.update(g.neighbors(w))
-        redraw = sorted(ball)
-        first[redraw] = rng.integers(1, palette + 1, size=len(redraw))
-        second[redraw] = rng.integers(1, palette + 1, size=len(redraw))
+        redraw = _two_hop_ball(g, centre)
+        first[redraw] = rng.integers(1, palette + 1, size=redraw.size)
+        second[redraw] = rng.integers(1, palette + 1, size=redraw.size)
         rounds += 1
 
+    sets = _set_masks(g, first, second, palette, bound)
     coloring = VertexColoring(palette, tuple(first.tolist()), tuple(second.tolist()))
     result = audit(g, sets, profile, d)
     return ResampleResult(coloring, sets, result, result.passed, rounds)

@@ -14,7 +14,7 @@ from fractions import Fraction
 from itertools import combinations
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from lidecomp.coloring import (
@@ -23,6 +23,7 @@ from lidecomp.coloring import (
     VertexColoring,
     _audit_caps,
     _audit_counts,
+    _first_violator,
     _set_masks,
     _violating,
     audit,
@@ -66,8 +67,23 @@ def sparse_graphs(draw, max_n: int = 24) -> Graph:
 
 
 @st.composite
-def colored_graphs(draw) -> tuple[Graph, VertexColoring]:
-    g = draw(graphs())
+def isolated_prefix(draw, inner: st.SearchStrategy[Graph]) -> Graph:
+    """A graph from ``inner`` behind 0-300 isolated vertices.
+
+    An isolated vertex never violates, so the first violator lies past
+    several of the first-violation scan's doubling blocks.
+    """
+    g = draw(inner)
+    k = draw(st.integers(0, 300))
+    eu, ev = g.endpoint_arrays()
+    return Graph(g.n + k, np.column_stack((eu + k, ev + k)))
+
+
+@st.composite
+def colored_graphs(
+    draw, shapes: st.SearchStrategy[Graph] = graphs()
+) -> tuple[Graph, VertexColoring]:
+    g = draw(shapes)
     palette = draw(st.integers(1, 6))
     values = st.lists(st.integers(1, palette), min_size=g.n, max_size=g.n)
     return g, VertexColoring(palette, tuple(draw(values)), tuple(draw(values)))
@@ -159,6 +175,24 @@ def test_masks_and_counts_match_references(case, profile, d) -> None:
     assert full.passed == (not ref_violations)
 
 
+@settings(max_examples=300, deadline=None)
+@given(
+    colored_graphs(st.one_of(graphs(), isolated_prefix(graphs()))),
+    st.sampled_from(PROFILES),
+    st.integers(0, 60),
+)
+@example((Graph(0, []), VertexColoring(1, (), ())), PROFILES[0], 0)
+@example((Graph(3, [(0, 1), (1, 2)]), VertexColoring(1, (1, 1, 1), (1, 1, 1))), PROFILES[2], 60)
+def test_first_violator_matches_full_audit(case, profile, d) -> None:
+    g, c = case
+    first = np.asarray(c.first, dtype=np.int64)
+    second = np.asarray(c.second, dtype=np.int64)
+    bound, caps = closeness_bound(profile, d), _audit_caps(profile, d)
+    bad = _violating(_audit_counts(g, _set_masks(g, first, second, c.palette, bound)), caps)
+    expected = int(bad[0]) if bad.size else -1
+    assert _first_violator(g, first, second, c.palette, bound, caps) == expected
+
+
 def reference_resample(
     g: Graph, profile: ConstantProfile, d: int, seed: int, max_rounds: int
 ) -> ResampleResult:
@@ -186,7 +220,7 @@ def reference_resample(
 
 @settings(max_examples=150, deadline=None)
 @given(
-    sparse_graphs(),
+    st.one_of(sparse_graphs(), isolated_prefix(sparse_graphs())),
     st.sampled_from(PROFILES),
     st.integers(0, 60),
     st.integers(0, 2**32 - 1),

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 
+from lidecomp import cli
 from lidecomp.cli import main
 from lidecomp.graphs import Graph, generate_circulant, read_graph, write_graph
 
@@ -164,6 +165,34 @@ def test_verify_tampered_decomposition_names_conflict(tmp_path, capsys) -> None:
     assert tdata["cover_ok"] is True  # still a partition; a verdict flips
     assert not all(tdata["verdicts"])
     assert "conflicting edge" in err
+
+
+def test_verify_prints_conflicts_without_the_edge_tuple_view(tmp_path, capsys, monkeypatch) -> None:
+    # Two bare edges in part 0, the middle edge of a 4-vertex path in part 2,
+    # a bare edge in part 3; the stderr lines were recorded before the edge
+    # endpoints came from the endpoint arrays.
+    g = Graph(6, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (0, 5), (0, 3), (1, 4)])
+    gpath = tmp_path / "g.txt"
+    write_graph(g, gpath)
+    dpath = tmp_path / "d.json"
+    dpath.write_text(json.dumps({"parts": [[0, 7], [1, 2], [3, 5, 6], [4]]}))
+    read = []
+
+    def recording_read_graph(path):
+        read.append(read_graph(path))
+        return read[-1]
+
+    monkeypatch.setattr(cli, "read_graph", recording_read_graph)
+    code, out, err = run(["verify", "--graph", str(gpath), "--decomp", str(dpath)], capsys)
+    assert code == 1
+    assert json.loads(out)["conflicts"] == [[0, 7], [], [5], [4]]
+    assert err == (
+        "part 0: conflicting edge 0 = (0,1)\n"
+        "part 0: conflicting edge 7 = (4,5)\n"
+        "part 2: conflicting edge 5 = (2,3)\n"
+        "part 3: conflicting edge 4 = (1,4)\n"
+    )
+    assert len(read) == 1 and "edges" not in vars(read[0])
 
 
 def test_verify_rejects_broken_partition(tmp_path, capsys) -> None:
