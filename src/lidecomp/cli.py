@@ -5,6 +5,12 @@ to stderr. Every JSON payload embeds the resolved run manifest and the tool
 version, and identical manifests reproduce byte-identical output. Exit codes:
 0 success/true, 1 verified-false/fail, 2 rejected input, 3 budget exhausted
 or inconclusive.
+
+A payload is written as the exact bytes of ``json.dumps(payload, indent=2,
+sort_keys=True)``. ``indent`` turns off CPython's C encoder, so :func:`_dumps`
+lays out dicts and nested lists itself and hands each list of plain scalars
+(a part's edge indices, a label vector) to the C encoder in one call, with
+``",\n"`` plus the indentation as its item separator.
 """
 
 from __future__ import annotations
@@ -45,8 +51,34 @@ def _manifest(command: str, args: argparse.Namespace, keys: list[str]) -> dict:
     return data
 
 
+_SCALARS = frozenset((int, float, str, bool, type(None)))
+
+
+def _dumps(obj, pad: str = "") -> str:
+    """``json.dumps(obj, indent=2, sort_keys=True)``, each line after the first led by ``pad``.
+
+    Dicts with string keys and lists recurse here; a list of scalars is one
+    call of the C encoder, which ``indent`` would turn off. Anything else is
+    left to ``json.dumps`` itself (JSON text has no raw newline inside a
+    string, so indenting its lines is safe).
+    """
+    inner = pad + "  "
+    if type(obj) is dict and obj and set(map(type, obj)) == {str}:
+        body = (",\n" + inner).join(
+            f"{json.dumps(key)}: {_dumps(obj[key], inner)}" for key in sorted(obj)
+        )
+        return "{\n" + inner + body + "\n" + pad + "}"
+    if type(obj) in (list, tuple) and obj:
+        if set(map(type, obj)) <= _SCALARS:
+            body = json.dumps(obj, separators=(",\n" + inner, ": "))[1:-1]
+        else:
+            body = (",\n" + inner).join(_dumps(item, inner) for item in obj)
+        return "[\n" + inner + body + "\n" + pad + "]"
+    return json.dumps(obj, indent=2, sort_keys=True).replace("\n", "\n" + pad)
+
+
 def _emit(payload: dict, out: str | None) -> None:
-    text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    text = _dumps(payload) + "\n"
     if out is None:
         sys.stdout.write(text)
     else:

@@ -8,17 +8,18 @@ and by every "first feasible" tie-break elsewhere in the package.
 A :class:`Graph` is held as arrays. The canonical edge list is two int64
 endpoint arrays (sorted once, on the key ``u*n + v``), and the adjacency is
 in CSR form: the neighbours of ``v`` are ``indices[indptr[v]:indptr[v+1]]``,
-ascending. Queries return plain Python ints and tuples; the tuple view
-``g.edges`` and the pair-to-index dict behind scalar :meth:`Graph.edge_id`
-lookups are built on first use and cached.
+ascending, and ``slot_edges`` holds the edge id of each of those slots.
+Queries return plain Python ints and tuples; the tuple view ``g.edges`` and
+the pair-to-index dict behind scalar :meth:`Graph.edge_id` lookups are built
+on first use and cached.
 Graphs are immutable after construction and safe to share between threads.
 
 Inside the package an edge subset is a boolean mask of length ``m`` over
-canonical edge indices, and :func:`degree_vector` counts its degrees. Index
-collections (a ``frozenset[int]``, a list or an int64 array) are kept for
-subsets that enter or leave as JSON: parts read by the verifier, DCS
-certificates and exact-oracle witnesses. :func:`validate_edge_subset` checks
-one and :func:`index_array` converts it.
+canonical edge indices, and :func:`degree_vector` counts its degrees along
+the CSR rows. Index collections (a ``frozenset[int]``, a list or an int64
+array) are kept for subsets that enter or leave as JSON: parts read by the
+verifier, DCS certificates and exact-oracle witnesses.
+:func:`validate_edge_subset` checks one and :func:`index_array` converts it.
 """
 
 from __future__ import annotations
@@ -100,8 +101,11 @@ class Graph:
         self.n = n
         self.m = len(key)
         self.degrees: tuple[int, ...] = tuple(deg.tolist())
+        slots = np.argsort(src, kind="stable")
         self.indptr = _read_only(np.concatenate(([0], np.cumsum(deg))))
-        self.indices = _read_only(np.concatenate((lo, hi))[np.argsort(src, kind="stable")])
+        self.indices = _read_only(np.concatenate((lo, hi))[slots])
+        # Entry p of src is an end of edge p mod m; slot j holds edge slot_edges[j].
+        self.slot_edges = _read_only(slots % max(self.m, 1))
         self._eu = _read_only(np.ascontiguousarray(lo))
         self._ev = _read_only(np.ascontiguousarray(hi))
         self._ids: dict[tuple[int, int], int] | None = None
@@ -161,7 +165,21 @@ def validate_edge_subset(g: Graph, es: EdgeSubset) -> None:
 
 
 def degree_vector(g: Graph, edges: np.ndarray) -> np.ndarray:
-    """Per-vertex degree array of the edges a boolean mask or index array selects."""
+    """Per-vertex degree array of the edges a boolean mask or index array selects.
+
+    A mask is summed along the CSR rows: one gather through ``slot_edges`` and
+    one ``reduceat``. A trailing ``False`` lets an isolated last vertex start
+    its row at ``2m``, and an empty row, which ``reduceat`` fills with the next
+    row's first slot, is zeroed. An index array may repeat an index, so it is
+    counted per endpoint with ``bincount``.
+    """
+    if edges.dtype == bool:
+        if len(edges) != g.m:
+            raise IndexError(f"mask of length {len(edges)} for m={g.m}")
+        slots = np.append(edges[g.slot_edges], False)
+        deg = np.add.reduceat(slots, g.indptr[:-1], dtype=np.int64)
+        deg[g.indptr[:-1] == g.indptr[1:]] = 0
+        return deg
     eu, ev = g.endpoint_arrays()
     return np.bincount(eu[edges], minlength=g.n) + np.bincount(ev[edges], minlength=g.n)
 

@@ -15,8 +15,9 @@ Two engines sit behind :func:`balanced_round`:
   the start vertex, where the closed right bound permits it. The walk takes
   the endpoint arrays of the half edges and runs Hierholzer's algorithm over
   a CSR adjacency (neighbours ascending, the auxiliary vertex last) with a
-  list of per-vertex pointers and ``bytearray`` marks for used edges and seen
-  vertices. :func:`round_half_edges` is the same walk for callers that hold
+  list of per-vertex pointers and ``bytearray`` marks for used edges; the
+  alternating bits of each circuit are set with numpy into a ``uint8``
+  array. :func:`round_half_edges` is the same walk for callers that hold
   an edge-index array rather than weights (the pipeline's rule groups); it
   checks the window with ``np.bincount`` in integers.
 
@@ -167,7 +168,8 @@ def balanced_round(weights: FractionalEdgeWeights) -> BinaryEdgeLabels:
         if all(val.denominator == 2 for val in fractional.values()):
             members = np.fromiter(fractional, dtype=np.int64, count=len(fractional))
             eu, ev = g.endpoint_arrays()
-            for i, bit in zip(fractional, _round_half_euler(g.n, eu[members], ev[members])):
+            bits = _round_half_euler(g.n, eu[members], ev[members]).tolist()
+            for i, bit in zip(fractional, bits):
                 x[i] = bit
         else:
             _round_general(g, fractional, x)
@@ -184,13 +186,15 @@ def balanced_round(weights: FractionalEdgeWeights) -> BinaryEdgeLabels:
 # ---------------------------------------------------------------------------
 
 
-def _round_half_euler(n: int, eu: np.ndarray, ev: np.ndarray) -> bytearray:
-    """Labels of the edges ``(eu[j], ev[j])`` of a simple graph on ``0..n-1``.
+def _round_half_euler(n: int, eu: np.ndarray, ev: np.ndarray) -> np.ndarray:
+    """Labels (uint8) of the edges ``(eu[j], ev[j])`` of a simple graph on ``0..n-1``.
 
     Vertex ``n`` is auxiliary: the j-th odd-degree vertex joins it by the edge
     keyed ``k + j`` (k real edges). Adjacency is CSR with neighbours ascending,
     so the auxiliary vertex comes last; circuits start at the auxiliary vertex,
-    then at every unvisited vertex in ascending order.
+    then at every unvisited vertex in ascending order. A circuit uses every
+    edge of the vertices it visits, so a start has been visited exactly when
+    its pointer has reached the end of its row.
     """
     k = len(eu)
     deg = np.bincount(eu, minlength=n) + np.bincount(ev, minlength=n)
@@ -207,39 +211,42 @@ def _round_half_euler(n: int, eu: np.ndarray, ev: np.ndarray) -> bytearray:
     ptr, end = (end - counts).tolist(), end.tolist()
 
     used = bytearray(k + len(odd))
-    seen = bytearray(n + 1)
-    x = bytearray(k)
+    ones: list[int] = []
     starts = ([n] if len(odd) else []) + np.flatnonzero(deg).tolist()
     for start in starts:
-        if seen[start]:
+        if ptr[start] == end[start]:
             continue
         # Hierholzer walk over the component of start; an edge joins the
         # circuit when the walk backs out of it, so the circuit is reversed.
+        # The stacks hold the vertices below the current one v and the edges
+        # they were entered by; e_in is the edge v was entered by.
         circuit: list[int] = []
-        verts, via = [start], [-1]
-        while verts:
-            v = verts[-1]
-            seen[v] = 1
+        verts: list[int] = []
+        via: list[int] = []
+        v, e_in = start, -1
+        while True:
             i, stop = ptr[v], end[v]
             while i < stop and used[key[i]]:
                 i += 1
             if i < stop:
-                used[key[i]] = 1
+                e = key[i]
+                used[e] = 1
                 ptr[v] = i + 1
-                verts.append(nbr[i])
-                via.append(key[i])
+                verts.append(v)
+                via.append(e_in)
+                v, e_in = nbr[i], e
             else:
                 ptr[v] = i
-                verts.pop()
-                e = via.pop()
-                if e >= 0:
-                    circuit.append(e)
-        bit = 1  # first edge takes +1/2; odd circuits then drift +1 at the start
-        for e in reversed(circuit):
-            if e < k:
-                x[e] = bit
-            bit ^= 1
-    return x
+                if e_in < 0:
+                    break
+                circuit.append(e_in)
+                v, e_in = verts.pop(), via.pop()
+        # The first edge takes +1/2 and the bits alternate; odd circuits then
+        # drift +1 at the start.
+        ones += circuit[len(circuit) - 1 :: -2]
+    x = np.zeros(k + len(odd), dtype=np.uint8)
+    x[np.asarray(ones, dtype=np.int64)] = 1
+    return x[:k]
 
 
 def round_half_edges(n: int, eu: np.ndarray, ev: np.ndarray) -> np.ndarray:
@@ -249,7 +256,7 @@ def round_half_edges(n: int, eu: np.ndarray, ev: np.ndarray) -> np.ndarray:
     integer form of :func:`verify_rounding` with denominator 2: at every
     vertex ``gap = 2 * ones - degree`` must satisfy ``-2 < gap <= 2``.
     """
-    bits = np.frombuffer(_round_half_euler(n, eu, ev), dtype=np.uint8)
+    bits = _round_half_euler(n, eu, ev)
     one = bits == 1
     gap = 2 * (np.bincount(eu[one], minlength=n) + np.bincount(ev[one], minlength=n))
     gap -= np.bincount(eu, minlength=n) + np.bincount(ev, minlength=n)

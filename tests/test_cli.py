@@ -1,10 +1,19 @@
 from __future__ import annotations
 
+import hashlib
 import json
+import math
+from fractions import Fraction
+from pathlib import Path
+
+import numpy as np
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from lidecomp import cli
 from lidecomp.cli import main
-from lidecomp.graphs import Graph, generate_circulant, read_graph, write_graph
+from lidecomp.graphs import Graph, generate_circulant, generate_regular, read_graph, write_graph
 
 
 def run(args: list[str], capsys) -> tuple[int, str, str]:
@@ -386,3 +395,95 @@ def test_dcs_solver_failure_exit_code(tmp_path, capsys) -> None:
     assert code in (0, 3)
     if code == 0:
         assert json.loads(out)["passed"] is True
+
+
+# ---------------------------------------------------------------------------
+# Payload bytes: goldens for the commands tests/test_golden.py leaves out, and
+# the indent=2 encoder against json.dumps
+# ---------------------------------------------------------------------------
+
+
+def _sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+# Recorded before the payload encoder sent scalar lists through the C encoder.
+def test_golden_gen_regular(tmp_path, monkeypatch, capsys) -> None:
+    monkeypatch.chdir(tmp_path)
+    argv = ["gen-regular", "--n", "30", "--d", "4", "--seed", "3", "--out", "g.txt"]
+    code, out, _ = run(argv, capsys)
+    assert code == 0
+    assert _sha256(out.encode()) == (
+        "39f13538970d41b42585cb8b022aefc38d47721e18966fd77866e0c35ade6abf"
+    )
+
+
+def test_golden_verify(tmp_path, monkeypatch, capsys) -> None:
+    # Parts by edge index mod 4 on a 6-regular graph: every part has conflicts.
+    monkeypatch.chdir(tmp_path)
+    g = generate_regular(40, 6, seed=5)
+    write_graph(g, "g.txt")
+    parts = [[i for i in range(g.m) if i % 4 == p] for p in range(4)]
+    Path("d.json").write_text(json.dumps({"parts": parts}))
+    argv = ["verify", "--graph", "g.txt", "--decomp", "d.json", "--out", "out.json"]
+    assert run(argv, capsys)[0] == 1
+    assert _sha256(Path("out.json").read_bytes()) == (
+        "e8666326ce492b5f40502631aaecdd5a6678938ca05e19bf1b0bfbec856be213"
+    )
+
+
+@pytest.mark.parametrize(
+    ("extra", "expected"),
+    [
+        (["--k", "2"], "98fbad43f18c0b7fa110f618c9c08b45ec159def8875390fd808d271d5434cb1"),
+        (["--k", "4", "--min-parts"],
+         "446707dce2561368367c59358beff01d18dbdbc98546da9a32dca319ab4502cd"),
+    ],
+    ids=["witness", "min-parts"],
+)
+def test_golden_exact(tmp_path, monkeypatch, capsys, extra: list[str], expected: str) -> None:
+    monkeypatch.chdir(tmp_path)
+    write_graph(generate_circulant(9, [1, 3]), "g.txt")
+    assert run(["exact", "--in", "g.txt", *extra, "--out", "out.json"], capsys)[0] == 0
+    assert _sha256(Path("out.json").read_bytes()) == expected
+
+
+_json_scalars = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.integers(min_value=2**63, max_value=2**80),
+    st.floats(),
+    st.sampled_from([-0.0, 1e16, math.nan, math.inf, -math.inf]),
+    st.text(),
+    st.sampled_from(["é", "☃ snow", 'quote " and \\ slash', "line\nbreak\ttab", "\x00\x1f"]),
+)
+
+
+def _json_trees(children):
+    return st.one_of(
+        st.lists(children, max_size=6),
+        st.lists(children, max_size=6).map(tuple),
+        st.lists(st.one_of(st.integers(), st.booleans()), max_size=6),
+        st.dictionaries(st.text(max_size=4), children, max_size=5),
+        st.dictionaries(st.integers(), children, max_size=3),
+        st.dictionaries(st.floats(allow_nan=False), children, max_size=3),
+        st.dictionaries(st.one_of(st.integers(), st.booleans()), children, max_size=3),
+        st.dictionaries(st.none(), children, max_size=1),
+    )
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.recursive(_json_scalars, _json_trees, max_leaves=40))
+@example({"parts": [[0, 2, 5], [], [1, 3], [4]], "success": False, "verdicts": [True, False]})
+@example([[], {}, (), [[]], [{}], {"a": []}])
+def test_payload_encoder_matches_json_dumps(tree) -> None:
+    assert cli._dumps(tree) == json.dumps(tree, indent=2, sort_keys=True)
+
+
+def test_payload_encoder_rejects_what_json_rejects() -> None:
+    for bad in ([np.int64(1)], {"x": [Fraction(1, 2)]}, {"a": 1, 2: 3}):
+        with pytest.raises(TypeError):
+            json.dumps(bad, indent=2, sort_keys=True)
+        with pytest.raises(TypeError):
+            cli._dumps(bad)

@@ -4,7 +4,7 @@ import itertools
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from lidecomp.errors import BudgetError, InputError
@@ -204,6 +204,57 @@ def test_subgraph_degree_sum_matches_edge_count() -> None:
         es = frozenset(rng.choice(g.m, size=size, replace=False).tolist())
         validate_edge_subset(g, es)
         assert degree_vector(g, np.isin(np.arange(g.m), list(es))).sum() == 2 * len(es)
+
+
+@st.composite
+def masked_graphs(draw) -> tuple[Graph, np.ndarray]:
+    """A graph with isolated vertices before, inside and after its edges, and a mask."""
+    core = draw(st.integers(0, 10))
+    lead, mid, trail = (draw(st.integers(0, 3)) for _ in range(3))
+    half = core // 2
+
+    def place(v: int) -> int:
+        return v + lead + (mid if v >= half else 0)
+
+    pairs = list(itertools.combinations(range(core), 2))
+    keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    edges = [(place(u), place(v)) for (u, v), k in zip(pairs, keep) if k]
+    g = Graph(core + lead + mid + trail, edges)
+    kind = draw(st.sampled_from(["drawn", "all", "none"]))
+    if kind == "drawn":
+        mask = np.asarray(draw(st.lists(st.booleans(), min_size=g.m, max_size=g.m)), dtype=bool)
+    else:
+        mask = np.full(g.m, kind == "all", dtype=bool)
+    return g, mask
+
+
+@settings(max_examples=400, deadline=None)
+@given(masked_graphs())
+@example((Graph(0, []), np.zeros(0, dtype=bool)))
+@example((Graph(4, []), np.zeros(0, dtype=bool)))
+@example((Graph(5, [(0, 1)]), np.ones(1, dtype=bool)))
+@example((Graph(5, [(3, 4)]), np.ones(1, dtype=bool)))
+@example((Graph(6, [(0, 5), (1, 2)]), np.array([True, False])))
+def test_degree_vector_mask_matches_bincount_reference(case) -> None:
+    g, mask = case
+    eu, ev = g.endpoint_arrays()
+    expected = np.bincount(eu[mask], minlength=g.n) + np.bincount(ev[mask], minlength=g.n)
+    got = degree_vector(g, mask)
+    assert got.dtype == expected.dtype and got.tolist() == expected.tolist()
+    # Slot j of row v holds the edge joining v to indices[j].
+    rows = np.repeat(np.arange(g.n), np.diff(g.indptr))
+    ends = np.sort(np.stack((rows, g.indices)), axis=0)
+    assert ends[0].tolist() == eu[g.slot_edges].tolist()
+    assert ends[1].tolist() == ev[g.slot_edges].tolist()
+
+
+def test_degree_vector_rejects_wrong_mask_length_and_counts_repeated_indices() -> None:
+    g = generate_circulant(5, [1])
+    for size in (g.m - 1, g.m + 1, 0):
+        with pytest.raises(IndexError):
+            degree_vector(g, np.ones(size, dtype=bool))
+    repeated = np.array([g.edge_id(0, 1), g.edge_id(0, 1), g.edge_id(2, 3)])
+    assert degree_vector(g, repeated).tolist() == [2, 2, 1, 1, 0]
 
 
 def test_subgraph_local_irregularity_and_conflicts() -> None:

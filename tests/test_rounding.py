@@ -434,3 +434,13 @@ def test_csr_euler_walk_matches_reference_on_odd_regular_graph() -> None:
     g = generate_regular(300, 9, seed=4)
     eu, ev = g.endpoint_arrays()
     assert list(_round_half_euler(g.n, eu, ev)) == ref_round_half_euler(g.n, list(g.edges))
+
+
+def test_all_half_labels_are_plain_ints() -> None:
+    # The walk returns a uint8 array; no numpy scalar may reach the labels or the JSON.
+    g = generate_regular(30, 5, seed=2)
+    values = balanced_round(FractionalEdgeWeights.constant(g, Fraction(1, 2))).values
+    assert len(values) == g.m and {type(v) for v in values} == {int}
+    eu, ev = g.endpoint_arrays()
+    bits = _round_half_euler(g.n, eu, ev)
+    assert bits.dtype == np.uint8 and bits.tolist() == list(values)
