@@ -16,6 +16,7 @@ lays out dicts and nested lists itself and hands each list of plain scalars
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from fractions import Fraction
@@ -307,7 +308,12 @@ def cmd_constants_optimize(args: argparse.Namespace) -> tuple[dict, bool]:
     return payload, True
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on the first call and shared by every later one.
+
+    Parsing reads the tree and never changes it, so :func:`main` reuses it.
+    """
     parser = argparse.ArgumentParser(
         prog="lidecomp",
         description="Decompose regular graphs into four locally irregular subgraphs.",
@@ -396,8 +402,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         payload, ok = args.func(args)
     except InputError as exc:

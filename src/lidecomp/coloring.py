@@ -83,7 +83,7 @@ def assign_random(g: Graph, palette: int, seed: int) -> VertexColoring:
     return VertexColoring(palette, tuple(first.tolist()), tuple(second.tolist()))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DistinguishedSets:
     """The vertex and edge sets a fixed colouring induces on a host graph.
 
@@ -296,7 +296,7 @@ def audit(
     )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ResampleResult:
     coloring: VertexColoring
     sets: DistinguishedSets

@@ -11,22 +11,31 @@ Window comparisons are exact integer cross-multiplications; the search
 potential weights window violations above residue distance so repair never
 trades feasibility of one for the other.
 
-A vertex's potential depends only on its subgraph degree, so each vertex gets
-a table of it over degrees 0..d(v). The search keeps every edge's flip gain
-between steps, with the candidate edges (those with a violating endpoint) in
-buckets keyed by gain. A flip changes only the degrees of its two endpoints,
-so only the edges incident to them are re-scored and re-bucketed: a step
-costs O(d) rather than a rescan of every candidate.
+A vertex's potential depends only on its subgraph degree, so the vertices
+share one dense ``(n, max degree + 1)`` table of it. The search keeps every
+edge's flip gain between steps, with the candidate edges (those with a
+violating endpoint) in buckets keyed by gain. A restart sets up on arrays:
+degrees by ``bincount`` over the endpoint arrays, every edge's bucket key in
+one expression, and the buckets from one stable ``argsort`` of the keys, so
+each starts as an ascending list. A bucket is a heap with lazy deletion (an
+entry is live while the edge's key still names that bucket) plus an exact
+count, so the improving step's lowest-index edge is a heap top. A flip
+changes only the degrees of its two endpoints, so only the edges on their CSR
+rows are re-scored and re-bucketed: a step costs O(d log m) rather than a
+rescan of every candidate. Neither the search nor the verifier builds the
+``g.edges`` tuple view.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from heapq import heappop, heappush
+from itertools import compress
 
 import numpy as np
 
 from lidecomp.errors import BudgetError, InputError, json_int
-from lidecomp.graphs import EdgeSubset, Graph, validate_edge_subset
+from lidecomp.graphs import EdgeSubset, Graph, degree_vector, index_array, validate_edge_subset
 
 
 @dataclass(frozen=True)
@@ -45,13 +54,16 @@ class DcsInstance:
             if lam < 2:
                 raise InputError(f"modulus at vertex {v} must be >= 2, got {lam}")
         if strict:
-            for v in range(g.n):
+            deg = np.asarray(g.degrees, dtype=np.int64)
+            lam = np.asarray(self.moduli)  # object dtype if a modulus exceeds int64
+            bad = np.flatnonzero((deg < 12) | (6 * lam > deg))
+            if bad.size:
+                v = int(bad[0])
                 if g.degree(v) < 12:
                     raise InputError(f"vertex {v} has degree {g.degree(v)} < 12")
-                if 6 * self.moduli[v] > g.degree(v):
-                    raise InputError(
-                        f"vertex {v}: 6*lambda={6 * self.moduli[v]} exceeds degree {g.degree(v)}"
-                    )
+                raise InputError(
+                    f"vertex {v}: 6*lambda={6 * self.moduli[v]} exceeds degree {g.degree(v)}"
+                )
 
     def allowed_residues(self, v: int) -> tuple[int, int]:
         lam = self.moduli[v]
@@ -90,24 +102,19 @@ class DcsCertificate:
         }
 
 
-def _window_ok(deg_host: int, deg_sub: int) -> bool:
-    # d/3 <= x <= 2d/3, compared as 3x against d and 2d to stay exact.
-    return deg_host <= 3 * deg_sub <= 2 * deg_host
-
-
 def verify(inst: DcsInstance, edges: EdgeSubset) -> DcsCertificate:
     """Exact certificate for an edge subset against the instance predicate."""
     g = inst.graph
     validate_edge_subset(g, edges)
     inst.validate(strict=False)
-    deg = [0] * g.n
-    for i in edges:
-        u, v = g.edges[i]
-        deg[u] += 1
-        deg[v] += 1
-    window = tuple(_window_ok(g.degree(v), deg[v]) for v in range(g.n))
+    deg_arr = degree_vector(g, index_array(edges))
+    host = np.diff(g.indptr)
+    # d/3 <= x <= 2d/3, compared as 3x against d and 2d to stay exact.
+    window = tuple(((host <= 3 * deg_arr) & (3 * deg_arr <= 2 * host)).tolist())
+    deg = deg_arr.tolist()
     residue = tuple(
-        deg[v] % inst.moduli[v] in inst.allowed_residues(v) for v in range(g.n)
+        x % lam in (t % lam, (t + 1) % lam)
+        for x, lam, t in zip(deg, inst.moduli, inst.targets)
     )
     return DcsCertificate(
         edges=frozenset(edges),
@@ -156,16 +163,27 @@ def exhaustive_solve(inst: DcsInstance, max_edges: int = 25) -> EdgeSubset | Non
     return None
 
 
-def _penalty_table(
-    deg_host: int, lam: int, allowed: tuple[int, int], big: int
-) -> tuple[int, ...]:
-    """Search potential of a vertex at each subgraph degree 0..deg_host."""
+def _penalty_tables(
+    keys: list[tuple[int, int, int]], width: int, big: int
+) -> tuple[np.ndarray, int]:
+    """Search potential at degrees 0..width-1, one row per ``(d(v), lambda, t mod lambda)``.
+
+    Also returns the span: the largest change of a row's potential between
+    two consecutive degrees in 0..d(v). Entries past d(v) are never read, so
+    they take no part in it.
+    """
+    deg_host, lam, r = (np.array(col, dtype=np.int64)[:, None] for col in zip(*keys))
+    x = np.arange(width)
     lower, upper = -(-deg_host // 3), (2 * deg_host) // 3
-    return tuple(
-        big * max(0, lower - x, x - upper)
-        + min(min((x - r) % lam, (r - x) % lam) for r in allowed)
-        for x in range(deg_host + 1)
+    window = np.maximum(0, np.maximum(lower - x, x - upper))
+    residue = np.minimum(
+        np.minimum((x - r) % lam, (r - x) % lam),
+        np.minimum((x - r - 1) % lam, (r + 1 - x) % lam),
     )
+    tables = big * window + residue
+    steps = np.abs(np.diff(tables, axis=1))
+    steps[x[:-1] >= deg_host] = 0
+    return tables, int(steps.max(initial=0))
 
 
 def solve(
@@ -196,87 +214,100 @@ def solve(
         plateau_budget = 4 * g.n + g.m // 2
 
     big = max(inst.moduli) + 1
-    tables: dict[tuple[int, int, tuple[int, int]], tuple[int, ...]] = {}
-    table: list[tuple[int, ...]] = []
-    for v in range(g.n):
-        key = (g.degree(v), inst.moduli[v], inst.allowed_residues(v))
-        if key not in tables:
-            tables[key] = _penalty_table(*key, big)
-        table.append(tables[key])
+    residues = (t % lam for t, lam in zip(inst.targets, inst.moduli))
+    index: dict[tuple[int, int, int], int] = {}
+    which = [index.setdefault(key, len(index)) for key in zip(g.degrees, inst.moduli, residues)]
+    width = max(g.degrees, default=0) + 1
+    tables, span = _penalty_tables(list(index), width, big)
     # A flip moves each endpoint's potential by at most `span`, so every gain
     # lies in [-2*span, 2*span]; bucket `offset + gain` holds the candidates.
-    span = max(
-        (abs(b - a) for t in tables.values() for a, b in zip(t, t[1:])), default=0
-    )
     offset = 2 * span
-    incident: list[list[int]] = [[] for _ in range(g.n)]
-    for i, (u, v) in enumerate(g.edges):
-        incident[u].append(i)
-        incident[v].append(i)
-
-    def rescore(e: int) -> None:
-        # Candidates are the edges with a violating endpoint.
-        u, v = g.edges[e]
-        if pen[u] or pen[v]:
-            d = -1 if inside[e] else 1
-            key = offset + table[u][deg[u] + d] - pen[u] + table[v][deg[v] + d] - pen[v]
-        else:
-            key = -1
-        old = slot[e]
-        if key != old:
-            if old >= 0:
-                buckets[old].discard(e)
-            if key >= 0:
-                buckets[key].add(e)
-            slot[e] = key
+    dense = tables[which]  # row v: vertex v's potential at each subgraph degree
+    rows = tables.tolist()
+    table = [rows[i] for i in which]
+    eu, ev = g.endpoint_arrays()
+    end_u, end_v = eu.tolist(), ev.tolist()
+    ptr = g.indptr.tolist()
+    nbr = g.indices.tolist()
+    slot_edge = g.slot_edges.tolist()
 
     for restart in range(restarts):
         rng = np.random.default_rng([seed, restart])
-        inside = (rng.random(g.m) < 0.5).tolist()
-        deg = [0] * g.n
-        for i, flag in enumerate(inside):
-            if flag:
-                u, v = g.edges[i]
-                deg[u] += 1
-                deg[v] += 1
-        pen = [table[v][deg[v]] for v in range(g.n)]
-        violating = sum(1 for p in pen if p)
-        buckets: list[set[int]] = [set() for _ in range(2 * offset + 1)]
-        slot = [-1] * g.m
-        for e in range(g.m):
-            rescore(e)
+        flags = rng.random(g.m) < 0.5
+        deg_a = np.bincount(eu[flags], minlength=g.n) + np.bincount(ev[flags], minlength=g.n)
+        pen_a = dense[np.arange(g.n), deg_a]
+        # A flip moves both endpoint degrees by `step`, which stays inside 0..d(v).
+        step = np.where(flags, -1, 1)
+        pu, pv = pen_a[eu], pen_a[ev]
+        gain = dense[eu, deg_a[eu] + step] - pu + dense[ev, deg_a[ev] + step] - pv
+        keys = np.where((pu != 0) | (pv != 0), offset + gain, -1)
+        counts = np.bincount(keys + 1, minlength=2 * offset + 2)
+        # Stably sorted, each bucket's edges ascend, which makes each one a heap.
+        order = np.argsort(keys, kind="stable")[counts[0] :].tolist()
+        stops = np.cumsum(counts[1:]).tolist()
+        heaps = [order[a:b] for a, b in zip([0] + stops, stops)]
+        size = counts[1:].tolist()
+        slot = keys.tolist()
+        inside = flags.tolist()
+        deg = deg_a.tolist()
+        pen = pen_a.tolist()
+        violating = int(np.count_nonzero(pen_a))
         plateau_left = plateau_budget
         for _ in range(max_steps):
             if not violating:
                 break
-            low = next((k for k, bucket in enumerate(buckets) if bucket), None)
+            low = next((k for k, c in enumerate(size) if c), None)
             if low is None:
                 break
             if low > offset:
                 break  # local minimum with no sideways escape
+            heap = heaps[low]
             if low == offset:
                 if plateau_left <= 0:
                     break
                 plateau_left -= 1
-                ties = sorted(buckets[low])
+                ties = sorted({f for f in heap if slot[f] == low})
+                heaps[low] = ties  # ascending, so still a heap, without stale entries
                 e = ties[int(rng.integers(0, len(ties)))]
             else:
-                e = min(buckets[low])
-            u, v = g.edges[e]
+                while slot[heap[0]] != low:
+                    heappop(heap)
+                e = heap[0]
             d = -1 if inside[e] else 1
             inside[e] = not inside[e]
-            for w in (u, v):
-                deg[w] += d
-                was = pen[w]
-                pen[w] = table[w][deg[w]]
-                violating += (pen[w] > 0) - (was > 0)
-            for f in incident[u]:
-                rescore(f)
-            for f in incident[v]:
-                rescore(f)
+            ends = (end_u[e], end_v[e])
+            for x in ends:
+                deg[x] += d
+                was = pen[x]
+                pen[x] = table[x][deg[x]]
+                violating += (pen[x] > 0) - (was > 0)
+            # Re-score the edges f = xw on both rows: the gain at x is shared
+            # by the row, the gain at w is looked up.
+            for x in ends:
+                px, dx, row = pen[x], deg[x], table[x]
+                up = row[dx + 1] - px if dx + 1 < len(row) else 0
+                down = row[dx - 1] - px if dx else 0
+                a, b = ptr[x], ptr[x + 1]
+                for f, w in zip(slot_edge[a:b], nbr[a:b]):
+                    pw = pen[w]
+                    if px or pw:
+                        if inside[f]:
+                            key = offset + down + table[w][deg[w] - 1] - pw
+                        else:
+                            key = offset + up + table[w][deg[w] + 1] - pw
+                    else:
+                        key = -1
+                    old = slot[f]
+                    if key != old:
+                        if old >= 0:
+                            size[old] -= 1
+                        if key >= 0:
+                            size[key] += 1
+                            heappush(heaps[key], f)
+                        slot[f] = key
         if not violating:
-            del buckets  # the sets keep their peak size; free them before verify
-            cert = verify(inst, frozenset(i for i, f in enumerate(inside) if f))
+            del heaps  # stale entries pile up in the heaps; free them before verify
+            cert = verify(inst, frozenset(compress(range(g.m), inside)))
             if not cert.passed:
                 raise AssertionError("zero-potential state failed verification")
             return cert

@@ -40,7 +40,7 @@ RULE_TOUCHING_FRINGE = 3
 RULE_RESIDUAL_PLAIN = 4
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class HalfSplit:
     """0/1 edge labels and the rule that produced each label; half h is ``labels == h``."""
 
@@ -212,7 +212,7 @@ def _peel_core_host(
     return alive, host & alive[eu] & alive[ev]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class HalfDecomposition:
     """One half split into its first (selection/risky/core) and second parts, as edge masks."""
 
@@ -394,7 +394,7 @@ def _half_diagnostics(
     }
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Decomposition:
     """Ordered disjoint edge parts covering the host graph's edge set.
 

@@ -54,7 +54,7 @@ from lidecomp.graphs import Graph
 
 
 def _as_fraction(value) -> Fraction:
-    out = Fraction(value)
+    out = value if type(value) is Fraction else Fraction(value)
     if not 0 <= out <= 1:
         raise InputError(f"edge weight {value} outside [0, 1]")
     return out
@@ -189,6 +189,10 @@ def balanced_round(weights: FractionalEdgeWeights) -> BinaryEdgeLabels:
 def _round_half_euler(n: int, eu: np.ndarray, ev: np.ndarray) -> np.ndarray:
     """Labels (uint8) of the edges ``(eu[j], ev[j])`` of a simple graph on ``0..n-1``.
 
+    The edges must be in canonical order: ``eu[j] < ev[j]``, and the pairs
+    strictly ascending. A subsequence of a :class:`Graph`'s edges is; anything
+    else raises ``ValueError``.
+
     Vertex ``n`` is auxiliary: the j-th odd-degree vertex joins it by the edge
     keyed ``k + j`` (k real edges). Adjacency is CSR with neighbours ascending,
     so the auxiliary vertex comes last; circuits start at the auxiliary vertex,
@@ -197,13 +201,19 @@ def _round_half_euler(n: int, eu: np.ndarray, ev: np.ndarray) -> np.ndarray:
     its pointer has reached the end of its row.
     """
     k = len(eu)
+    if (eu >= ev).any() or (np.diff(eu * n + ev) <= 0).any():
+        raise ValueError("edges must be canonical pairs in canonical order")
     deg = np.bincount(eu, minlength=n) + np.bincount(ev, minlength=n)
     odd = np.flatnonzero(deg % 2)
     hub = np.full(len(odd), n)
     real, extra = np.arange(k), np.arange(k, k + len(odd))
-    src = np.concatenate((eu, ev, odd, hub))
-    dst = np.concatenate((ev, eu, hub, odd))
-    order = np.argsort(src * (n + 1) + dst)
+    # In canonical order each block lists a vertex's neighbours ascending, and
+    # the blocks follow one another in ascending order of neighbour (lower
+    # ends, upper ends, then the hub), so a stable sort on the source alone
+    # lays out the rows. The narrowest dtype lets numpy use a radix sort.
+    src = np.concatenate((ev, eu, odd, hub))
+    dst = np.concatenate((eu, ev, hub, odd))
+    order = np.argsort(src.astype(np.min_scalar_type(n)), kind="stable")
     nbr = dst[order].tolist()
     key = np.concatenate((real, real, extra, extra))[order].tolist()
     counts = np.bincount(src, minlength=n + 1)

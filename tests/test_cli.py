@@ -487,3 +487,50 @@ def test_payload_encoder_rejects_what_json_rejects() -> None:
             json.dumps(bad, indent=2, sort_keys=True)
         with pytest.raises(TypeError):
             cli._dumps(bad)
+
+
+def test_main_repeats_every_subcommand_byte_for_byte(tmp_path, monkeypatch, capsys) -> None:
+    # main() reuses one parser per process: a second call of each subcommand,
+    # after all the others (and an argparse error) have run, gives the same
+    # exit code, streams and output file bytes as the first.
+    monkeypatch.chdir(tmp_path)
+    write_graph(generate_regular(24, 4, seed=1), "g.txt")
+    write_graph(Graph(13, [(i, j) for i in range(13) for j in range(i + 1, 13)]), "k13.txt")
+    write_graph(generate_circulant(9, [1, 3]), "c9.txt")
+    Path("z.txt").write_text("1/3\n2/5\n" * 24)
+    Path("t.json").write_text(json.dumps([0, 1] * 6 + [1]))
+    Path("d.json").write_text(json.dumps({"parts": [list(range(p, 48, 4)) for p in range(4)]}))
+    Path("profile.json").write_text(json.dumps(
+        {"k": 0.45, "s": 0.2, "r": 0.3, "u": 0.4, "s1": 0.1, "r1": 0.2, "u1": 0.2}
+    ))
+    commands = [
+        ["gen-regular", "--n", "16", "--d", "3", "--seed", "2", "--out", "gen.txt"],
+        ["gen-circulant", "--n", "10", "--offsets", "1,2", "--out", "circ.txt"],
+        ["decompose", "--in", "g.txt", "--profile", "profile.json", "--mode", "best-effort",
+         "--max-rounds", "4", "--out", "out.json"],
+        ["verify", "--graph", "g.txt", "--decomp", "d.json"],
+        ["exact", "--in", "c9.txt", "--k", "2"],
+        ["round", "--in", "g.txt", "--z", "1/2"],
+        ["round", "--in", "g.txt", "--z-file", "z.txt"],
+        ["dcs", "--in", "k13.txt", "--lambda", "2", "--t-file", "t.json", "--seed", "3"],
+        ["dcs", "--in", "k13.txt", "--lambda", "3", "--t-file", "t.json"],
+        ["constants", "check", "--d", "100"],
+        ["constants", "min-d"],
+        ["constants", "optimize", "--seed", "1", "--budget", "1"],
+        ["dcs", "--in", "k13.txt"],
+    ]
+
+    def call(argv: list[str]) -> tuple:
+        try:
+            code = main(list(argv))
+        except SystemExit as exc:
+            code = ("exit", exc.code)
+        captured = capsys.readouterr()
+        out = argv[argv.index("--out") + 1] if "--out" in argv else None
+        return code, captured.out, captured.err, Path(out).read_bytes() if out else None
+
+    first = [call(argv) for argv in commands]
+    second = [call(argv) for argv in reversed(commands)][::-1]
+    assert first == second
+    codes = [r[0] for r in first]
+    assert codes == [0, 0, 1, 1, 0, 0, 0, 0, 2, 1, 0, 0, ("exit", 2)]

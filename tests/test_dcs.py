@@ -80,6 +80,31 @@ def test_precondition_modulus_budget() -> None:
         DcsInstance(g, (1,) * g.n, (0,) * g.n).validate(strict=False)
 
 
+def test_strict_validation_names_the_first_offending_vertex() -> None:
+    # K13 plus isolated vertex 13: every K13 vertex has degree 12, vertex 13 has 0.
+    g = Graph(14, [(i, j) for i in range(13) for j in range(i + 1, 13)])
+    cases = [
+        ((2,) * 14, "vertex 13 has degree 0 < 12"),
+        ((2,) * 5 + (3,) + (2,) * 8, "vertex 5: 6*lambda=18 exceeds degree 12"),
+        ((2,) * 13 + (3,), "vertex 13 has degree 0 < 12"),
+        ((2,) * 7 + (2**70,) + (2,) * 6, f"vertex 7: 6*lambda={6 * 2**70} exceeds degree 12"),
+    ]
+    for moduli, message in cases:
+        with pytest.raises(InputError) as info:
+            DcsInstance(g, moduli, (0,) * 14).validate(strict=True)
+        assert str(info.value) == message
+    DcsInstance(g, (2,) * 14, (0,) * 14).validate(strict=False)
+
+
+def test_solve_and_verify_never_build_the_edge_tuple_view() -> None:
+    g = generate_regular(60, 24, seed=3)
+    inst = uniform_instance(g, 4, tuple(v % 8 for v in range(g.n)))
+    cert = solve(inst, seed=2)
+    assert verify(inst, cert.edges) == cert
+    assert "edges" not in vars(g)
+    assert g._ids is None
+
+
 def test_half_circulant_certificate() -> None:
     # Keeping only the offset-1 edges of a 4-regular circulant leaves every
     # degree at exactly 2, the only value passing (window and residue) here.
@@ -206,6 +231,10 @@ PINNED_SOLVES = [
      "018740fdf753805ebd39897cf839b33ba67947d7c2583885960946900a729b6c"),
     ("budget-error", (40, 20, 6, 2), {"seed": 2, "strict": False, "restarts": 3, "max_steps": 40},
      None),
+    # Large early buckets: recorded before the improving step took its edge
+    # from a heap instead of a min over the bucket.
+    ("large-early-buckets", (1200, 24, 4, 0), {"seed": 0},
+     "b7d8aafbafb9b62c42b6509cf50aeff0f1a8dc8d79d7f22df4541cc51f70db89"),
 ]
 
 

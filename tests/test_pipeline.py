@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
 import os
@@ -13,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import lidecomp
-from lidecomp.coloring import VertexColoring, assign_random, distinguish
+from lidecomp.coloring import VertexColoring, assign_random, distinguish, resample_until_good
 from lidecomp.constants import ConstantProfile, DerivedQuantities, REFERENCE_PROFILE
 from lidecomp.errors import BudgetError, InputError
 from lidecomp.graphs import (
@@ -602,3 +603,19 @@ def test_choose_selections_matches_reference(d, n, palette, seed, half, size_cou
         frozenset(members(fringe)),
     )
     assert got == expected
+
+
+def test_array_dataclasses_compare_by_identity() -> None:
+    # The generated == compared array fields and raised ValueError; these
+    # results now compare by identity, so == answers instead of raising.
+    g = generate_regular(40, 8, seed=2)
+    resampled = resample_until_good(g, DEMO, 8, seed=1, max_rounds=3)
+    sets = resampled.sets
+    split = split_edges(g, resampled.coloring, sets)
+    half = decompose_half(g, resampled.coloring, sets, split, 0, DEMO, 8, seed=1)
+    decomposition = decompose_to_four(g, DEMO, mode="best-effort", max_rounds=3).decomposition
+    for obj in (sets, resampled, split, half, decomposition):
+        twin = dataclasses.replace(obj)
+        assert obj == obj
+        assert not obj == twin
+        assert obj != twin

@@ -444,3 +444,25 @@ def test_all_half_labels_are_plain_ints() -> None:
     eu, ev = g.endpoint_arrays()
     bits = _round_half_euler(g.n, eu, ev)
     assert bits.dtype == np.uint8 and bits.tolist() == list(values)
+
+
+def test_euler_walk_rejects_edges_out_of_canonical_order() -> None:
+    # The stable sort on sources lays out the rows only for canonical input.
+    g = generate_regular(12, 3, seed=1)
+    eu, ev = g.endpoint_arrays()
+    for bad_u, bad_v in ((ev, eu), (eu[::-1], ev[::-1]), (np.r_[eu, eu[:1]], np.r_[ev, ev[:1]])):
+        with pytest.raises(ValueError, match="canonical order"):
+            _round_half_euler(g.n, bad_u, bad_v)
+    assert len(_round_half_euler(g.n, eu[:0], ev[:0])) == 0
+
+
+def test_exact_weights_pass_through_unchanged() -> None:
+    g = generate_circulant(6, [1])
+    values = [Fraction(k, 7) for k in range(6)]
+    weights = FractionalEdgeWeights.from_values(g, values)
+    assert all(a is b for a, b in zip(weights.values, values))
+    assert FractionalEdgeWeights.from_values(g, ["1/2", 0, 1, 0.25, "3/8", 1]).values == (
+        Fraction(1, 2), 0, 1, Fraction(1, 4), Fraction(3, 8), 1
+    )
+    with pytest.raises(InputError, match="outside"):
+        FractionalEdgeWeights.from_values(g, values[:5] + [Fraction(8, 7)])
