@@ -11,8 +11,9 @@ Window comparisons are exact integer cross-multiplications; the search
 potential weights window violations above residue distance so repair never
 trades feasibility of one for the other.
 
-A vertex's potential depends only on its subgraph degree, so the vertices
-share one dense ``(n, max degree + 1)`` table of it. The search keeps every
+A vertex's potential depends only on its subgraph degree, so vertices with
+the same host degree, modulus and allowed residues share a table of it over
+degrees 0..d(v); the tables lie end to end in one flat array. The search keeps every
 edge's flip gain between steps, with the candidate edges (those with a
 violating endpoint) in buckets keyed by gain. A restart sets up on arrays:
 degrees by ``bincount`` over the endpoint arrays, every edge's bucket key in
@@ -55,8 +56,8 @@ class DcsInstance:
                 raise InputError(f"modulus at vertex {v} must be >= 2, got {lam}")
         if strict:
             deg = np.asarray(g.degrees, dtype=np.int64)
-            lam = np.asarray(self.moduli)  # object dtype if a modulus exceeds int64
-            bad = np.flatnonzero((deg < 12) | (6 * lam > deg))
+            # 6*lambda > d(v) iff lambda > d(v)//6; no product, so no dtype wraps.
+            bad = np.flatnonzero((deg < 12) | (np.asarray(self.moduli) > deg // 6))
             if bad.size:
                 v = int(bad[0])
                 if g.degree(v) < 12:
@@ -113,8 +114,8 @@ def verify(inst: DcsInstance, edges: EdgeSubset) -> DcsCertificate:
     window = tuple(((host <= 3 * deg_arr) & (3 * deg_arr <= 2 * host)).tolist())
     deg = deg_arr.tolist()
     residue = tuple(
-        x % lam in (t % lam, (t + 1) % lam)
-        for x, lam, t in zip(deg, inst.moduli, inst.targets)
+        x % lam in allowed
+        for x, lam, allowed in zip(deg, inst.moduli, map(inst.allowed_residues, range(g.n)))
     )
     return DcsCertificate(
         edges=frozenset(edges),
@@ -164,26 +165,31 @@ def exhaustive_solve(inst: DcsInstance, max_edges: int = 25) -> EdgeSubset | Non
 
 
 def _penalty_tables(
-    keys: list[tuple[int, int, int]], width: int, big: int
-) -> tuple[np.ndarray, int]:
-    """Search potential at degrees 0..width-1, one row per ``(d(v), lambda, t mod lambda)``.
+    keys: list[tuple[int, int, tuple[int, int]]], big: int
+) -> tuple[np.ndarray, np.ndarray, int]:
+    """Search potential at degrees 0..d(v), one table per ``(d(v), lambda, allowed residues)``.
 
-    Also returns the span: the largest change of a row's potential between
-    two consecutive degrees in 0..d(v). Entries past d(v) are never read, so
-    they take no part in it.
+    The tables lie end to end in one flat array, table i from ``starts[i]``,
+    so they take O(n + m) cells whatever the degree spread. Also returns the
+    span: the largest change of a potential between two consecutive degrees.
     """
-    deg_host, lam, r = (np.array(col, dtype=np.int64)[:, None] for col in zip(*keys))
-    x = np.arange(width)
+    deg_host, lam, r0, r1 = (
+        np.array(col, dtype=np.int64) for col in zip(*((d, q, *res) for d, q, res in keys))
+    )
+    lengths = deg_host + 1
+    starts = np.cumsum(lengths) - lengths
+    x = np.arange(int(lengths.sum())) - np.repeat(starts, lengths)
+    deg_host, lam, r0, r1 = (np.repeat(col, lengths) for col in (deg_host, lam, r0, r1))
     lower, upper = -(-deg_host // 3), (2 * deg_host) // 3
     window = np.maximum(0, np.maximum(lower - x, x - upper))
     residue = np.minimum(
-        np.minimum((x - r) % lam, (r - x) % lam),
-        np.minimum((x - r - 1) % lam, (r + 1 - x) % lam),
+        np.minimum((x - r0) % lam, (r0 - x) % lam),
+        np.minimum((x - r1) % lam, (r1 - x) % lam),
     )
-    tables = big * window + residue
-    steps = np.abs(np.diff(tables, axis=1))
-    steps[x[:-1] >= deg_host] = 0
-    return tables, int(steps.max(initial=0))
+    flat = big * window + residue
+    steps = np.abs(np.diff(flat))
+    steps[x[1:] == 0] = 0  # from the last cell of one table to the first of the next
+    return flat, starts, int(steps.max(initial=0))
 
 
 def solve(
@@ -214,16 +220,20 @@ def solve(
         plateau_budget = 4 * g.n + g.m // 2
 
     big = max(inst.moduli) + 1
-    residues = (t % lam for t, lam in zip(inst.targets, inst.moduli))
-    index: dict[tuple[int, int, int], int] = {}
-    which = [index.setdefault(key, len(index)) for key in zip(g.degrees, inst.moduli, residues)]
-    width = max(g.degrees, default=0) + 1
-    tables, span = _penalty_tables(list(index), width, big)
+    if big * (max(g.degrees, default=0) + 1) > 2**60:
+        # Potentials stay below big * (max degree + 1), and the bucket keys
+        # below four times that, so below this bound int64 never wraps.
+        raise InputError(f"modulus {big - 1} is too large for the search potential")
+    index: dict[tuple[int, int, tuple[int, int]], int] = {}
+    profiles = zip(g.degrees, inst.moduli, map(inst.allowed_residues, range(g.n)))
+    which = [index.setdefault(key, len(index)) for key in profiles]
+    flat, starts, span = _penalty_tables(list(index), big)
     # A flip moves each endpoint's potential by at most `span`, so every gain
     # lies in [-2*span, 2*span]; bucket `offset + gain` holds the candidates.
     offset = 2 * span
-    dense = tables[which]  # row v: vertex v's potential at each subgraph degree
-    rows = tables.tolist()
+    base = starts[which]  # vertex v's potential at subgraph degree x is flat[base[v] + x]
+    cells = flat.tolist()
+    rows = [cells[a : a + d + 1] for a, (d, _, _) in zip(starts.tolist(), index)]
     table = [rows[i] for i in which]
     eu, ev = g.endpoint_arrays()
     end_u, end_v = eu.tolist(), ev.tolist()
@@ -235,11 +245,12 @@ def solve(
         rng = np.random.default_rng([seed, restart])
         flags = rng.random(g.m) < 0.5
         deg_a = np.bincount(eu[flags], minlength=g.n) + np.bincount(ev[flags], minlength=g.n)
-        pen_a = dense[np.arange(g.n), deg_a]
+        at = base + deg_a
+        pen_a = flat[at]
         # A flip moves both endpoint degrees by `step`, which stays inside 0..d(v).
         step = np.where(flags, -1, 1)
         pu, pv = pen_a[eu], pen_a[ev]
-        gain = dense[eu, deg_a[eu] + step] - pu + dense[ev, deg_a[ev] + step] - pv
+        gain = flat[at[eu] + step] - pu + flat[at[ev] + step] - pv
         keys = np.where((pu != 0) | (pv != 0), offset + gain, -1)
         counts = np.bincount(keys + 1, minlength=2 * offset + 2)
         # Stably sorted, each bucket's edges ascend, which makes each one a heap.

@@ -266,6 +266,21 @@ def test_dcs_cli(tmp_path, capsys) -> None:
     assert all(4 <= x <= 8 for x in data["degrees"])
 
 
+def test_dcs_cli_huge_lambda_is_input_error(tmp_path, capsys) -> None:
+    gpath = tmp_path / "g.txt"
+    write_graph(Graph(13, [(i, j) for i in range(13) for j in range(i + 1, 13)]), gpath)
+    tfile = tmp_path / "t.json"
+    tfile.write_text(json.dumps([0] * 13))
+    for lam in (2**62, 2**63, 2**70):
+        args = ["dcs", "--in", str(gpath), "--lambda", str(lam), "--t-file", str(tfile)]
+        code, out, err = run(args, capsys)
+        assert (code, out) == (2, "")
+        assert err == f"error: vertex 0: 6*lambda={6 * lam} exceeds degree 12\n"
+        code, out, err = run([*args, "--relaxed"], capsys)
+        assert (code, out) == (2, "")
+        assert err == f"error: modulus {lam} is too large for the search potential\n"
+
+
 def test_dcs_cli_instance_object(tmp_path, capsys) -> None:
     gpath = tmp_path / "g.txt"
     write_graph(Graph(13, [(i, j) for i in range(13) for j in range(i + 1, 13)]), gpath)

@@ -1,9 +1,11 @@
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import itertools
 import json
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -88,12 +90,39 @@ def test_strict_validation_names_the_first_offending_vertex() -> None:
         ((2,) * 5 + (3,) + (2,) * 8, "vertex 5: 6*lambda=18 exceeds degree 12"),
         ((2,) * 13 + (3,), "vertex 13 has degree 0 < 12"),
         ((2,) * 7 + (2**70,) + (2,) * 6, f"vertex 7: 6*lambda={6 * 2**70} exceeds degree 12"),
+        # 6*lambda would wrap in int64 (2**62) or uint64 (2**63, 2**64 - 1).
+        ((2,) * 7 + (2**62,) + (2,) * 6, f"vertex 7: 6*lambda={6 * 2**62} exceeds degree 12"),
+        ((2,) * 7 + (2**63,) + (2,) * 6, f"vertex 7: 6*lambda={6 * 2**63} exceeds degree 12"),
+        ((2**64 - 1,) * 14, f"vertex 0: 6*lambda={6 * (2**64 - 1)} exceeds degree 12"),
     ]
     for moduli, message in cases:
         with pytest.raises(InputError) as info:
             DcsInstance(g, moduli, (0,) * 14).validate(strict=True)
         assert str(info.value) == message
     DcsInstance(g, (2,) * 14, (0,) * 14).validate(strict=False)
+
+
+@pytest.mark.parametrize("lam", [2**58, 2**62, 2**63, 2**70])
+def test_relaxed_solve_rejects_a_modulus_past_int64_potentials(lam: int) -> None:
+    inst = uniform_instance(complete_graph(13), lam, 0)
+    with pytest.raises(InputError, match=f"modulus {lam} is too large"):
+        solve(inst, seed=0, strict=False)
+
+
+def test_penalty_tables_scale_with_edges_not_max_degree() -> None:
+    # A hub on a cycle: one vertex of degree n - 1, the rest of degree 3.
+    # Tables padded to the maximum degree would take about 8 * n**2 bytes.
+    n = 3000
+    edges = [(0, v) for v in range(1, n)] + [(v, v % (n - 1) + 1) for v in range(1, n)]
+    inst = uniform_instance(Graph(n, edges), 2, 0)
+    tracemalloc.start()
+    try:
+        with contextlib.suppress(BudgetError):
+            solve(inst, seed=0, strict=False, restarts=1, max_steps=50)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * n**2 // 4
 
 
 def test_solve_and_verify_never_build_the_edge_tuple_view() -> None:
