@@ -224,10 +224,19 @@ def is_locally_irregular(g: Graph) -> bool:
 def generate_regular(n: int, d: int, seed: int, max_restarts: int = 200) -> Graph:
     """Sample a simple d-regular graph on n vertices, deterministic per seed.
 
-    Uses the stub-pairing (configuration model) scheme: pair half-edges
-    uniformly, keep the simple pairs, and iteratively re-pair the stubs left
-    over from loops/duplicates; restart when the leftover stubs admit no
-    suitable edge. Every output is certified regular before being returned.
+    Uses the stub-pairing (configuration model) scheme: shuffle the half-edges,
+    pair them in order, keep the simple pairs, and re-pair the stubs left over
+    from loops and duplicates; restart when the leftover stubs admit no
+    suitable edge. Each pairing round works on the whole stub array at once:
+    a pair is kept when it is not a loop, its key ``lo*n + hi`` is not among the
+    sorted keys already kept, and it is the first pair with that key in the
+    round. The leftover stubs are laid out vertex by vertex, in the order their
+    ends first appear among the rejected pairs.
+
+    Determinism contract: one ``rng.shuffle`` per round on a stub array laid
+    out as above, so every seed gives the same graph as the earlier pair-by-pair
+    loop (kept in the tests as the reference). Every output is certified
+    regular before being returned.
     """
     if d < 1:
         raise InputError(f"degree must be >= 1, got {d}")
@@ -247,41 +256,53 @@ def generate_regular(n: int, d: int, seed: int, max_restarts: int = 200) -> Grap
         return Graph(n, np.column_stack((iu[keep], iv[keep])))
     rng = np.random.default_rng(seed)
 
-    def suitable(edges: set[tuple[int, int]], counts: dict[int, int]) -> bool:
-        # Some pair of leftover stubs must still form a fresh simple edge.
-        verts = sorted(counts)
-        for i, a in enumerate(verts):
-            for b in verts[i + 1 :]:
-                if (a, b) not in edges:
-                    return True
-        return not verts
+    def suitable(verts: np.ndarray, kept: np.ndarray) -> bool:
+        # Some pair of the leftover vertices (ascending) must still form a
+        # fresh simple edge; tried one row of candidate keys at a time.
+        for i in range(len(verts) - 1):
+            keys = verts[i + 1 :] + verts[i] * n
+            if (kept[kept.searchsorted(keys)] != keys).any():
+                return True
+        return not len(verts)
 
     for _ in range(max_restarts):
-        edges: set[tuple[int, int]] = set()
-        stubs = np.repeat(np.arange(n, dtype=np.int64), d)
-        failed = False
+        # The accepted keys, ascending. The array starts with the loop keys
+        # v*(n+1), v < n, so a loop is never fresh, and with n*(n+1), above
+        # every key, so a searchsorted position always indexes an entry.
+        kept = np.arange(n + 1, dtype=np.int64) * (n + 1)
+        stubs = np.arange(n, dtype=np.int64).repeat(d)
         while stubs.size:
             rng.shuffle(stubs)
-            leftover: dict[int, int] = {}
-            it = iter(stubs.tolist())
-            for a, b in zip(it, it):
-                if a > b:
-                    a, b = b, a
-                if a != b and (a, b) not in edges:
-                    edges.add((a, b))
-                else:
-                    leftover[a] = leftover.get(a, 0) + 1
-                    leftover[b] = leftover.get(b, 0) + 1
-            if not suitable(edges, leftover):
-                failed = True
+            a, b = stubs[0::2], stubs[1::2]
+            lo, hi = np.minimum(a, b), np.maximum(a, b)
+            keys = lo * n + hi
+            # One entry per distinct key: its first pair in this round, the
+            # least position in that key's run in sorted order.
+            order = keys.argsort()
+            ordered = keys[order]
+            starts = np.concatenate(([True], ordered[1:] != ordered[:-1])).nonzero()[0]
+            distinct = ordered[starts]
+            first = np.minimum.reduceat(order, starts)
+            fresh = kept[kept.searchsorted(distinct)] != distinct
+            kept = np.concatenate((kept, distinct[fresh]))
+            kept.sort(kind="stable")  # merges the two ascending runs
+            rejected = np.ones(len(keys), dtype=bool)
+            rejected[first[fresh]] = False
+            # The ends of the rejected pairs in pair order, lower end first;
+            # their vertices in order of first appearance lay out the next
+            # stub array, each repeated as often as it occurs.
+            ends = np.column_stack((lo[rejected], hi[rejected])).ravel()
+            counts = np.bincount(ends)
+            if not suitable(counts.nonzero()[0], kept):
                 break
-            stubs = np.asarray(
-                [v for v, c in leftover.items() for _ in range(c)], dtype=np.int64
-            )
-        if failed:
-            continue
-        g = Graph(n, edges)
-        if all(x == d for x in g.degrees):
+            verts = np.fromiter(dict.fromkeys(ends.tolist()), dtype=np.int64)
+            stubs = verts.repeat(counts[verts])
+        else:  # every stub paired
+            # A key lo*n + hi with lo <= hi is a multiple of n+1 only if lo == hi.
+            kept = kept[kept % (n + 1) != 0]
+            g = Graph(n, np.column_stack(np.divmod(kept, n)))
+            if g.degrees.count(d) != n:
+                raise AssertionError("stub pairing left a vertex with degree != d")
             return g
     raise BudgetError(f"regular graph generation failed after {max_restarts} restarts")
 
@@ -297,15 +318,15 @@ def generate_circulant(n: int, offsets: Sequence[int]) -> Graph:
     offs = list(offsets)
     if len(set(offs)) != len(offs):
         raise InputError(f"offsets must be distinct, got {offs}")
-    edges = set()
     for o in offs:
         if not (1 <= o and 2 * o <= n):
             raise InputError(f"offset {o} out of range 1..n/2 for n={n}")
-        for i in range(n):
-            j = (i + o) % n
-            if i != j:
-                edges.add((min(i, j), max(i, j)))
-    return Graph(n, edges)
+    i = np.arange(n, dtype=np.int64)
+    j = (i + np.asarray(offs, dtype=np.int64)[:, None]) % n
+    # The diameter offset meets each of its edges from both ends; unique drops
+    # the second copy and sorts the keys, so Graph skips its own sort.
+    keys = np.unique(np.minimum(i, j) * n + np.maximum(i, j))
+    return Graph(n, np.column_stack(np.divmod(keys, n)))
 
 
 def _parse_canonical(data: bytes) -> np.ndarray | None:
@@ -387,7 +408,7 @@ def read_graph(path: str | Path) -> Graph:
 def write_graph(g: Graph, path: str | Path) -> None:
     """Write the canonical form: ``n m`` header, then edges in canonical order."""
     eu, ev = g.endpoint_arrays()
-    lines = "".join(f"{u} {v}\n" for u, v in zip(eu.tolist(), ev.tolist()))
+    ends = np.column_stack((eu, ev)).ravel().tolist()
+    text = ("%d %d\n" * (g.m + 1)) % (g.n, g.m, *ends)
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"{g.n} {g.m}\n")
-        fh.write(lines)
+        fh.write(text)

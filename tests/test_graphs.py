@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import itertools
 
 import numpy as np
@@ -342,6 +343,199 @@ def test_read_rejects_malformed(tmp_path, content, fragment) -> None:
     p.write_text(content)
     with pytest.raises(InputError, match=fragment):
         read_graph(p)
+
+
+def reference_generate_regular(n: int, d: int, seed: int, max_restarts: int = 200) -> Graph:
+    """The former pair-by-pair generator, kept verbatim (but for its name) as the reference."""
+    if d < 1:
+        raise InputError(f"degree must be >= 1, got {d}")
+    if n <= d:
+        raise InputError(f"need n > d, got n={n}, d={d}")
+    if (n * d) % 2 != 0:
+        raise InputError(f"n*d must be even, got n={n}, d={d}")
+    if 2 * d > n - 1:
+        # Dense side: pairing stalls, so sample the sparse complement instead.
+        co = n - 1 - d
+        if co == 0:
+            return Graph(n, np.column_stack(np.triu_indices(n, 1)))
+        sparse = reference_generate_regular(n, co, seed, max_restarts)
+        eu, ev = sparse.endpoint_arrays()
+        iu, iv = np.triu_indices(n, 1)
+        keep = ~np.isin(iu * n + iv, eu * n + ev, assume_unique=True)
+        return Graph(n, np.column_stack((iu[keep], iv[keep])))
+    rng = np.random.default_rng(seed)
+
+    def suitable(edges: set[tuple[int, int]], counts: dict[int, int]) -> bool:
+        # Some pair of leftover stubs must still form a fresh simple edge.
+        verts = sorted(counts)
+        for i, a in enumerate(verts):
+            for b in verts[i + 1 :]:
+                if (a, b) not in edges:
+                    return True
+        return not verts
+
+    for _ in range(max_restarts):
+        edges: set[tuple[int, int]] = set()
+        stubs = np.repeat(np.arange(n, dtype=np.int64), d)
+        failed = False
+        while stubs.size:
+            rng.shuffle(stubs)
+            leftover: dict[int, int] = {}
+            it = iter(stubs.tolist())
+            for a, b in zip(it, it):
+                if a > b:
+                    a, b = b, a
+                if a != b and (a, b) not in edges:
+                    edges.add((a, b))
+                else:
+                    leftover[a] = leftover.get(a, 0) + 1
+                    leftover[b] = leftover.get(b, 0) + 1
+            if not suitable(edges, leftover):
+                failed = True
+                break
+            stubs = np.asarray(
+                [v for v, c in leftover.items() for _ in range(c)], dtype=np.int64
+            )
+        if failed:
+            continue
+        g = Graph(n, edges)
+        if all(x == d for x in g.degrees):
+            return g
+    raise BudgetError(f"regular graph generation failed after {max_restarts} restarts")
+
+
+def _outcome(fn, *args, **kwargs):
+    try:
+        g = fn(*args, **kwargs)
+    except (InputError, BudgetError) as exc:
+        return type(exc), str(exc)
+    return g.n, g.edges
+
+
+def test_generate_regular_matches_pair_by_pair_reference() -> None:
+    # Every (n, d) with n <= 40, invalid degrees included, at a drawn seed;
+    # small n also at budgets of 0, 1 and 2 restarts.
+    rng = np.random.default_rng(2024)
+    for n in range(41):
+        for d in range(-1, n + 1):
+            seed = int(rng.integers(2**32))
+            assert _outcome(generate_regular, n, d, seed) == _outcome(
+                reference_generate_regular, n, d, seed
+            ), (n, d, seed)
+            if n <= 12:
+                for budget in (0, 1, 2):
+                    assert _outcome(generate_regular, n, d, seed, budget) == _outcome(
+                        reference_generate_regular, n, d, seed, budget
+                    ), (n, d, seed, budget)
+
+
+@pytest.mark.parametrize(
+    "n, d, seed, max_restarts",
+    [
+        (5, 2, 0, 1),  # the first attempts stall: BudgetError after one restart
+        (5, 2, 0, 2),
+        (5, 2, 0, 200),  # succeeds after several restarts
+        (10, 3, 0, 0),  # no attempt at all
+        (10, 3, 0, 1),
+        (10, 3, 0, 200),
+        (9, 6, 3, 200),  # dense side: the complement of a 2-regular graph
+        (9, 6, 3, 0),  # the complement's budget error surfaces
+        (12, 11, 5, 0),  # d = n - 1 is the complete graph, whatever the budget
+        (50, 24, 11, 200),
+    ],
+)
+def test_generate_regular_examples_match_reference(n, d, seed, max_restarts) -> None:
+    got = _outcome(generate_regular, n, d, seed, max_restarts)
+    assert got == _outcome(reference_generate_regular, n, d, seed, max_restarts)
+
+
+def test_generate_regular_restart_examples() -> None:
+    with pytest.raises(BudgetError, match="after 1 restarts"):
+        generate_regular(5, 2, seed=0, max_restarts=1)
+    assert generate_regular(5, 2, seed=0).degrees == (2,) * 5
+    assert generate_regular(12, 11, seed=5, max_restarts=0).m == 66
+
+
+# sha256 of write_graph's bytes, recorded on the pair-by-pair generator.
+LARGE_GOLDENS = [
+    (4000, 128, 1, "9f88c739b5da7d2d3cbef67f1a57584ddedface2eb7adbfcb2a5991b00f3ef57"),
+    (1000, 64, 2, "51e9453eea35292d650358cdec2c394389a6a3866b61eb3e5a0917f94be755aa"),
+    (300, 24, 3, "66a0e83c78894dcc911c33d808f85e463e1b154da8a0d85ec92cdb7e6d91c52c"),
+    (100, 10, 4, "fade587f53a7323ae29c42b4dc71fc3b6ab4411c251362130c0c662d584f71cc"),
+]
+
+
+@pytest.mark.parametrize("n, d, seed, digest", LARGE_GOLDENS)
+def test_generate_regular_large_goldens(tmp_path, n, d, seed, digest) -> None:
+    p = tmp_path / "g.txt"
+    write_graph(generate_regular(n, d, seed=seed), p)
+    assert hashlib.sha256(p.read_bytes()).hexdigest() == digest
+
+
+def reference_generate_circulant(n: int, offsets) -> Graph:
+    """The former set-based circulant construction, kept as the reference."""
+    if n < 1:
+        raise InputError(f"need n >= 1, got {n}")
+    offs = list(offsets)
+    if len(set(offs)) != len(offs):
+        raise InputError(f"offsets must be distinct, got {offs}")
+    edges = set()
+    for o in offs:
+        if not (1 <= o and 2 * o <= n):
+            raise InputError(f"offset {o} out of range 1..n/2 for n={n}")
+        for i in range(n):
+            j = (i + o) % n
+            if i != j:
+                edges.add((min(i, j), max(i, j)))
+    return Graph(n, edges)
+
+
+def test_generate_circulant_matches_set_reference() -> None:
+    # Offsets drawn from -1..n/2+2, so duplicates and out-of-range values
+    # (before, after and between valid ones) occur alongside valid subsets.
+    rng = np.random.default_rng(7)
+    for n in range(-1, 41):
+        for _ in range(25):
+            offs = rng.integers(-1, n // 2 + 3, size=int(rng.integers(0, 6))).tolist()
+            if rng.random() < 0.5:
+                offs = sorted(set(offs))
+            assert _outcome(generate_circulant, n, offs) == _outcome(
+                reference_generate_circulant, n, offs
+            ), (n, offs)
+
+
+def reference_write_graph(g: Graph, path) -> None:
+    """The former f-string writer, kept as the reference."""
+    eu, ev = g.endpoint_arrays()
+    lines = "".join(f"{u} {v}\n" for u, v in zip(eu.tolist(), ev.tolist()))
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(f"{g.n} {g.m}\n")
+        fh.write(lines)
+
+
+@st.composite
+def writable_graphs(draw) -> Graph:
+    """A small graph, possibly with isolated trailing vertices, its ids shifted by 0 or 10**6."""
+    core = draw(st.integers(0, 9))
+    shift = draw(st.sampled_from([0, 10**6]))
+    trail = draw(st.integers(0, 3))
+    pairs = list(itertools.combinations(range(core), 2))
+    keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    edges = np.asarray([p for p, k in zip(pairs, keep) if k], dtype=np.int64).reshape(-1, 2)
+    return Graph(shift + core + trail, edges + shift)
+
+
+@settings(max_examples=100, deadline=None)
+@given(writable_graphs())
+@example(Graph(0, []))
+@example(Graph(4, []))
+@example(Graph(10**6 + 3, [(10**6, 10**6 + 2)]))
+def test_write_graph_matches_fstring_writer(tmp_path_factory, g) -> None:
+    d = tmp_path_factory.mktemp("w")
+    write_graph(g, d / "new.txt")
+    reference_write_graph(g, d / "ref.txt")
+    assert (d / "new.txt").read_bytes() == (d / "ref.txt").read_bytes()
+    assert read_graph(d / "new.txt") == g
 
 
 def test_generation_budget_error() -> None:
