@@ -42,7 +42,7 @@ from lidecomp.graphs import (
     write_graph,
 )
 from lidecomp.pipeline import decompose_to_four, verify_decomposition
-from lidecomp.rounding import FractionalEdgeWeights, balanced_round, verify_rounding
+from lidecomp.rounding import FractionalEdgeWeights, balanced_round
 
 
 def _manifest(command: str, args: argparse.Namespace, keys: list[str]) -> dict:
@@ -232,8 +232,7 @@ def cmd_round(args: argparse.Namespace) -> tuple[dict, bool]:
                 except (ValueError, ZeroDivisionError):
                     raise InputError(f"{args.z_file}: line {ln}: bad weight {line!r}") from None
         weights = FractionalEdgeWeights.from_values(g, values)
-    labels = balanced_round(weights)
-    report = verify_rounding(weights, labels)
+    labels, report = balanced_round(weights, with_report=True)
     payload = {
         "manifest": _manifest("round", args, ["input", "z", "z_file", "seed"]),
         "x": list(labels.values),

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import itertools
+import re
 import time
 from fractions import Fraction
 
@@ -9,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lidecomp import rounding
 from lidecomp.errors import InputError
 from lidecomp.graphs import Graph, generate_circulant, generate_regular
 from lidecomp.rounding import (
@@ -45,6 +47,35 @@ def complete_graph(n: int) -> Graph:
 
 # Two triangles joined by a path.
 DUMBBELL = Graph(8, [(0, 1), (0, 2), (1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (5, 7), (6, 7)])
+
+# Four components: the path 0-1-16-17, a star with centre 2 and leaves 3-5,
+# the triangle 6-7-8 with tail 8-9, and triangles 10-11-12 and 13-14-15
+# joined by the edge 12-13. The path holds the lowest and the highest
+# vertices, so once its end at 0 has settled, the search moves on to the
+# other components and comes back to the path last.
+DISJOINT = Graph(18, [
+    (0, 1), (1, 16), (16, 17),
+    (2, 3), (2, 4), (2, 5),
+    (6, 7), (6, 8), (7, 8), (8, 9),
+    (10, 11), (10, 12), (11, 12), (12, 13), (13, 14), (13, 15), (14, 15),
+])
+
+
+def components(g: Graph) -> list[list[int]]:
+    """Edge indices of each connected component with an edge."""
+    label = list(range(g.n))
+
+    def find(v: int) -> int:
+        while label[v] != v:
+            v = label[v]
+        return v
+
+    for u, v in g.edges:
+        label[find(u)] = find(v)
+    parts: dict[int, list[int]] = {}
+    for i, (u, _) in enumerate(g.edges):
+        parts.setdefault(find(u), []).append(i)
+    return list(parts.values())
 
 
 def test_k3_half_brute_force_oracle() -> None:
@@ -110,6 +141,16 @@ def test_weight_validation() -> None:
         FractionalEdgeWeights.from_values(g, [0, 0])
     with pytest.raises(InputError):
         BinaryEdgeLabels(g, (0, 1, 2))
+    # The range check reads numerator and denominator; both closed bounds
+    # and the signed zeros are inside, anything past either bound is not.
+    inside = [0, 1, -0, -0.0, "-0", "0/5", Fraction(5, 5), 1.0, Fraction(-0, 3)]
+    assert FractionalEdgeWeights.from_values(g, inside[:3]).values == (0, 1, 0)
+    for value in inside:
+        assert FractionalEdgeWeights.constant(g, value).values[0] in (0, 1)
+    outside = [Fraction(65, 64), 1 + 2**-52, "1.0000000001", -1, Fraction(-1, 64), -2**-1074, "-1/3"]
+    for value in outside:
+        with pytest.raises(InputError, match=rf"^edge weight {re.escape(str(value))} outside \[0, 1\]$"):
+            FractionalEdgeWeights.constant(g, value)
 
 
 def test_half_specialization_even_degree_window() -> None:
@@ -163,6 +204,28 @@ def test_dumbbell_two_odd_cycles() -> None:
         assert verify_rounding(w, out).passed
 
 
+def test_search_root_moves_between_components(monkeypatch) -> None:
+    # The path's middle edge has the least room, so the first shift settles
+    # it; the piece at 0 settles next. The search then falls back to the
+    # lowest fractional vertex, which lies in another component, and the
+    # piece 16-17 settles last, after every other component.
+    order: list[int] = []
+    assign = rounding._State.assign
+
+    def record(state, edge: int, val: int) -> None:
+        order.append(edge)
+        assign(state, edge, val)
+
+    monkeypatch.setattr(rounding._State, "assign", record)
+    path = {(0, 1): Fraction(1, 4), (1, 16): Fraction(1, 8), (16, 17): Fraction(1, 4)}
+    w = FractionalEdgeWeights.from_values(DISJOINT, [path.get(e, Fraction(3, 8)) for e in DISJOINT.edges])
+    out = balanced_round(w)
+    assert verify_rounding(w, out).passed
+    first, middle, last = (DISJOINT.edge_id(u, v) for u, v in path)
+    assert order[:2] == [middle, first] and order[-1] == last
+    assert sorted(order) == list(range(DISJOINT.m))
+
+
 def test_odd_cycle_with_tail() -> None:
     # Triangle with a pendant path; exercises the tail finisher.
     g = Graph(6, [(0, 1), (0, 2), (1, 2), (2, 3), (3, 4), (4, 5)])
@@ -184,16 +247,21 @@ def test_small_exhaustive_agreement_with_oracle() -> None:
         Graph(4, [(0, 1), (1, 2), (2, 3)]),
         Graph(5, [(0, 1), (0, 2), (1, 2), (2, 3), (3, 4)]),
         generate_circulant(5, [1]),
+        DISJOINT,
     ]
     rng = np.random.default_rng(2)
     for g in shapes:
         for _ in range(8):
             z = [Fraction(int(rng.integers(0, 5)), 4) for _ in range(g.m)]
             w = FractionalEdgeWeights.from_values(g, z)
-            feasible = brute_force_feasible(g, list(w.values))
-            assert feasible, "contract guarantees a feasible labeling exists"
             out = balanced_round(w)
-            assert out.values in feasible
+            # Every window sits inside one component, so the feasible set is
+            # the product of the components' feasible sets.
+            for part in components(g):
+                host = Graph(g.n, [g.edges[i] for i in part])
+                feasible = brute_force_feasible(host, [w.values[i] for i in part])
+                assert feasible, "contract guarantees a feasible labeling exists"
+                assert tuple(out.values[i] for i in part) in feasible
 
 
 def test_fuzz_random_graphs_and_weights() -> None:
@@ -287,8 +355,9 @@ WEIGHT_FAMILIES = (
 
 @st.composite
 def weighted_graphs(draw) -> FractionalEdgeWeights:
-    if draw(st.integers(0, 9)) == 0:
-        g = DUMBBELL
+    pick = draw(st.integers(0, 9))
+    if pick < 2:
+        g = (DUMBBELL, DISJOINT)[pick]
     else:
         n = draw(st.integers(2, 8))
         pairs = list(itertools.combinations(range(n), 2))
