@@ -592,8 +592,7 @@ def _round_general(g: Graph, fractional: dict[int, Fraction], x: list[int | None
         else:
             # The search reached the whole component, a tree or one odd cycle
             # with pendant trees; its two lowest leaves give the path.
-            adj = state.adj
-            leaves = sorted(v for v in reached if len(adj[v]) == 1)[:2]
+            leaves = sorted(v for v in reached if state.fdeg(v) == 1)[:2]
             if len(leaves) == 2:
                 state.apply_shift(_tree_walk(state, *leaves), closed=False)
             elif odd:
