@@ -45,10 +45,11 @@ from lidecomp.pipeline import decompose_to_four, verify_decomposition
 from lidecomp.rounding import FractionalEdgeWeights, balanced_round
 
 
-def _manifest(command: str, args: argparse.Namespace, keys: list[str]) -> dict:
-    data = {"command": command}
-    for key in keys:
-        data[key] = getattr(args, key)
+def _manifest(args: argparse.Namespace) -> dict:
+    """Every parsed option of the command, and the command's full name."""
+    data = {key: value for key, value in vars(args).items() if key not in ("func", "out")}
+    if "subcommand" in data:
+        data["command"] += " " + data.pop("subcommand")
     return data
 
 
@@ -115,7 +116,6 @@ def cmd_gen_regular(args: argparse.Namespace) -> tuple[dict, bool]:
     g = generate_regular(args.n, args.d, seed=args.seed)
     write_graph(g, args.out_graph)
     payload = {
-        "manifest": _manifest("gen-regular", args, ["n", "d", "seed", "out_graph"]),
         "vertices": g.n,
         "edges": g.m,
         "path": args.out_graph,
@@ -131,7 +131,6 @@ def cmd_gen_circulant(args: argparse.Namespace) -> tuple[dict, bool]:
     g = generate_circulant(args.n, offsets)
     write_graph(g, args.out_graph)
     payload = {
-        "manifest": _manifest("gen-circulant", args, ["n", "offsets", "out_graph"]),
         "vertices": g.n,
         "edges": g.m,
         "degree": g.degrees[0] if g.n else 0,
@@ -151,11 +150,7 @@ def cmd_decompose(args: argparse.Namespace) -> tuple[dict, bool]:
         max_rounds=args.max_rounds,
         restarts=args.restarts,
     )
-    payload = result.to_json()
-    payload["manifest"] = _manifest(
-        "decompose", args, ["input", "profile", "mode", "seed", "max_rounds", "restarts"]
-    )
-    return payload, result.success
+    return result.to_json(), result.success
 
 
 def cmd_verify(args: argparse.Namespace) -> tuple[dict, bool]:
@@ -164,7 +159,7 @@ def cmd_verify(args: argparse.Namespace) -> tuple[dict, bool]:
     if not isinstance(data, dict) or "parts" not in data:
         raise InputError(f"{args.decomp}: expected a JSON object with a 'parts' field")
     try:
-        parts = tuple(frozenset(json_int(i) for i in part) for part in data["parts"])
+        parts = tuple([json_int(i) for i in part] for part in data["parts"])
     except (TypeError, ValueError) as exc:
         raise InputError(f"{args.decomp}: malformed parts: {exc}") from None
     for part in parts:
@@ -179,7 +174,6 @@ def cmd_verify(args: argparse.Namespace) -> tuple[dict, bool]:
             u, v = eu[i], ev[i]
             print(f"part {part_idx}: conflicting edge {i} = ({u},{v})", file=sys.stderr)
     payload = {
-        "manifest": _manifest("verify", args, ["graph", "decomp"]),
         "cover_ok": cover_ok,
         "verdicts": list(verdicts),
         "conflicts": [list(c) for c in conflicts],
@@ -190,11 +184,7 @@ def cmd_verify(args: argparse.Namespace) -> tuple[dict, bool]:
 
 def cmd_exact(args: argparse.Namespace) -> tuple[dict, bool]:
     g = read_graph(args.input)
-    payload: dict = {
-        "manifest": _manifest(
-            "exact", args, ["input", "k", "min_parts", "node_budget", "force"]
-        )
-    }
+    payload: dict = {}
     if args.min_parts:
         best = min_parts(g, args.k, node_budget=args.node_budget, force=args.force)
         payload["min_parts"] = best
@@ -234,7 +224,6 @@ def cmd_round(args: argparse.Namespace) -> tuple[dict, bool]:
         weights = FractionalEdgeWeights.from_values(g, values)
     labels, report = balanced_round(weights, with_report=True)
     payload = {
-        "manifest": _manifest("round", args, ["input", "z", "z_file", "seed"]),
         "x": list(labels.values),
         "passed": report.passed,
         "drifts": list(report.drifts),
@@ -270,11 +259,7 @@ def cmd_dcs(args: argparse.Namespace) -> tuple[dict, bool]:
     else:
         raise InputError(f"{args.t_file}: expected an object or list")
     cert = dcs_solve(inst, seed=args.seed, restarts=args.restarts, strict=not args.relaxed)
-    payload = cert.to_json()
-    payload["manifest"] = _manifest(
-        "dcs", args, ["input", "lam", "t_file", "seed", "restarts", "relaxed"]
-    )
-    return payload, cert.passed
+    return cert.to_json(), cert.passed
 
 
 def cmd_constants_check(args: argparse.Namespace) -> tuple[dict, bool]:
@@ -282,7 +267,6 @@ def cmd_constants_check(args: argparse.Namespace) -> tuple[dict, bool]:
     report = check_profile(profile, args.d)
     payload = report.to_json()
     payload["profile"] = profile.to_json()
-    payload["manifest"] = _manifest("constants check", args, ["d", "profile"])
     return payload, report.passed
 
 
@@ -290,7 +274,6 @@ def cmd_constants_min_d(args: argparse.Namespace) -> tuple[dict, bool]:
     profile = _load_profile(args.profile)
     d = min_feasible_d(profile)
     payload = {
-        "manifest": _manifest("constants min-d", args, ["profile"]),
         "profile": profile.to_json(),
         "min_d": d,
     }
@@ -300,7 +283,6 @@ def cmd_constants_min_d(args: argparse.Namespace) -> tuple[dict, bool]:
 def cmd_constants_optimize(args: argparse.Namespace) -> tuple[dict, bool]:
     profile, d = optimize_profile(seed=args.seed, budget=args.budget)
     payload = {
-        "manifest": _manifest("constants optimize", args, ["seed", "budget"]),
         "profile": profile.to_json(),
         "min_d": d,
     }
@@ -410,6 +392,7 @@ def main(argv: list[str] | None = None) -> int:
     except BudgetError as exc:
         print(f"budget exhausted: {exc}", file=sys.stderr)
         return 3
+    payload["manifest"] = _manifest(args)
     payload["version"] = __version__
     _emit(payload, args.out)
     return 0 if ok else 1

@@ -5,7 +5,11 @@ split points (s1, r1, u1) used by the tail bounds. Every closed-form
 inequality the construction needs is one named row of a single table
 (``_constraint_table``): mean bounds, Chernoff/McDiarmid tail bounds with
 their monotonicity thresholds, the selection-size window, the core
-minimum-degree requirement and the separation margin.
+minimum-degree requirement and the separation margin. The degree windows
+(inside cap, fringe floor, core host, second-part bound, coloured half
+window) are written once, in ``degree_bounds``: the table's selection-window
+and core rows read them, and so does the decompose report, through
+``exact_degree_bounds``, when it counts the vertices outside them.
 
 The table has two backends. The exact one (``check_profile``) evaluates it at
 one degree with the constants as rationals (decimal by intent, so lifted via
@@ -22,6 +26,7 @@ import math
 from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 import numpy as np
 
@@ -120,6 +125,37 @@ def _separation(d, s, u):
     Exact for a ``Fraction`` ``s``/``u``, elementwise for a float array ``d``.
     """
     return (d - 2 * s * d - u * d - 26) / 6
+
+
+class DegreeBounds(NamedTuple):
+    """The degree windows of the construction, as numbers of its degree ``d``."""
+
+    inside_cap: Fraction | np.ndarray  # uncoloured inside-half degrees stay below
+    fringe_floor: Fraction | np.ndarray  # uncoloured fringe degrees stay above
+    core_host: Fraction | np.ndarray  # residual-half degree a core host keeps
+    second_part: Fraction | np.ndarray  # uncoloured second-part degrees above, coloured below
+    colored_half: tuple  # open (low, high) window for coloured half degrees
+
+
+def degree_bounds(d, s, r, u) -> DegreeBounds:
+    """The degree windows at degree ``d`` for the profile fractions ``s``, ``r``, ``u``.
+
+    The constraint table reads its selection-window and core rows from them,
+    and the decompose report counts the vertices outside them. Exact for
+    ``Fraction`` constants, elementwise for a float array ``d``.
+    """
+    return DegreeBounds(
+        inside_cap=u * d / 2 + 1,
+        fringe_floor=(d - u * d) / 2 - 1,
+        core_host=(d - s * d - u * d - r * d) / 2 - 1,
+        second_part=(2 * d + 2 * s * d + u * d + 14) / 6,
+        colored_half=((d - s * d) / 2 - 3, (d + s * d) / 2 + 3),
+    )
+
+
+def exact_degree_bounds(profile: ConstantProfile, d: int) -> DegreeBounds:
+    """:func:`degree_bounds` at an integer degree, in exact ``Fraction`` arithmetic."""
+    return degree_bounds(d, _dec(profile.s), _dec(profile.r), _dec(profile.u))
 
 
 @dataclass(frozen=True)
@@ -224,6 +260,7 @@ def _constraint_table(profile: ConstantProfile, lift, d, tails: tuple) -> Iterat
     fs, fr, fu = tails
     thr_s, thr_r, thr_u = monotonicity_thresholds(profile)
     d1 = _separation(d, s, u)
+    bounds = degree_bounds(d, s, r, u)
     tail_cap = 1.0 / (3.0 * math.e)
     # Risky edges: the per-edge probability argument q must stay below 1.
     q = s / k + 7 / (k * d)
@@ -243,10 +280,10 @@ def _constraint_table(profile: ConstantProfile, lift, d, tails: tuple) -> Iterat
     yield "uncolored_tail", fu, tail_cap, True
     yield "uncolored_tail_monotone", thr_u, d, False
     # Selection-size window: u*d/2 + 1 <= d1 <= (d - u*d)/2 - 1.
-    yield "selection_window_low", u * d / 2 + 1, d1, False
-    yield "selection_window_high", d1, (d - u * d) / 2 - 1, False
+    yield "selection_window_low", bounds.inside_cap, d1, False
+    yield "selection_window_high", d1, bounds.fringe_floor, False
     # Core host degrees must clear 12*k*d + 12 (hence six times the modulus).
-    yield "core_min_degree", 12 * k * d + 12, (d - s * d - u * d - r * d) / 2 - 1, False
+    yield "core_min_degree", 12 * k * d + 12, bounds.core_host, False
     # First-part degrees of coloured vertices must clear the selection cap.
     # With an integer d, d / 6 is a float, so the exact backend compares d1
     # with a rounded right-hand side; payloads pin that value.

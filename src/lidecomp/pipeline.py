@@ -17,6 +17,7 @@ that passes the full feasibility check.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,7 +27,12 @@ from lidecomp.coloring import (
     VertexColoring,
     resample_until_good,
 )
-from lidecomp.constants import ConstantProfile, DerivedQuantities, check_profile
+from lidecomp.constants import (
+    ConstantProfile,
+    DerivedQuantities,
+    check_profile,
+    exact_degree_bounds,
+)
 from lidecomp.dcs import DcsInstance, solve as dcs_solve
 from lidecomp.errors import BudgetError, InputError
 from lidecomp.graphs import EdgeSubset, Graph, degree_vector, index_array, subgraph_conflicts
@@ -267,8 +273,11 @@ def decompose_half(
     targets = dict(zip(np.flatnonzero(colored).tolist(), residue[colored].tolist()))
 
     # Core host: coloured vertices with enough residual-half degree for the
-    # degree-constrained solver; the rest are excluded and logged.
-    need = max(12, 6 * lam)
+    # degree-constrained solver; the rest are excluded and logged. The bound is
+    # DCS's own strict precondition, degree >= 6 * lam (at least 12, as lam =
+    # 2 * palette >= 2). The core_min_degree row's 12kd + 12 is the paper's
+    # sufficient condition for it: 6 * lam = 12 * ceil(kd) <= 12kd + 12.
+    need = 6 * lam
     alive, host_edges = _peel_core_host(g, colored, sets.residual & half_edges, need)
     excluded = tuple(np.flatnonzero(colored & ~alive).tolist())
     if strict and excluded:
@@ -305,22 +314,47 @@ def decompose_half(
         raise AssertionError("parts overlap")
     second = half_edges & ~first
 
-    diagnostics = _half_diagnostics(
-        g,
-        profile,
-        d,
-        derived,
-        half_edges,
-        inside,
-        fringe,
-        first,
-        second,
-        selection,
-        coord,
-        colored,
-        alive,
-        core_ok,
-    )
+    # Violation counts for the degree-window chain; logged, never gating.
+    # Degrees are integers, so x < t is x < ceil(t) and x > t is x > floor(t).
+    bounds = exact_degree_bounds(profile, d)
+    col_low, col_high = bounds.colored_half
+    unc = sets.uncolored
+    deg_half = degree_vector(g, half_edges)
+    deg_first = degree_vector(g, first)
+    deg_second = degree_vector(g, second)
+    have = deg_first[alive] % lam
+    want = 2 * coord[alive] % lam
+
+    def count(violated: np.ndarray) -> int:
+        return int(np.count_nonzero(violated))
+
+    diagnostics = {
+        "selection_precondition_failures": len(selection.precondition_failures),
+        "selection_conflicts": list(selection.conflicts),
+        "core_excluded_count": len(excluded),
+        "core_certificate_ok": core_ok,
+        "first_part_residue_violations": count((have != want) & (have != (want + 1) % lam)),
+        # The four rule groups each split within one of even: d/2 - 2 <= x <= d/2 + 2.
+        "half_degree_window_uncolored": count(np.abs(2 * deg_half[unc] - d) > 4),
+        "half_degree_window_colored": count(
+            (deg_half[colored] <= math.floor(col_low))
+            | (deg_half[colored] >= math.ceil(col_high))
+        ),
+        "uncolored_inside_cap": count(
+            degree_vector(g, inside)[unc] >= math.ceil(bounds.inside_cap)
+        ),
+        "uncolored_fringe_floor": count(
+            degree_vector(g, fringe)[unc] <= math.floor(bounds.fringe_floor)
+        ),
+        "first_part_separation": count(
+            (deg_first[colored] > 0) & (deg_first[colored] <= math.floor(derived.separation))
+        ),
+        "first_part_uncolored_cap": count(deg_first[unc] >= derived.size_count),
+        "second_part_uncolored_floor": count(
+            deg_second[unc] <= math.floor(bounds.second_part)
+        ),
+        "second_part_colored_cap": count(deg_second[colored] >= math.ceil(bounds.second_part)),
+    }
     return HalfDecomposition(
         half=half,
         first_part=first,
@@ -331,67 +365,6 @@ def decompose_half(
         core_excluded=excluded,
         diagnostics=diagnostics,
     )
-
-
-def _half_diagnostics(
-    g: Graph,
-    profile: ConstantProfile,
-    d: int,
-    derived: DerivedQuantities,
-    half_edges: np.ndarray,
-    inside: np.ndarray,
-    fringe: np.ndarray,
-    first: np.ndarray,
-    second: np.ndarray,
-    selection: SelectionResult,
-    coord: np.ndarray,
-    colored: np.ndarray,
-    core_alive: np.ndarray,
-    core_ok: bool,
-) -> dict:
-    """Violation counts for the degree-window chain; logged, never gating."""
-    s, u = profile.s, profile.u
-    d1 = float(derived.separation)
-    deg_half = degree_vector(g, half_edges)
-    deg_inside = degree_vector(g, inside)
-    deg_fringe = degree_vector(g, fringe)
-    deg_first = degree_vector(g, first)
-    deg_second = degree_vector(g, second)
-    unc, col = ~colored, colored
-
-    def count(violated: np.ndarray) -> int:
-        return int(np.count_nonzero(violated))
-
-    half_window_unc = count(~((d / 2 - 2 <= deg_half[unc]) & (deg_half[unc] <= d / 2 + 2)))
-    half_window_col = count(
-        ~(((d - s * d) / 2 - 3 < deg_half[col]) & (deg_half[col] < (d + s * d) / 2 + 3))
-    )
-    inside_cap = count(~(deg_inside[unc] < u * d / 2 + 1))
-    fringe_floor = count(~(deg_fringe[unc] > (d - u * d) / 2 - 1))
-    first_sep = count((deg_first[col] > 0) & ~(deg_first[col] > d1))
-    first_unc_cap = count(~(deg_first[unc] < d1))
-    bound29 = d / 3 + s * d / 3 + u * d / 6 + 7 / 3
-    second_unc_floor = count(~(deg_second[unc] > bound29))
-    second_col_cap = count(~(deg_second[col] < bound29))
-    lam = derived.modulus
-    have = deg_first[core_alive] % lam
-    want = 2 * coord[core_alive] % lam
-    residue_bad = count((have != want) & (have != (want + 1) % lam))
-    return {
-        "selection_precondition_failures": len(selection.precondition_failures),
-        "selection_conflicts": list(selection.conflicts),
-        "core_excluded_count": count(colored & ~core_alive),
-        "core_certificate_ok": core_ok,
-        "first_part_residue_violations": residue_bad,
-        "half_degree_window_uncolored": half_window_unc,
-        "half_degree_window_colored": half_window_col,
-        "uncolored_inside_cap": inside_cap,
-        "uncolored_fringe_floor": fringe_floor,
-        "first_part_separation": first_sep,
-        "first_part_uncolored_cap": first_unc_cap,
-        "second_part_uncolored_floor": second_unc_floor,
-        "second_part_colored_cap": second_col_cap,
-    }
 
 
 @dataclass(frozen=True, eq=False)

@@ -208,11 +208,13 @@ def test_verify_rejects_broken_partition(tmp_path, capsys) -> None:
     gpath = tmp_path / "g.txt"
     write_graph(Graph(3, [(0, 1), (1, 2)]), gpath)
     dpath = tmp_path / "d.json"
-    dpath.write_text(json.dumps({"parts": [[0], [0, 1]]}))
-    code, out, err = run(["verify", "--graph", str(gpath), "--decomp", str(dpath)], capsys)
-    assert code == 1
-    assert json.loads(out)["cover_ok"] is False
-    assert "partition" in err
+    # An edge in two parts, and an edge twice in one part.
+    for parts in ([[0], [0, 1]], [[0, 0, 1]]):
+        dpath.write_text(json.dumps({"parts": parts}))
+        code, out, err = run(["verify", "--graph", str(gpath), "--decomp", str(dpath)], capsys)
+        assert code == 1
+        assert json.loads(out)["cover_ok"] is False
+        assert "partition" in err
 
 
 def test_verify_rejects_overlap_that_leaves_top_edges_uncovered(tmp_path, capsys) -> None:

@@ -3,6 +3,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import math
 import os
 import subprocess
 import sys
@@ -15,7 +16,12 @@ from hypothesis import strategies as st
 
 import lidecomp
 from lidecomp.coloring import VertexColoring, assign_random, distinguish, resample_until_good
-from lidecomp.constants import ConstantProfile, DerivedQuantities, REFERENCE_PROFILE
+from lidecomp.constants import (
+    ConstantProfile,
+    DerivedQuantities,
+    REFERENCE_PROFILE,
+    exact_degree_bounds,
+)
 from lidecomp.errors import BudgetError, InputError
 from lidecomp.graphs import (
     Graph,
@@ -370,6 +376,41 @@ def test_decompose_half_degenerate_all_uncolored() -> None:
     assert not half.core.any()
     assert not half.first_part.any()  # no fringe edges to select from
     assert np.array_equal(half.second_part, split.labels == 0)
+
+
+#: The profile of the K_{m,m} core-path fixtures; k does not enter the windows.
+KMM = ConstantProfile(k=0.03, s=0.003, r=0.26, u=0.13, s1=0.0015, r1=0.242, u1=0.059)
+
+
+@pytest.mark.parametrize("prof", [DEMO, REFERENCE_PROFILE, KMM], ids=["demo", "reference", "kmm"])
+def test_report_cuts_match_float_thresholds(prof) -> None:
+    # decompose_half counts integer degrees outside exact integer cuts. Each
+    # pair holds a reference predicate, the float threshold expression it
+    # replaced, and the cut; both must flag the same degrees x = 0..d.
+    s, u = prof.s, prof.u
+    for d in range(13, 5001):
+        derived = DerivedQuantities.derive(prof, d)
+        bounds = exact_degree_bounds(prof, d)
+        low, high = bounds.colored_half
+        d1 = float(derived.separation)
+        bound29 = d / 3 + s * d / 3 + u * d / 6 + 7 / 3
+        x = np.arange(d + 1)
+        pairs = (
+            (~((d / 2 - 2 <= x) & (x <= d / 2 + 2)), np.abs(2 * x - d) > 4),
+            (
+                ~(((d - s * d) / 2 - 3 < x) & (x < (d + s * d) / 2 + 3)),
+                (x <= math.floor(low)) | (x >= math.ceil(high)),
+            ),
+            (~(x < u * d / 2 + 1), x >= math.ceil(bounds.inside_cap)),
+            (~(x > (d - u * d) / 2 - 1), x <= math.floor(bounds.fringe_floor)),
+            (~(x > d1), x <= math.floor(derived.separation)),
+            (~(x < d1), x >= derived.size_count),
+            (~(x > bound29), x <= math.floor(bounds.second_part)),
+            (~(x < bound29), x >= math.ceil(bounds.second_part)),
+        )
+        for row, (floats, cut) in enumerate(pairs):
+            assert np.array_equal(floats, cut), (d, row)
+        assert 6 * derived.modulus == max(12, 6 * derived.modulus)
 
 
 def test_decompose_to_four_rejects_bad_inputs() -> None:
