@@ -343,9 +343,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--in", dest="input", required=True)
     p.add_argument("--z", default=None, help="constant weight, e.g. 0.5 or 1/2")
     p.add_argument("--z-file", default=None, help="file with one weight per edge")
-    p.add_argument(
-        "--seed", type=int, default=0, help="recorded in the manifest; rounding is deterministic"
-    )
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_round)
 

@@ -238,16 +238,15 @@ def test_criterion_6_pipeline_soundness(capsys) -> None:
     assert total == 50
     sound = 0
     covered = 0
-    balanced = 0
     successes = 0
     for g, d, n, seed, rounds in runs:
+        # split_edges raises unless every rule group balances, so a run that
+        # returns is balanced.
         res = decompose_to_four(g, DEMO, mode="best-effort", seed=seed, max_rounds=rounds)
         cover_ok, verdicts, _ = verify_decomposition(g, res.decomposition.parts)
         rule_ok = sum(res.report["split"]["rule_counts"]) == g.m
         if cover_ok and rule_ok:
             covered += 1
-        if all(res.report["split"]["balance_ok"]):
-            balanced += 1
         if res.success:
             successes += 1
             if all(verdicts):
@@ -255,14 +254,13 @@ def test_criterion_6_pipeline_soundness(capsys) -> None:
         else:
             sound += 1  # nothing claimed, nothing to confirm
     elapsed = time.perf_counter() - start
-    ok = sound == total and covered == total and balanced == total and elapsed < 600.0
+    ok = sound == total and covered == total and elapsed < 600.0
     with capsys.disabled():
         _report(
             "6 pipeline-soundness",
             ok,
             f"{total} runs, success frequency {successes}/{total} (reported, not gated), "
-            f"soundness {sound}/{total}, cover+rules {covered}/{total}, "
-            f"balance {balanced}/{total}, {elapsed:.1f}s",
+            f"soundness {sound}/{total}, cover+rules {covered}/{total}, {elapsed:.1f}s",
         )
 
 

@@ -350,7 +350,7 @@ def test_dcs_fractional_or_boolean_targets_are_input_errors(tmp_path, capsys) ->
 def test_manifest_reproducibility(tmp_path, capsys) -> None:
     gpath = tmp_path / "g.txt"
     write_graph(generate_circulant(12, [1, 2]), gpath)
-    args = ["round", "--in", str(gpath), "--z", "1/2", "--seed", "7"]
+    args = ["round", "--in", str(gpath), "--z", "1/2"]
     _, out1, _ = run(args, capsys)
     _, out2, _ = run(args, capsys)
     assert out1 == out2
