@@ -128,7 +128,7 @@ def _separation(d, s, u):
 
 
 class DegreeBounds(NamedTuple):
-    """The degree windows of the construction, as numbers of its degree ``d``."""
+    """The construction's degree windows at a degree ``d``."""
 
     inside_cap: Fraction | np.ndarray  # uncoloured inside-half degrees stay below
     fringe_floor: Fraction | np.ndarray  # uncoloured fringe degrees stay above

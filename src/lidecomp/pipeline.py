@@ -334,7 +334,7 @@ def decompose_half(
         "core_excluded_count": len(excluded),
         "core_certificate_ok": core_ok,
         "first_part_residue_violations": count((have != want) & (have != (want + 1) % lam)),
-        # The four rule groups each split within one of even: d/2 - 2 <= x <= d/2 + 2.
+        # Uncoloured half degrees belong in d/2 - 2 <= x <= d/2 + 2.
         "half_degree_window_uncolored": count(np.abs(2 * deg_half[unc] - d) > 4),
         "half_degree_window_colored": count(
             (deg_half[colored] <= math.floor(col_low))
