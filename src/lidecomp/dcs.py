@@ -29,14 +29,14 @@ rescan of every candidate. Neither the search nor the verifier builds the
 
 from __future__ import annotations
 
+from collections.abc import Collection
 from dataclasses import dataclass
 from heapq import heappop, heappush
-from itertools import compress
 
 import numpy as np
 
 from lidecomp.errors import BudgetError, InputError, json_int
-from lidecomp.graphs import EdgeSubset, Graph, degree_vector, index_array, validate_edge_subset
+from lidecomp.graphs import Graph, degree_vector, validate_edge_subset
 
 
 @dataclass(frozen=True)
@@ -83,11 +83,14 @@ class DcsInstance:
         return cls(g, moduli, targets)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DcsCertificate:
-    """Edge subset plus the per-vertex window/residue verdicts that certify it."""
+    """Edge subset plus the per-vertex window/residue verdicts that certify it.
 
-    edges: EdgeSubset
+    ``edges`` is the subset as an ascending int64 array of edge indices.
+    """
+
+    edges: np.ndarray
     degrees: tuple[int, ...]
     window_ok: tuple[bool, ...]
     residue_ok: tuple[bool, ...]
@@ -95,7 +98,7 @@ class DcsCertificate:
 
     def to_json(self) -> dict:
         return {
-            "edges": sorted(self.edges),
+            "edges": self.edges.tolist(),
             "degrees": list(self.degrees),
             "window_ok": list(self.window_ok),
             "residue_ok": list(self.residue_ok),
@@ -103,12 +106,12 @@ class DcsCertificate:
         }
 
 
-def verify(inst: DcsInstance, edges: EdgeSubset) -> DcsCertificate:
-    """Exact certificate for an edge subset against the instance predicate."""
+def verify(inst: DcsInstance, edges: Collection[int] | np.ndarray) -> DcsCertificate:
+    """Exact certificate for an index collection's edges against the instance predicate."""
     g = inst.graph
-    validate_edge_subset(g, edges)
+    mask = validate_edge_subset(g, edges)
     inst.validate(strict=False)
-    deg_arr = degree_vector(g, index_array(edges))
+    deg_arr = degree_vector(g, mask)
     host = np.diff(g.indptr)
     # d/3 <= x <= 2d/3, compared as 3x against d and 2d to stay exact.
     window = tuple(((host <= 3 * deg_arr) & (3 * deg_arr <= 2 * host)).tolist())
@@ -118,50 +121,12 @@ def verify(inst: DcsInstance, edges: EdgeSubset) -> DcsCertificate:
         for x, lam, allowed in zip(deg, inst.moduli, map(inst.allowed_residues, range(g.n)))
     )
     return DcsCertificate(
-        edges=frozenset(edges),
+        edges=np.flatnonzero(mask),
         degrees=tuple(deg),
         window_ok=window,
         residue_ok=residue,
         passed=all(window) and all(residue),
     )
-
-
-def exhaustive_solve(inst: DcsInstance, max_edges: int = 25) -> EdgeSubset | None:
-    """Exhaust all edge subsets (gray-code order); None when none is feasible.
-
-    Oracle for property tests; only permitted on tiny hosts.
-    """
-    g = inst.graph
-    inst.validate(strict=False)
-    if g.m > max_edges:
-        raise InputError(f"exhaustive search capped at {max_edges} edges, got {g.m}")
-    lower = [-(-g.degree(v) // 3) for v in range(g.n)]
-    upper = [(2 * g.degree(v)) // 3 for v in range(g.n)]
-    allowed = [inst.allowed_residues(v) for v in range(g.n)]
-
-    deg = [0] * g.n
-
-    def vertex_ok(v: int) -> bool:
-        return lower[v] <= deg[v] <= upper[v] and deg[v] % inst.moduli[v] in allowed[v]
-
-    bad = sum(not vertex_ok(v) for v in range(g.n))
-    inside = [False] * g.m
-    if bad == 0:
-        return frozenset()
-    for step in range(1, 1 << g.m):
-        flip = (step & -step).bit_length() - 1
-        u, v = g.edges[flip]
-        was = [vertex_ok(u), vertex_ok(v)]
-        delta = -1 if inside[flip] else 1
-        inside[flip] = not inside[flip]
-        deg[u] += delta
-        deg[v] += delta
-        for w, ok_before in zip((u, v), was):
-            ok_now = vertex_ok(w)
-            bad += (not ok_now) - (not ok_before)
-        if bad == 0:
-            return frozenset(i for i in range(g.m) if inside[i])
-    return None
 
 
 def _penalty_tables(
@@ -198,14 +163,13 @@ def solve(
     restarts: int = 50,
     strict: bool = True,
     max_steps: int | None = None,
-    plateau_budget: int | None = None,
 ) -> DcsCertificate:
     """Randomized greedy-repair search for a certified subgraph.
 
     Each restart draws edges independently with probability 1/2, then toggles
     single edges to reduce a potential that weights window distance above the
-    cyclic residue distance; zero-gain moves are allowed for a bounded plateau
-    budget. A step takes the lowest-index edge of the most negative gain, or
+    cyclic residue distance; a restart allows at most 4n + m/2 zero-gain
+    moves. A step takes the lowest-index edge of the most negative gain, or
     draws uniformly among the zero-gain edges in index order. The first
     restart reaching zero potential returns its certificate (checked to
     verify). Exhausting all restarts raises ``BudgetError``.
@@ -216,8 +180,6 @@ def solve(
         raise InputError(f"restarts must be >= 1, got {restarts}")
     if max_steps is None:
         max_steps = 60 * g.n + 4 * g.m
-    if plateau_budget is None:
-        plateau_budget = 4 * g.n + g.m // 2
 
     big = max(inst.moduli) + 1
     if big * (max(g.degrees, default=0) + 1) > 2**60:
@@ -263,7 +225,7 @@ def solve(
         deg = deg_a.tolist()
         pen = pen_a.tolist()
         violating = int(np.count_nonzero(pen_a))
-        plateau_left = plateau_budget
+        plateau_left = 4 * g.n + g.m // 2
         for _ in range(max_steps):
             if not violating:
                 break
@@ -318,7 +280,7 @@ def solve(
                         slot[f] = key
         if not violating:
             del heaps  # stale entries pile up in the heaps; free them before verify
-            cert = verify(inst, frozenset(compress(range(g.m), inside)))
+            cert = verify(inst, np.flatnonzero(inside))
             if not cert.passed:
                 raise AssertionError("zero-potential state failed verification")
             return cert

@@ -15,6 +15,8 @@ out mid-search: a returned boolean is always exact.
 
 from __future__ import annotations
 
+import numpy as np
+
 from lidecomp.errors import BudgetError, InputError
 from lidecomp.graphs import Graph
 
@@ -112,8 +114,9 @@ def min_parts(
     return None
 
 
-def witness_parts(g: Graph, witness: tuple[int, ...], k: int) -> list[frozenset[int]]:
-    """Split a witness labeling into k edge-index classes."""
+def witness_parts(g: Graph, witness: tuple[int, ...], k: int) -> list[np.ndarray]:
+    """Split a witness labeling into k classes, each an ascending int64 edge-index array."""
     if len(witness) != g.m:
         raise InputError("witness does not label every edge")
-    return [frozenset(i for i, c in enumerate(witness) if c == part) for part in range(1, k + 1)]
+    labels = np.asarray(witness, dtype=np.int64)
+    return [np.flatnonzero(labels == part) for part in range(1, k + 1)]

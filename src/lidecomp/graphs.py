@@ -14,26 +14,25 @@ the pair-to-index dict behind scalar :meth:`Graph.edge_id` lookups are built
 on first use and cached.
 Graphs are immutable after construction and safe to share between threads.
 
-Inside the package an edge subset is a boolean mask of length ``m`` over
-canonical edge indices, and :func:`degree_vector` counts its degrees along
-the CSR rows. Index collections (a ``frozenset[int]``, a list or an int64
-array) are kept for subsets that enter or leave as JSON: parts read by the
-verifier, DCS certificates and exact-oracle witnesses.
-:func:`validate_edge_subset` checks one and :func:`index_array` converts it.
+An edge subset has one form inside the package: a boolean mask of length
+``m`` over canonical edge indices, whose degrees :func:`degree_vector` counts
+along the CSR rows. A subset enters as an index collection (a list, a set or
+an int64 array, such as the parts the verifier reads) and leaves as an
+ascending int64 index array (DCS certificates, exact-oracle witnesses,
+decomposition parts). :func:`validate_edge_subset` is the one place an index
+collection becomes a mask, so a repeated index selects its edge once.
 """
 
 from __future__ import annotations
 
 import io
-from collections.abc import Iterable, Sequence
+from collections.abc import Collection, Iterable, Sequence
 from functools import cached_property
 from pathlib import Path
 
 import numpy as np
 
 from lidecomp.errors import BudgetError, InputError
-
-EdgeSubset = frozenset[int]
 
 
 def _read_only(arr: np.ndarray) -> np.ndarray:
@@ -157,61 +156,53 @@ class Graph:
         return self.n == 0 or len(set(self.degrees)) == 1
 
 
-def validate_edge_subset(g: Graph, es: EdgeSubset) -> None:
-    """Check that every member is a valid edge index of ``g``."""
-    for i in es:
-        if not 0 <= i < g.m:
-            raise InputError(f"edge index {i} out of range for m={g.m}")
+def validate_edge_subset(g: Graph, es: Collection[int] | np.ndarray) -> np.ndarray:
+    """The boolean mask of an index collection's edges; a repeated index counts once.
 
-
-def degree_vector(g: Graph, edges: np.ndarray) -> np.ndarray:
-    """Per-vertex degree array of the edges a boolean mask or index array selects.
-
-    A mask is summed along the CSR rows: one gather through ``slot_edges`` and
-    one ``reduceat``. A trailing ``False`` lets an isolated last vertex start
-    its row at ``2m``, and an empty row, which ``reduceat`` fills with the next
-    row's first slot, is zeroed. An index array may repeat an index, so it is
-    counted per endpoint with ``bincount``.
+    Raises ``InputError`` for the first member, in iteration order, that is not
+    an edge index of ``g``. An integer array is checked without a Python loop.
     """
-    if edges.dtype == bool:
-        if len(edges) != g.m:
-            raise IndexError(f"mask of length {len(edges)} for m={g.m}")
-        slots = np.append(edges[g.slot_edges], False)
-        deg = np.add.reduceat(slots, g.indptr[:-1], dtype=np.int64)
-        deg[g.indptr[:-1] == g.indptr[1:]] = 0
-        return deg
+    if not isinstance(es, np.ndarray):
+        try:
+            es = np.fromiter(es, dtype=np.int64, count=len(es))
+        except OverflowError:
+            # Some member exceeds int64, so it is out of range.
+            es = np.array([next(i for i in es if not 0 <= i < g.m)], dtype=object)
+    bad = (es < 0) | (es >= g.m)
+    if bad.any():
+        raise InputError(f"edge index {es[np.argmax(bad)]} out of range for m={g.m}")
+    mask = np.zeros(g.m, dtype=bool)
+    mask[es] = True
+    return mask
+
+
+def degree_vector(g: Graph, mask: np.ndarray) -> np.ndarray:
+    """Per-vertex degree array of the edges a boolean mask selects.
+
+    The mask is summed along the CSR rows: one gather through ``slot_edges``
+    and one ``reduceat``. A trailing ``False`` lets an isolated last vertex
+    start its row at ``2m``, and an empty row, which ``reduceat`` fills with
+    the next row's first slot, is zeroed.
+    """
+    if mask.dtype != bool or len(mask) != g.m:
+        raise IndexError(f"expected a boolean mask of length {g.m}, got {mask.dtype} {mask.shape}")
+    slots = np.append(mask[g.slot_edges], False)
+    deg = np.add.reduceat(slots, g.indptr[:-1], dtype=np.int64)
+    deg[g.indptr[:-1] == g.indptr[1:]] = 0
+    return deg
+
+
+def subgraph_conflicts(g: Graph, mask: np.ndarray) -> np.ndarray:
+    """Ascending indices of the masked edges whose ends have equal degree among them."""
     eu, ev = g.endpoint_arrays()
-    return np.bincount(eu[edges], minlength=g.n) + np.bincount(ev[edges], minlength=g.n)
+    deg = degree_vector(g, mask)
+    edges = np.flatnonzero(mask)
+    return edges[deg[eu[edges]] == deg[ev[edges]]]
 
 
-def index_array(es: EdgeSubset | Sequence[int] | np.ndarray) -> np.ndarray:
-    """The members of an index collection as an int64 array, in iteration order.
-
-    An int64 array is returned as it is, so converting twice costs nothing.
-    """
-    if isinstance(es, np.ndarray) and es.dtype == np.int64:
-        return es
-    return np.fromiter(es, dtype=np.int64, count=len(es))
-
-
-def _edge_conflicts(g: Graph, edges: np.ndarray) -> np.ndarray:
-    """Ascending indices of the selected edges whose ends have equal degree among them.
-
-    ``edges`` is an index array of distinct edges; degrees are counted once.
-    """
-    eu, ev = g.endpoint_arrays()
-    deg = degree_vector(g, edges)
-    return np.sort(edges[deg[eu[edges]] == deg[ev[edges]]])
-
-
-def is_subgraph_locally_irregular(g: Graph, es: EdgeSubset) -> bool:
-    """True iff within the subgraph ``es`` every edge joins vertices of distinct degree."""
-    return not _edge_conflicts(g, index_array(es)).size
-
-
-def subgraph_conflicts(g: Graph, es: EdgeSubset) -> list[int]:
-    """Edge indices in ``es`` whose endpoints have equal degree within ``es``."""
-    return _edge_conflicts(g, index_array(es)).tolist()
+def is_subgraph_locally_irregular(g: Graph, es: Collection[int] | np.ndarray) -> bool:
+    """True iff within the subgraph of the index collection ``es`` no edge joins equal degrees."""
+    return not subgraph_conflicts(g, validate_edge_subset(g, es)).size
 
 
 def is_locally_irregular(g: Graph) -> bool:

@@ -18,6 +18,7 @@ that passes the full feasibility check.
 from __future__ import annotations
 
 import math
+from collections.abc import Collection, Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,7 +36,7 @@ from lidecomp.constants import (
 )
 from lidecomp.dcs import DcsInstance, solve as dcs_solve
 from lidecomp.errors import BudgetError, InputError
-from lidecomp.graphs import EdgeSubset, Graph, degree_vector, index_array, subgraph_conflicts
+from lidecomp.graphs import Graph, degree_vector, subgraph_conflicts, validate_edge_subset
 from lidecomp.rounding import round_half_edges
 
 #: Per-rule domains: 0/1 are the special-edge rules, 2..4 the rounded groups.
@@ -305,7 +306,7 @@ def decompose_half(
         else:
             core_ok = cert.passed
             # remap is increasing, so host edge j is the j-th member in canonical order.
-            core[host_members[index_array(cert.edges)]] = True
+            core[host_members[cert.edges]] = True
 
     first = selected | risky_half | core
     if (first & ~half_edges).any():
@@ -398,21 +399,21 @@ class PipelineResult:
 
 
 def verify_decomposition(
-    g: Graph, parts: tuple[EdgeSubset | np.ndarray, ...]
+    g: Graph, parts: Sequence[Collection[int] | np.ndarray]
 ) -> tuple[bool, tuple[bool, ...], tuple[tuple[int, ...], ...]]:
     """Independent check: exact cover plus per-part local irregularity.
 
-    Parts are index collections (a frozenset, a list or an int64 array), not
-    masks: a mask cannot hold the overlaps this check must reject.
+    Parts are index collections (a list, a set or an int64 array), not
+    masks: a mask cannot hold the overlaps this check must reject. Each part
+    is validated and judged on its distinct edges. The parts cover every edge
+    exactly once iff their sizes sum to m and their union is every edge.
     """
-    indices = [index_array(part) for part in parts]
-    every = np.concatenate(indices or [np.zeros(0, dtype=np.int64)])
-    # m indices, all in range and each hit: every edge exactly once.
-    cover_ok = every.size == g.m and (
-        not g.m
-        or (every.min() >= 0 and every.max() < g.m and np.bincount(every, minlength=g.m).all())
-    )
-    conflicts = tuple(tuple(subgraph_conflicts(g, part)) for part in indices)
+    masks = [validate_edge_subset(g, part) for part in parts]
+    union = np.zeros(g.m, dtype=bool)
+    for mask in masks:
+        union |= mask
+    cover_ok = sum(map(len, parts)) == g.m and union.all()
+    conflicts = tuple(tuple(subgraph_conflicts(g, mask).tolist()) for mask in masks)
     verdicts = tuple(not c for c in conflicts)
     return bool(cover_ok), verdicts, conflicts
 

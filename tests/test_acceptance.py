@@ -22,7 +22,7 @@ from lidecomp.constants import (
     min_feasible_d,
     monotonicity_thresholds,
 )
-from lidecomp.dcs import DcsInstance, exhaustive_solve, solve as dcs_solve, verify as dcs_verify
+from lidecomp.dcs import DcsInstance, solve as dcs_solve, verify as dcs_verify
 from lidecomp.errors import BudgetError
 from lidecomp.exact import is_decomposable
 from lidecomp.graphs import (
@@ -33,6 +33,7 @@ from lidecomp.graphs import (
 )
 from lidecomp.pipeline import decompose_to_four, verify_decomposition
 from lidecomp.rounding import FractionalEdgeWeights, balanced_round, verify_rounding
+from oracles import exhaustive_solve
 
 DEMO = ConstantProfile(k=0.1, s=0.05, r=0.3, u=0.2, s1=0.024, r1=0.279, u1=0.09)
 

@@ -215,6 +215,18 @@ def test_verify_rejects_broken_partition(tmp_path, capsys) -> None:
         assert code == 1
         assert json.loads(out)["cover_ok"] is False
         assert "partition" in err
+    # A repeated edge is judged once: on P3 edge 1 is one conflict, not two.
+    dpath.write_text(json.dumps({"parts": [[1, 1], [0]]}))
+    code, out, err = run(["verify", "--graph", str(gpath), "--decomp", str(dpath)], capsys)
+    assert code == 1 and json.loads(out)["conflicts"] == [[1], [0]]
+    assert err.count("conflicting edge 1 ") == 1
+    # On P4 the set {0, 1, 2} has conflict edge 1, which the multigraph hides.
+    write_graph(Graph(4, [(0, 1), (1, 2), (2, 3)]), gpath)
+    dpath.write_text(json.dumps({"parts": [[0, 0, 1, 2]]}))
+    code, out, err = run(["verify", "--graph", str(gpath), "--decomp", str(dpath)], capsys)
+    data = json.loads(out)
+    assert code == 1 and data["cover_ok"] is False
+    assert data["verdicts"] == [False] and data["conflicts"] == [[1]]
 
 
 def test_verify_rejects_overlap_that_leaves_top_edges_uncovered(tmp_path, capsys) -> None:
@@ -247,10 +259,11 @@ def test_verify_rejects_out_of_range_edge_index(tmp_path, capsys) -> None:
     gpath = tmp_path / "g.txt"
     write_graph(Graph(3, [(0, 1), (1, 2)]), gpath)
     dpath = tmp_path / "d.json"
-    dpath.write_text(json.dumps({"parts": [[0], [1, 2]]}))
-    code, _, err = run(["verify", "--graph", str(gpath), "--decomp", str(dpath)], capsys)
-    assert code == 2
-    assert err == "error: edge index 2 out of range for m=2\n"
+    for parts, bad in (([[0], [1, 2]], 2), ([[0, 2**70], [1]], 2**70), ([[-1, 0], [1]], -1)):
+        dpath.write_text(json.dumps({"parts": parts}))
+        code, out, err = run(["verify", "--graph", str(gpath), "--decomp", str(dpath)], capsys)
+        assert (code, out) == (2, "")
+        assert err == f"error: edge index {bad} out of range for m=2\n"
 
 
 def test_dcs_cli(tmp_path, capsys) -> None:

@@ -203,8 +203,9 @@ def test_subgraph_degree_sum_matches_edge_count() -> None:
     for _ in range(25):
         size = int(rng.integers(0, g.m + 1))
         es = frozenset(rng.choice(g.m, size=size, replace=False).tolist())
-        validate_edge_subset(g, es)
-        assert degree_vector(g, np.isin(np.arange(g.m), list(es))).sum() == 2 * len(es)
+        mask = validate_edge_subset(g, es)
+        assert np.flatnonzero(mask).tolist() == sorted(es)
+        assert degree_vector(g, mask).sum() == 2 * len(es)
 
 
 @st.composite
@@ -249,13 +250,38 @@ def test_degree_vector_mask_matches_bincount_reference(case) -> None:
     assert ends[1].tolist() == ev[g.slot_edges].tolist()
 
 
-def test_degree_vector_rejects_wrong_mask_length_and_counts_repeated_indices() -> None:
+def test_degree_vector_rejects_wrong_mask_length_and_index_arrays() -> None:
     g = generate_circulant(5, [1])
     for size in (g.m - 1, g.m + 1, 0):
         with pytest.raises(IndexError):
             degree_vector(g, np.ones(size, dtype=bool))
-    repeated = np.array([g.edge_id(0, 1), g.edge_id(0, 1), g.edge_id(2, 3)])
-    assert degree_vector(g, repeated).tolist() == [2, 2, 1, 1, 0]
+    with pytest.raises(IndexError, match=r"expected a boolean mask of length 5, got int64 \(5,\)"):
+        degree_vector(g, np.arange(g.m))
+
+
+def test_validate_edge_subset_masks_distinct_edges_and_names_the_first_bad_index() -> None:
+    g = generate_circulant(5, [1])
+    repeated = [g.edge_id(0, 1), g.edge_id(0, 1), g.edge_id(2, 3)]
+    for form in (repeated, tuple(repeated), frozenset(repeated), np.array(repeated)):
+        mask = validate_edge_subset(g, form)
+        assert mask.dtype == bool and np.flatnonzero(mask).tolist() == sorted(set(repeated))
+        assert degree_vector(g, mask).tolist() == [1, 1, 1, 1, 0]
+    assert not validate_edge_subset(g, []).any()
+    assert validate_edge_subset(Graph(3, []), np.zeros(0, dtype=np.int64)).shape == (0,)
+    # The first bad member in iteration order, exact past int64; arrays are
+    # checked without a Python loop.
+    cases = [
+        ([0, 5, -1], 5),
+        (np.array([0, 5, -1]), 5),
+        (np.array([-1, 5]), -1),
+        ([0, 2**70, -1], 2**70),
+        ((-(2**70), 9), -(2**70)),
+        ([2, -1, 2**64], -1),
+    ]
+    for es, bad in cases:
+        with pytest.raises(InputError) as info:
+            validate_edge_subset(g, es)
+        assert str(info.value) == f"edge index {bad} out of range for m=5"
 
 
 def test_subgraph_local_irregularity_and_conflicts() -> None:
@@ -263,7 +289,7 @@ def test_subgraph_local_irregularity_and_conflicts() -> None:
     full = frozenset(range(g.m))
     # degrees 1,2,2,1: the middle edge joins two degree-2 vertices
     assert not is_subgraph_locally_irregular(g, full)
-    assert subgraph_conflicts(g, full) == [g.edge_id(1, 2)]
+    assert subgraph_conflicts(g, validate_edge_subset(g, full)).tolist() == [g.edge_id(1, 2)]
     assert is_subgraph_locally_irregular(g, frozenset({0, 1}))
 
 

@@ -447,19 +447,50 @@ def test_decompose_to_four_invariants_best_effort() -> None:
         assert sum(res.report["split"]["rule_counts"]) == g.m
 
 
+def reference_verify(g: Graph, parts) -> tuple:
+    """Exact cover and per-part conflicts on each part's set of distinct edges."""
+    union = set().union(*map(set, parts))
+    cover_ok = union == set(range(g.m)) and sum(map(len, parts)) == g.m
+    conflicts = []
+    for part in parts:
+        distinct = sorted(set(part))
+        deg: dict[int, int] = {}
+        for i in distinct:
+            for w in g.edges[i]:
+                deg[w] = deg.get(w, 0) + 1
+        conflicts.append(tuple(i for i in distinct if deg[g.edges[i][0]] == deg[g.edges[i][1]]))
+    return cover_ok, tuple(not c for c in conflicts), tuple(conflicts)
+
+
 def test_verify_decomposition_cover_matches_set_reference() -> None:
     # Exact cover means: the parts' union is every edge and their sizes sum to m.
-    g = Graph(5, [(0, i) for i in range(1, 5)] + [(1, 2)])
+    # Verdicts and conflicts are taken on each part's distinct edges.
     rng = np.random.default_rng(3)
-    for _ in range(300):
-        parts = tuple(
-            frozenset(np.flatnonzero(rng.random(g.m) < 0.4).tolist())
-            for _ in range(int(rng.integers(0, 4)))
-        )
-        union = frozenset().union(*parts)
-        expected = union == frozenset(range(g.m)) and sum(map(len, parts)) == g.m
-        assert verify_decomposition(g, parts)[0] == expected
+    for g in (Graph(5, [(0, i) for i in range(1, 5)] + [(1, 2)]), generate_circulant(8, [1, 2])):
+        for trial in range(300):
+            count = int(rng.integers(0, 5))
+            if trial % 3 == 0:  # subsets, often overlapping
+                parts = [np.flatnonzero(rng.random(g.m) < 0.4).tolist() for _ in range(count)]
+            elif trial % 3 == 1:  # a partition, some parts empty, one edge maybe repeated
+                labels = rng.integers(0, max(count, 1), size=g.m)
+                parts = [np.flatnonzero(labels == p).tolist() for p in range(count)]
+                if parts and rng.random() < 0.5:
+                    parts[0] = parts[0] + parts[0][:1]
+            else:  # unsorted index lists that repeat edges
+                parts = [
+                    rng.integers(0, g.m, size=int(rng.integers(0, 2 * g.m))).tolist()
+                    for _ in range(count)
+                ]
+            expected = reference_verify(g, parts)
+            assert verify_decomposition(g, tuple(parts)) == expected
+            arrays = tuple(np.asarray(p, dtype=np.int64) for p in parts)
+            assert verify_decomposition(g, arrays) == expected
+    g = Graph(5, [(0, i) for i in range(1, 5)] + [(1, 2)])
     assert not verify_decomposition(g, (frozenset({0, 1, 2}), frozenset({0, 1})))[0]
+    # P4 with edge 0 twice: the set {0, 1, 2} has conflict edge 1. P3: edge 1 once.
+    p4, p3 = Graph(4, [(0, 1), (1, 2), (2, 3)]), Graph(3, [(0, 1), (1, 2)])
+    assert verify_decomposition(p4, ([0, 0, 1, 2],)) == (False, (False,), ((1,),))
+    assert verify_decomposition(p3, ([1, 1], [0])) == (False, (False, False), ((1,), (0,)))
 
 
 def test_decompose_to_four_deterministic() -> None:
