@@ -8,17 +8,19 @@ denominator, which keeps the half-integer boundary cases bit-stable.
 
 Two engines sit behind :func:`balanced_round`:
 
-* all fractional weights equal to 1/2: orient an Eulerian circuit (an
-  auxiliary vertex absorbs odd degrees) and alternate labels along it. Even
-  vertices come out perfectly balanced, odd ones drift by a half, and an
-  odd-length circuit parks its +1 drift either on the auxiliary vertex or on
-  the start vertex, where the closed right bound permits it. The walk takes
-  the endpoint arrays of the half edges and runs Hierholzer's algorithm over
-  a CSR adjacency (neighbours ascending, the auxiliary vertex last) with a
-  list of per-vertex pointers and ``bytearray`` marks for used edges; the
-  alternating bits of each circuit are set with numpy into a ``uint8``
-  array. :func:`round_half_edges` is the same walk for callers that hold
-  an edge-index array rather than weights (the pipeline's rule groups); it
+* all fractional weights equal to 1/2: label the edges alternately along
+  one closed trail per component, after an auxiliary hub vertex has joined
+  every odd-degree vertex. Each vertex's visits leave by the other bit than
+  they arrived, so even vertices come out balanced and odd ones, which lose
+  their hub edge, drift by a half; an odd-length circuit doubles one bit at
+  its seam, which sits on the hub or on the lowest vertex of a hub-free
+  component, where the closed right bound permits it. The circuits are
+  built in numpy over a CSR layout of the edge ends: pairing each row's
+  slots two by two gives closed trails, a lockstep walk from sampled heads
+  ranks them, and trails that meet at a vertex are spliced by re-pairing
+  one transition of each until every component has one.
+  :func:`round_half_edges` is the same rounding for callers that hold an
+  edge-index array rather than weights (the pipeline's rule groups); it
   checks the window with ``np.bincount`` in integers.
 
 * general weights: repeatedly shift mass along structures of the fractional
@@ -197,6 +199,44 @@ def balanced_round(
 # ---------------------------------------------------------------------------
 
 
+#: Every ``_HEAD_SPACING``-th slot of the layout is a head for list ranking.
+_HEAD_SPACING = 16
+
+
+def _segments(nxt: np.ndarray, head: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Cut the cycles of the permutation ``nxt`` at the slots marked in ``head``.
+
+    Every head walks forward in lockstep until it reaches the next head, so
+    each slot is stepped on once. Heads are numbered in slot order, and the
+    slots no walk reaches (they lie on cycles that hold no head) become heads
+    of their own, numbered after them. Returns each slot's head number and
+    its distance from that head, and for each head the number of the next
+    one and the distance to it. A head's own number is its ``owner`` entry.
+    """
+    heads = np.flatnonzero(head)
+    count = len(heads)
+    owner = np.full(len(nxt), -1, dtype=np.int32)
+    off = np.zeros(len(nxt), dtype=np.int32)
+    ahead = np.empty(count, dtype=np.int32)
+    gap = np.empty(count, dtype=np.int32)
+    who = np.arange(count, dtype=np.int32)
+    owner[heads] = who
+    cur, step = nxt[heads], 1
+    while cur.size:
+        stop = head[cur]
+        ahead[who[stop]] = cur[stop]
+        gap[who[stop]] = step
+        go = ~stop
+        who, cur = who[go], cur[go]
+        owner[cur] = who
+        off[cur] = step
+        cur, step = nxt[cur], step + 1
+    lost = np.flatnonzero(owner < 0)
+    owner[lost] = np.arange(count, count + len(lost), dtype=np.int32)
+    succ = owner[np.concatenate((ahead, nxt[lost]))]
+    return owner, off, succ, np.concatenate((gap, np.ones(len(lost), dtype=np.int32)))
+
+
 def _round_half_euler(n: int, eu: np.ndarray, ev: np.ndarray) -> np.ndarray:
     """Labels (uint8) of the edges ``(eu[j], ev[j])`` of a simple graph on ``0..n-1``.
 
@@ -204,70 +244,125 @@ def _round_half_euler(n: int, eu: np.ndarray, ev: np.ndarray) -> np.ndarray:
     strictly ascending. A subsequence of a :class:`Graph`'s edges is; anything
     else raises ``ValueError``.
 
-    Vertex ``n`` is auxiliary: the j-th odd-degree vertex joins it by the edge
-    keyed ``k + j`` (k real edges). Adjacency is CSR with neighbours ascending,
-    so the auxiliary vertex comes last; circuits start at the auxiliary vertex,
-    then at every unvisited vertex in ascending order. A circuit uses every
-    edge of the vertices it visits, so a start has been visited exactly when
-    its pointer has reached the end of its row.
+    Vertex ``n`` is the hub: the j-th odd-degree vertex joins it by the edge
+    keyed ``k + j`` (k real edges), so every row of the CSR adjacency
+    (neighbours ascending, the hub last) has even length. A slot stands for
+    the walk arriving at its row's vertex by its edge, and ``twin`` maps it to
+    the same edge's slot at the other end.
+
+    * **Pair.** Slot ``2i`` leaves by the edge of slot ``2i + 1`` and back,
+      so ``nxt = twin[slot ^ 1]`` is a permutation whose cycles are closed
+      trails covering every edge once, each trail once in each direction.
+    * **Rank.** Every ``_HEAD_SPACING``-th slot and both slots of the first
+      edge of every row are heads; :func:`_segments` gives each slot its
+      head and its distance from it, and one pass over the heads numbers the
+      cycles. Slots ``2i`` and ``2i + 1`` lie on the two directions of one
+      trail, so the lower of their cycle numbers names the trail.
+    * **Splice.** Where adjacent transitions of a row lie on different
+      trails, re-pairing one slot of each merges the two trails into one. A
+      union-find over the trails takes the first such meeting of each pair
+      of trails in slot order until every component holds a single closed
+      trail, which is ranked again.
+    * **Seam.** The circuit of the hub's component starts with the hub's
+      first edge and every other component's with the first edge of its
+      lowest vertex, as a Hierholzer walk from those vertices would; the
+      bits alternate from 1 along the circuit.
+
+    One closed trail per component keeps the window: every visit to a
+    vertex arrives and leaves by different bits, except at the one seam of
+    an odd circuit (+1 for the hub or a lowest vertex, inside the window),
+    and an odd-degree vertex loses one balanced pair's hub edge, so it
+    drifts by a half. The labels depend only on the layout, the splices and
+    the seams, not on the head spacing.
     """
     k = len(eu)
     if (eu >= ev).any() or (np.diff(eu * n + ev) <= 0).any():
         raise ValueError("edges must be canonical pairs in canonical order")
+    if not k:
+        return np.zeros(0, dtype=np.uint8)
     deg = np.bincount(eu, minlength=n) + np.bincount(ev, minlength=n)
     odd = np.flatnonzero(deg % 2)
-    hub = np.full(len(odd), n)
-    real, extra = np.arange(k), np.arange(k, k + len(odd))
-    # In canonical order each block lists a vertex's neighbours ascending, and
-    # the blocks follow one another in ascending order of neighbour (lower
-    # ends, upper ends, then the hub), so a stable sort on the source alone
-    # lays out the rows. The narrowest dtype lets numpy use a radix sort.
-    src = np.concatenate((ev, eu, odd, hub))
-    dst = np.concatenate((eu, ev, hub, odd))
-    order = np.argsort(src.astype(np.min_scalar_type(n)), kind="stable")
-    nbr = dst[order].tolist()
-    key = np.concatenate((real, real, extra, extra))[order].tolist()
+    size = k + len(odd)
+    # Entry p and entry p + size are the two ends of edge p % size. In
+    # canonical order each block lists a vertex's neighbours ascending (lower
+    # ends, then upper ends), so a stable sort on the source, with the hub
+    # entries of the odd vertices moved after their real ones, lays out the
+    # rows. The narrowest dtype lets numpy use a radix sort.
+    src = np.concatenate((ev, odd, eu, np.full(len(odd), n))).astype(np.min_scalar_type(2 * n))
+    rank = 2 * src
+    rank[k:size] += 1
+    order = np.argsort(rank, kind="stable").astype(np.int32)
+    slots = np.arange(2 * size, dtype=np.int32)
+    where = np.empty_like(order)
+    where[order] = slots
+    twin = np.empty_like(order)
+    twin[where[:size]] = where[size:]
+    twin[where[size:]] = where[:size]
     counts = np.bincount(src, minlength=n + 1)
-    end = np.cumsum(counts)
-    ptr, end = (end - counts).tolist(), end.tolist()
+    first = (np.cumsum(counts) - counts)[counts > 0]
+    head = np.zeros(2 * size, dtype=bool)
+    head[::_HEAD_SPACING] = True
+    head[first] = head[twin[first]] = True
 
-    used = bytearray(k + len(odd))
-    ones: list[int] = []
-    starts = ([n] if len(odd) else []) + np.flatnonzero(deg).tolist()
-    for start in starts:
-        if ptr[start] == end[start]:
+    # Pair each row's slots two by two and number the trails.
+    mate = slots ^ 1
+    owner, _, succ, _ = _segments(twin[mate], head)
+    succ = succ.tolist()
+    cycle = [-1] * len(succ)
+    count = 0
+    for h in range(len(succ)):
+        if cycle[h] < 0:
+            while cycle[h] < 0:
+                cycle[h] = count
+                h = succ[h]
+            count += 1
+    on = np.asarray(cycle, dtype=np.int32)[owner]
+    # Slots 2i and 2i + 1 lie on the two directions of one trail.
+    trail = np.minimum(on[0::2], on[1::2])
+
+    # Splice trails that meet at adjacent transitions of a row.
+    row_begins = np.zeros(size, dtype=bool)
+    row_begins[first // 2] = True
+    at = np.flatnonzero(~row_begins[1:] & (trail[:-1] != trail[1:]))
+    lo = np.minimum(trail[at], trail[at + 1]).astype(np.int64)
+    hi = np.maximum(trail[at], trail[at + 1])
+    at = at[np.sort(np.unique(lo * count + hi, return_index=True)[1])]
+    parent = list(range(count))
+    moved: dict[int, int] = {}
+    for t, a, b in zip(at.tolist(), trail[at].tolist(), trail[at + 1].tolist()):
+        while parent[a] != a:
+            parent[a] = a = parent[parent[a]]
+        while parent[b] != b:
+            parent[b] = b = parent[parent[b]]
+        if a == b:
             continue
-        # Hierholzer walk over the component of start; an edge joins the
-        # circuit when the walk backs out of it, so the circuit is reversed.
-        # The stacks hold the vertices below the current one v and the edges
-        # they were entered by; e_in is the edge v was entered by.
-        circuit: list[int] = []
-        verts: list[int] = []
-        via: list[int] = []
-        v, e_in = start, -1
-        while True:
-            i, stop = ptr[v], end[v]
-            while i < stop and used[key[i]]:
-                i += 1
-            if i < stop:
-                e = key[i]
-                used[e] = 1
-                ptr[v] = i + 1
-                verts.append(v)
-                via.append(e_in)
-                v, e_in = nbr[i], e
-            else:
-                ptr[v] = i
-                if e_in < 0:
-                    break
-                circuit.append(e_in)
-                v, e_in = verts.pop(), via.pop()
-        # The first edge takes +1/2 and the bits alternate; odd circuits then
-        # drift +1 at the start.
-        ones += circuit[len(circuit) - 1 :: -2]
-    x = np.zeros(k + len(odd), dtype=np.uint8)
-    x[np.asarray(ones, dtype=np.int64)] = 1
-    return x[:k]
+        parent[a] = b
+        x, y = 2 * t, 2 * t + 2
+        mx, my = moved.get(x, x ^ 1), moved.get(y, y ^ 1)
+        moved[x], moved[my], moved[y], moved[mx] = my, x, mx, y
+    if moved:
+        mate[np.fromiter(moved, dtype=np.int32, count=len(moved))] = list(moved.values())
+
+    # Number the heads of each circuit from its seam; heads on the unused
+    # direction keep -1.
+    owner, off, succ, gap = _segments(twin[mate], head)
+    succ, gap = succ.tolist(), gap.tolist()
+    pos = [-1] * len(succ)
+    # The hub's row comes last in the layout and its circuit first.
+    starts = np.roll(first, 1) if len(odd) else first
+    for f, h in zip(owner[starts].tolist(), owner[twin[starts]].tolist()):
+        # One of the two is on a circuit numbered already if the component is.
+        if pos[f] >= 0 or pos[h] >= 0:
+            continue
+        p = 0
+        while pos[h] < 0:
+            pos[h] = p
+            p, h = p + gap[h], succ[h]
+    at = np.asarray(pos, dtype=np.int32)[owner]
+    bit = (at + off + 1) & 1
+    # Of each edge's two slots, the one on a numbered circuit gives its bit.
+    end, other = where[:k], where[size : size + k]
+    return np.where(at[end] >= 0, bit[end], bit[other]).astype(np.uint8)
 
 
 def round_half_edges(n: int, eu: np.ndarray, ev: np.ndarray) -> np.ndarray:

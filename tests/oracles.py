@@ -1,4 +1,7 @@
-"""Exact oracles shared by the test modules; only permitted on tiny inputs."""
+"""Reference implementations shared by the test modules.
+
+The exhaustive search is only permitted on tiny inputs.
+"""
 
 from __future__ import annotations
 
@@ -39,3 +42,71 @@ def exhaustive_solve(inst: DcsInstance, max_edges: int = 25) -> frozenset[int] |
         if bad == 0:
             return frozenset(i for i in range(g.m) if inside[i])
     return None
+
+
+def ref_round_half_euler(n: int, edges: list[tuple[int, int]]) -> list[int]:
+    """The walk as it was written over dicts and sets, kept as the reference.
+
+    ``edges`` are canonical pairs in canonical order; edge j carries key j and
+    the j-th odd vertex's auxiliary edge key ``len(edges) + j``.
+    """
+    m = len(edges)
+    x = [None] * m
+    aux = n
+    adj: dict[int, list[tuple[int, int]]] = {}
+    deg: dict[int, int] = {}
+    for i, (u, v) in enumerate(edges):
+        adj.setdefault(u, []).append((v, i))
+        adj.setdefault(v, []).append((u, i))
+        deg[u] = deg.get(u, 0) + 1
+        deg[v] = deg.get(v, 0) + 1
+    odd = sorted(v for v, dv in deg.items() if dv % 2)
+    for j, v in enumerate(odd):
+        key = m + j
+        adj.setdefault(aux, []).append((v, key))
+        adj[v].append((aux, key))
+    for lst in adj.values():
+        lst.sort()
+
+    seen: set[int] = set()
+    for start in ([aux] if aux in adj else []) + sorted(v for v in adj if v != aux):
+        if start in seen or not adj[start]:
+            continue
+        circuit = ref_euler_circuit(adj, start, seen)
+        bit = 1
+        for key in circuit:
+            if key < m:
+                x[key] = bit
+            bit = 1 - bit
+    return x
+
+
+def ref_euler_circuit(
+    adj: dict[int, list[tuple[int, int]]], start: int, seen: set[int]
+) -> list[int]:
+    ptr: dict[int, int] = {}
+    used: set[int] = set()
+    stack: list[tuple[int, int | None]] = [(start, None)]
+    out: list[int] = []
+    while stack:
+        v, incoming = stack[-1]
+        seen.add(v)
+        lst = adj.get(v, ())
+        i = ptr.get(v, 0)
+        advanced = False
+        while i < len(lst):
+            w, key = lst[i]
+            i += 1
+            if key not in used:
+                used.add(key)
+                ptr[v] = i
+                stack.append((w, key))
+                advanced = True
+                break
+        if not advanced:
+            ptr[v] = i
+            stack.pop()
+            if incoming is not None:
+                out.append(incoming)
+    out.reverse()
+    return out

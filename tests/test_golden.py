@@ -11,7 +11,11 @@ best-effort decompose payload and the four round payloads were re-pinned when
 the report dropped ``split.balance_ok`` (always ``[True] * 4``, since
 ``split_edges`` raises on an unbalanced group) and ``round`` dropped its
 ``--seed`` option, which only the manifest recorded; a put-back test shows
-that restoring either key gives the bytes pinned before.
+that restoring either key gives the bytes pinned before. The same three
+payloads were re-pinned again when the all-1/2 rounding moved from a
+Hierholzer walk to spliced closed trails, which label the edges differently
+with the same per-vertex drift; with the old walk patched back in (the
+reference in ``oracles``), they hash to the goldens pinned before.
 Every path is relative, because the manifest embeds the ``--in``/``--out``
 arguments verbatim.
 """
@@ -25,10 +29,17 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from lidecomp import rounding
 from lidecomp.cli import _dumps, main
 from lidecomp.graphs import Graph, generate_regular, write_graph
+from oracles import ref_round_half_euler
 
 DEMO = {"k": 0.1, "s": 0.05, "r": 0.3, "u": 0.2, "s1": 0.024, "r1": 0.279, "u1": 0.09}
+
+
+def _reference_walk(n: int, eu: np.ndarray, ev: np.ndarray) -> np.ndarray:
+    """The Hierholzer walk that labelled the all-1/2 groups before the circuits were spliced."""
+    return np.asarray(ref_round_half_euler(n, list(zip(eu.tolist(), ev.tolist()))), dtype=np.uint8)
 
 
 def _digest(argv: list[str], expected_rc: int) -> str:
@@ -84,19 +95,19 @@ def _round_dyadic() -> list[str]:
 
 def test_golden_decompose_best_effort(workdir) -> None:
     assert _digest(_decompose_best_effort(), 1) == (
-        "a834cc208c14d415a3a1fa457301bd792b721519ad96ff1b6a6201ab869d7a06"
+        "98b83a2b3bfa2713326547dcb0f08b244c15c3264ae0717b9407c37b6487bfd5"
     )
 
 
 def test_golden_round_all_half(workdir) -> None:
     assert _digest(_round_all_half(), 0) == (
-        "aeaeeb070a12e650b4bd83cf5edcf0d1075cdf89221a242a4914e57429e1dab2"
+        "d33cb3a2be1905b16493f66e425c61af5c9f32a4b02c7d9b1c56598b475ef27c"
     )
 
 
 def test_golden_round_all_half_disconnected(workdir) -> None:
     assert _digest(_round_all_half_disconnected(), 0) == (
-        "561bdbef0fa30a948c3fadc1046f643afdf6cb193bde9c880b058b6882155dd9"
+        "0654f52c53ebf974d6811e89a7a04de5a194cd2dc67a42143575c36b8fa0d358"
     )
 
 
@@ -121,29 +132,50 @@ def _put_back_round_seed(payload: dict) -> None:
 
 
 @pytest.mark.parametrize(
-    ("setup", "rc", "put_back", "old"),
+    ("setup", "rc", "put_back", "old", "half_walk"),
     [
         (_decompose_best_effort, 1, _put_back_balance_ok,
-         "add957a1b4f07e14d05f1110306ca65318713edd2530381305b0615929627dc4"),
+         "add957a1b4f07e14d05f1110306ca65318713edd2530381305b0615929627dc4", _reference_walk),
         (_round_all_half, 0, _put_back_round_seed,
-         "75597e7e52e74506002ea81edb5a9acf30ff353b58935d21cbf94fe8d016c5d3"),
+         "75597e7e52e74506002ea81edb5a9acf30ff353b58935d21cbf94fe8d016c5d3", _reference_walk),
         (_round_all_half_disconnected, 0, _put_back_round_seed,
-         "c0f8a89e43079f61529166121fee681f103ba48b257043f977d982626ffe1d64"),
+         "c0f8a89e43079f61529166121fee681f103ba48b257043f977d982626ffe1d64", _reference_walk),
         (_round_non_dyadic, 0, _put_back_round_seed,
-         "320dc7066f472fcb0ed7a384a95a1a8a40ad2c24037b009d5f8c9571431c746d"),
+         "320dc7066f472fcb0ed7a384a95a1a8a40ad2c24037b009d5f8c9571431c746d", None),
         (_round_dyadic, 0, _put_back_round_seed,
-         "8d47e16ff36cf165bcb412850dd6e237d911c09231f8528487e1502f84b19e45"),
+         "8d47e16ff36cf165bcb412850dd6e237d911c09231f8528487e1502f84b19e45", None),
     ],
     ids=["decompose", "round-all-half", "round-all-half-disconnected",
          "round-non-dyadic", "round-dyadic"],
 )
-def test_golden_put_back_reproduces_old_hash(workdir, setup, rc, put_back, old) -> None:
+def test_golden_put_back_reproduces_old_hash(workdir, monkeypatch, setup, rc, put_back, old, half_walk) -> None:
     # The re-pinned payloads differ from the old ones only by the keys the
-    # change removed: with them put back, they hash to the old goldens.
+    # change removed: with them put back, they hash to the old goldens. The
+    # all-1/2 payloads were pinned before the walk changed, so they need the
+    # old walk too.
+    if half_walk is not None:
+        monkeypatch.setattr(rounding, "_round_half_euler", half_walk)
     assert main(setup()) == rc
     payload = json.loads(Path("out.json").read_text())
     put_back(payload)
     assert hashlib.sha256((_dumps(payload) + "\n").encode()).hexdigest() == old
+
+
+@pytest.mark.parametrize(
+    ("setup", "rc", "before"),
+    [
+        (_decompose_best_effort, 1, "a834cc208c14d415a3a1fa457301bd792b721519ad96ff1b6a6201ab869d7a06"),
+        (_round_all_half, 0, "aeaeeb070a12e650b4bd83cf5edcf0d1075cdf89221a242a4914e57429e1dab2"),
+        (_round_all_half_disconnected, 0, "561bdbef0fa30a948c3fadc1046f643afdf6cb193bde9c880b058b6882155dd9"),
+    ],
+    ids=["decompose", "round-all-half", "round-all-half-disconnected"],
+)
+def test_golden_half_payloads_differ_only_by_the_walk(workdir, monkeypatch, setup, rc, before) -> None:
+    # With the Hierholzer walk patched back in, the all-1/2 payloads hash to
+    # the goldens pinned before the circuits were spliced: the rounding
+    # labels are the only change.
+    monkeypatch.setattr(rounding, "_round_half_euler", _reference_walk)
+    assert _digest(setup(), rc) == before
 
 
 def test_golden_dcs(workdir) -> None:

@@ -17,10 +17,12 @@ from lidecomp.rounding import (
     BinaryEdgeLabels,
     FractionalEdgeWeights,
     _round_half_euler,
+    _segments,
     balanced_round,
     round_half_edges,
     verify_rounding,
 )
+from oracles import ref_round_half_euler
 
 
 def ref_window_ok(g: Graph, z: list[Fraction], x: list[int]) -> bool:
@@ -393,76 +395,30 @@ def test_general_engine_scale_m4000() -> None:
 
 
 # ---------------------------------------------------------------------------
-# The all-1/2 Euler walk against its former dict-and-set implementation
+# The all-1/2 circuit rounding against the Hierholzer walk it replaced
 # ---------------------------------------------------------------------------
 
 
-def ref_round_half_euler(n: int, edges: list[tuple[int, int]]) -> list[int]:
-    """The walk as it was written over dicts and sets, kept as the reference.
+def half_drift(n: int, eu: np.ndarray, ev: np.ndarray, bits) -> np.ndarray:
+    """``2 * ones - degree`` at every vertex: the window is ``-2 < drift <= 2``."""
+    one = np.asarray(bits, dtype=np.uint8) == 1
+    ones = np.bincount(eu[one], minlength=n) + np.bincount(ev[one], minlength=n)
+    return 2 * ones - np.bincount(eu, minlength=n) - np.bincount(ev, minlength=n)
 
-    ``edges`` are canonical pairs in canonical order; edge j carries key j and
-    the j-th odd vertex's auxiliary edge key ``len(edges) + j``.
+
+def assert_reference_drift(n: int, eu: np.ndarray, ev: np.ndarray, bits) -> None:
+    """The drift of the reference walk at even-degree vertices, a half at odd ones.
+
+    Any one closed trail per component that starts where the reference walk
+    starts gives this profile, whatever its labels: 0 at every even vertex
+    except +2 at the lowest vertex of a hub-free component with an odd
+    number of edges.
     """
-    m = len(edges)
-    x = [None] * m
-    aux = n
-    adj: dict[int, list[tuple[int, int]]] = {}
-    deg: dict[int, int] = {}
-    for i, (u, v) in enumerate(edges):
-        adj.setdefault(u, []).append((v, i))
-        adj.setdefault(v, []).append((u, i))
-        deg[u] = deg.get(u, 0) + 1
-        deg[v] = deg.get(v, 0) + 1
-    odd = sorted(v for v, dv in deg.items() if dv % 2)
-    for j, v in enumerate(odd):
-        key = m + j
-        adj.setdefault(aux, []).append((v, key))
-        adj[v].append((aux, key))
-    for lst in adj.values():
-        lst.sort()
-
-    seen: set[int] = set()
-    for start in ([aux] if aux in adj else []) + sorted(v for v in adj if v != aux):
-        if start in seen or not adj[start]:
-            continue
-        circuit = ref_euler_circuit(adj, start, seen)
-        bit = 1
-        for key in circuit:
-            if key < m:
-                x[key] = bit
-            bit = 1 - bit
-    return x
-
-
-def ref_euler_circuit(
-    adj: dict[int, list[tuple[int, int]]], start: int, seen: set[int]
-) -> list[int]:
-    ptr: dict[int, int] = {}
-    used: set[int] = set()
-    stack: list[tuple[int, int | None]] = [(start, None)]
-    out: list[int] = []
-    while stack:
-        v, incoming = stack[-1]
-        seen.add(v)
-        lst = adj.get(v, ())
-        i = ptr.get(v, 0)
-        advanced = False
-        while i < len(lst):
-            w, key = lst[i]
-            i += 1
-            if key not in used:
-                used.add(key)
-                ptr[v] = i
-                stack.append((w, key))
-                advanced = True
-                break
-        if not advanced:
-            ptr[v] = i
-            stack.pop()
-            if incoming is not None:
-                out.append(incoming)
-    out.reverse()
-    return out
+    expected = ref_round_half_euler(n, list(zip(eu.tolist(), ev.tolist())))
+    got, ref = half_drift(n, eu, ev, bits), half_drift(n, eu, ev, expected)
+    even = (np.bincount(eu, minlength=n) + np.bincount(ev, minlength=n)) % 2 == 0
+    assert got[even].tolist() == ref[even].tolist()
+    assert (np.abs(got[~even]) == 1).all()
 
 
 @st.composite
@@ -480,12 +436,12 @@ def half_graphs(draw) -> Graph:
 @settings(max_examples=400, deadline=None)
 @given(half_graphs())
 def test_csr_euler_walk_matches_reference(g: Graph) -> None:
-    expected = ref_round_half_euler(g.n, list(g.edges))
     eu, ev = g.endpoint_arrays()
-    assert list(_round_half_euler(g.n, eu, ev)) == expected
-    assert list(round_half_edges(g.n, eu, ev)) == expected
+    bits = _round_half_euler(g.n, eu, ev)
+    assert_reference_drift(g.n, eu, ev, bits)
+    assert round_half_edges(g.n, eu, ev).tolist() == bits.tolist()
     w = FractionalEdgeWeights.constant(g, Fraction(1, 2))
-    assert list(balanced_round(w).values) == expected
+    assert list(balanced_round(w).values) == bits.tolist()
 
 
 @settings(max_examples=100, deadline=None)
@@ -495,14 +451,121 @@ def test_csr_euler_walk_on_edge_subsets_matches_reference(g: Graph, data) -> Non
     keep = data.draw(st.lists(st.booleans(), min_size=g.m, max_size=g.m))
     members = np.flatnonzero(np.asarray(keep, dtype=bool))
     eu, ev = g.endpoint_arrays()
-    expected = ref_round_half_euler(g.n, [g.edges[i] for i in members])
-    assert list(round_half_edges(g.n, eu[members], ev[members])) == expected
+    assert_reference_drift(g.n, eu[members], ev[members], round_half_edges(g.n, eu[members], ev[members]))
 
 
 def test_csr_euler_walk_matches_reference_on_odd_regular_graph() -> None:
     g = generate_regular(300, 9, seed=4)
     eu, ev = g.endpoint_arrays()
-    assert list(_round_half_euler(g.n, eu, ev)) == ref_round_half_euler(g.n, list(g.edges))
+    assert_reference_drift(g.n, eu, ev, _round_half_euler(g.n, eu, ev))
+
+
+def disjoint_cycles(length: int, copies: int) -> Graph:
+    edges = []
+    for c in range(copies):
+        ring = [c * length + i for i in range(length)]
+        edges += [tuple(sorted(e)) for e in zip(ring, ring[1:] + ring[:1])]
+    return Graph(length * copies, sorted(edges))
+
+
+def half_bits(g: Graph) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    eu, ev = g.endpoint_arrays()
+    return eu, ev, _round_half_euler(g.n, eu, ev)
+
+
+def test_half_circuit_splices_two_odd_trails_at_one_vertex() -> None:
+    # The bowtie pairs into its two triangles, which meet only at vertex 0.
+    # Unspliced, both seams would land on 0 (drift +4); as one circuit of six
+    # edges it is balanced everywhere.
+    g = Graph(5, [(0, 1), (0, 2), (0, 3), (0, 4), (1, 2), (3, 4)])
+    eu, ev, bits = half_bits(g)
+    assert half_drift(g.n, eu, ev, bits).tolist() == [0] * 5
+    # Windmills: many triangles through vertex 0 splice along one row, so
+    # its transitions are re-paired again and again.
+    for blades in range(2, 12):
+        edges = sorted((min(e), max(e)) for i in range(blades)
+                       for e in ((0, 2 * i + 1), (0, 2 * i + 2), (2 * i + 1, 2 * i + 2)))
+        g = Graph(2 * blades + 1, edges)
+        eu, ev, bits = half_bits(g)
+        assert_reference_drift(g.n, eu, ev, bits)
+        assert half_drift(g.n, eu, ev, bits)[0] == (2 if blades % 2 else 0)
+
+
+@pytest.mark.parametrize("n", range(1, 16))
+def test_half_circuit_on_complete_graphs(n: int) -> None:
+    # Odd n: one hub-free component; K3, K7, K11 and K15 have an odd number
+    # of edges, so vertex 0 takes +2. Even n: every vertex is odd.
+    g = complete_graph(n)
+    eu, ev, bits = half_bits(g)
+    assert_reference_drift(g.n, eu, ev, bits)
+    drift = half_drift(g.n, eu, ev, bits)
+    if n % 2:
+        assert drift.tolist() == [2 * (g.m % 2)] + [0] * (n - 1)
+
+
+@pytest.mark.parametrize("copies", [1, 2, 5])
+@pytest.mark.parametrize("length", [3, 5, 7, 9, 11])
+def test_half_circuit_on_disjoint_odd_cycles(length: int, copies: int) -> None:
+    # Each cycle is its own odd circuit with the seam at its lowest vertex.
+    g = disjoint_cycles(length, copies)
+    eu, ev, bits = half_bits(g)
+    assert_reference_drift(g.n, eu, ev, bits)
+    expected = [0] * g.n
+    for c in range(copies):
+        expected[c * length] = 2
+    assert half_drift(g.n, eu, ev, bits).tolist() == expected
+
+
+def test_half_circuit_with_hub_and_hub_free_components() -> None:
+    # K4 and a star hang on the hub; a triangle (odd) and a 4-cycle (even)
+    # are hub-free, and vertex 12 is isolated.
+    edges = [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3),
+             (4, 5), (4, 6), (5, 6),
+             (7, 8), (7, 9), (7, 10),
+             (11, 13), (11, 14), (13, 15), (14, 15)]
+    g = Graph(16, edges)
+    eu, ev, bits = half_bits(g)
+    assert_reference_drift(g.n, eu, ev, bits)
+    drift = half_drift(g.n, eu, ev, bits).tolist()
+    assert [drift[v] for v in (4, 5, 6, 11, 12, 13, 14, 15)] == [2, 0, 0, 0, 0, 0, 0, 0]
+    assert all(abs(drift[v]) == 1 for v in range(11) if v not in (4, 5, 6))
+
+
+def test_half_circuit_on_the_empty_group() -> None:
+    empty = np.zeros(0, dtype=np.int64)
+    for n in (0, 5):
+        for walk in (_round_half_euler, round_half_edges):
+            bits = walk(n, empty, empty)
+            assert bits.dtype == np.uint8 and bits.shape == (0,)
+
+
+def test_half_circuit_is_deterministic_and_independent_of_head_spacing(monkeypatch) -> None:
+    # The heads only cut the ranking into pieces; the circuit and its labels
+    # come from the pairing and the splices. Spacing 1 makes every slot a
+    # head; a spacing past the layout leaves most trails without a sampled
+    # head and long gaps on the others.
+    g = generate_regular(300, 9, seed=4)
+    eu, ev = g.endpoint_arrays()
+    bits = _round_half_euler(g.n, eu, ev)
+    assert bits.dtype == np.uint8
+    assert _round_half_euler(g.n, eu, ev).tobytes() == bits.tobytes()
+    for spacing in (1, 3, 64, 10**6):
+        monkeypatch.setattr(rounding, "_HEAD_SPACING", spacing)
+        assert _round_half_euler(g.n, eu, ev).tobytes() == bits.tobytes()
+
+
+def test_segments_turns_slots_on_headless_cycles_into_heads() -> None:
+    # Cycles 0 -> 1 -> 2 -> 3 -> 0 with heads 0 and 2, and 4 -> 5 -> 6 -> 4
+    # with none: its slots become heads 2, 3 and 4, one step apart.
+    nxt = np.array([1, 2, 3, 0, 5, 6, 4], dtype=np.int32)
+    head = np.zeros(7, dtype=bool)
+    head[[0, 2]] = True
+    owner, off, succ, gap = _segments(nxt, head)
+    assert owner.tolist() == [0, 0, 1, 1, 2, 3, 4]
+    assert off.tolist() == [0, 1, 0, 1, 0, 0, 0]
+    assert succ.tolist() == [1, 0, 3, 4, 2]
+    assert gap.tolist() == [2, 2, 1, 1, 1]
+    assert head.tolist() == [True, False, True] + [False] * 4
 
 
 def test_all_half_labels_are_plain_ints() -> None:
