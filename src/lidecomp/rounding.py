@@ -224,8 +224,9 @@ def _segments(nxt: np.ndarray, head: np.ndarray) -> tuple[np.ndarray, ...]:
     cur, step = nxt[heads], 1
     while cur.size:
         stop = head[cur]
-        ahead[who[stop]] = cur[stop]
-        gap[who[stop]] = step
+        done = who[stop]
+        ahead[done] = cur[stop]
+        gap[done] = step
         go = ~stop
         who, cur = who[go], cur[go]
         owner[cur] = who
@@ -256,8 +257,7 @@ def _round_half_euler(n: int, eu: np.ndarray, ev: np.ndarray) -> np.ndarray:
     * **Rank.** Every ``_HEAD_SPACING``-th slot and both slots of the first
       edge of every row are heads; :func:`_segments` gives each slot its
       head and its distance from it, and one pass over the heads numbers the
-      cycles. Slots ``2i`` and ``2i + 1`` lie on the two directions of one
-      trail, so the lower of their cycle numbers names the trail.
+      cycles.
     * **Splice.** Where adjacent transitions of a row lie on different
       trails, re-pairing one slot of each merges the two trails into one. A
       union-find over the trails takes the first such meeting of each pair
@@ -288,8 +288,7 @@ def _round_half_euler(n: int, eu: np.ndarray, ev: np.ndarray) -> np.ndarray:
     # ends, then upper ends), so a stable sort on the source, with the hub
     # entries of the odd vertices moved after their real ones, lays out the
     # rows. The narrowest dtype lets numpy use a radix sort.
-    src = np.concatenate((ev, odd, eu, np.full(len(odd), n))).astype(np.min_scalar_type(2 * n))
-    rank = 2 * src
+    rank = 2 * np.concatenate((ev, odd, eu, np.full(len(odd), n))).astype(np.min_scalar_type(2 * n))
     rank[k:size] += 1
     order = np.argsort(rank, kind="stable").astype(np.int32)
     slots = np.arange(2 * size, dtype=np.int32)
@@ -298,7 +297,7 @@ def _round_half_euler(n: int, eu: np.ndarray, ev: np.ndarray) -> np.ndarray:
     twin = np.empty_like(order)
     twin[where[:size]] = where[size:]
     twin[where[size:]] = where[:size]
-    counts = np.bincount(src, minlength=n + 1)
+    counts = np.append(deg + deg % 2, len(odd))
     first = (np.cumsum(counts) - counts)[counts > 0]
     head = np.zeros(2 * size, dtype=bool)
     head[::_HEAD_SPACING] = True
@@ -317,7 +316,8 @@ def _round_half_euler(n: int, eu: np.ndarray, ev: np.ndarray) -> np.ndarray:
                 h = succ[h]
             count += 1
     on = np.asarray(cycle, dtype=np.int32)[owner]
-    # Slots 2i and 2i + 1 lie on the two directions of one trail.
+    # Slots 2i and 2i + 1 lie on the two directions of one trail, so the
+    # lower of their cycle numbers names it.
     trail = np.minimum(on[0::2], on[1::2])
 
     # Splice trails that meet at adjacent transitions of a row.
@@ -358,11 +358,11 @@ def _round_half_euler(n: int, eu: np.ndarray, ev: np.ndarray) -> np.ndarray:
         while pos[h] < 0:
             pos[h] = p
             p, h = p + gap[h], succ[h]
-    at = np.asarray(pos, dtype=np.int32)[owner]
-    bit = (at + off + 1) & 1
+    start = np.asarray(pos, dtype=np.int32)[owner]
+    bit = (start + off + 1) & 1
     # Of each edge's two slots, the one on a numbered circuit gives its bit.
     end, other = where[:k], where[size : size + k]
-    return np.where(at[end] >= 0, bit[end], bit[other]).astype(np.uint8)
+    return np.where(start[end] >= 0, bit[end], bit[other]).astype(np.uint8)
 
 
 def round_half_edges(n: int, eu: np.ndarray, ev: np.ndarray) -> np.ndarray:

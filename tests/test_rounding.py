@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lidecomp import rounding
-from lidecomp.errors import InputError
+from lidecomp.errors import BudgetError, InputError
 from lidecomp.graphs import Graph, generate_circulant, generate_regular
 from lidecomp.rounding import (
     BinaryEdgeLabels,
@@ -566,6 +566,15 @@ def test_segments_turns_slots_on_headless_cycles_into_heads() -> None:
     assert succ.tolist() == [1, 0, 3, 4, 2]
     assert gap.tolist() == [2, 2, 1, 1, 1]
     assert head.tolist() == [True, False, True] + [False] * 4
+
+
+def test_round_half_edges_checks_the_window(monkeypatch) -> None:
+    # All-zero labels leave every vertex of a 4-regular graph at drift -4.
+    g = generate_regular(10, 4, seed=1)
+    eu, ev = g.endpoint_arrays()
+    monkeypatch.setattr(rounding, "_round_half_euler", lambda n, u, v: np.zeros(len(u), dtype=np.uint8))
+    with pytest.raises(BudgetError, match=re.escape(f"at vertices {tuple(range(10))}")):
+        round_half_edges(g.n, eu, ev)
 
 
 def test_all_half_labels_are_plain_ints() -> None:
