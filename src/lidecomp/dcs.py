@@ -7,9 +7,15 @@ minimum degree 12 and 6*lambda_v <= d(v), so the artifact pairs a randomized
 greedy-repair search with an ironclad verifier: correctness rests on the
 certificate, never on the search.
 
-Window comparisons are exact integer cross-multiplications; the search
-potential weights window violations above residue distance so repair never
-trades feasibility of one for the other.
+Window comparisons are exact integer cross-multiplications. A vertex's
+search potential at subgraph degree x is the distance from x to its nearest
+certifiable degree: an integer in [ceil(d(v)/3), floor(2d(v)/3)] with an
+allowed residue. When 6*lambda_v <= d(v) the window holds at least 2*lambda_v
+integers, so every residue occurs in it; a violating vertex then always has a
++-1 step that lowers its own potential by 1, and since a distance changes by
+at most 1 per step, every flip gain lies in [-2, 2]. A vertex with no
+certifiable degree (possible only on relaxed instances) has no certificate,
+and ``solve`` says so before searching.
 
 A vertex's potential depends only on its subgraph degree, so vertices with
 the same host degree, modulus and allowed residues share a table of it over
@@ -129,32 +135,34 @@ def verify(inst: DcsInstance, edges: Collection[int] | np.ndarray) -> DcsCertifi
     )
 
 
-def _penalty_tables(
-    keys: list[tuple[int, int, tuple[int, int]]], big: int
-) -> tuple[np.ndarray, np.ndarray, int]:
+def _penalty_tables(keys: list[tuple[int, int, tuple[int, int]]]) -> tuple[np.ndarray, np.ndarray]:
     """Search potential at degrees 0..d(v), one table per ``(d(v), lambda, allowed residues)``.
 
-    The tables lie end to end in one flat array, table i from ``starts[i]``,
-    so they take O(n + m) cells whatever the degree spread. Also returns the
-    span: the largest change of a potential between two consecutive degrees.
+    The potential at x is the distance from x to the nearest certifiable
+    degree of the table. For 0 <= x <= d, x % lambda == r exactly when
+    x % min(lambda, d + 2) == min(r, d + 1), so clamping lambda and the
+    residues that way keeps every value in int64. The tables lie end to end
+    in one flat array, table i from ``starts[i]``, so they take O(n + m)
+    cells whatever the degree spread. Two ``accumulate`` scans over the flat
+    array find each cell's distance to the nearest certifiable cell below and
+    above it; one farther than the table's own end does not count. A table
+    with no certifiable degree holds ``len(flat)`` in every cell.
     """
-    deg_host, lam, r0, r1 = (
-        np.array(col, dtype=np.int64) for col in zip(*((d, q, *res) for d, q, res in keys))
-    )
+    clamped = ((d, min(q, d + 2), min(a, d + 1), min(b, d + 1)) for d, q, (a, b) in keys)
+    deg_host, lam, r0, r1 = (np.array(col, dtype=np.int64) for col in zip(*clamped))
     lengths = deg_host + 1
     starts = np.cumsum(lengths) - lengths
-    x = np.arange(int(lengths.sum())) - np.repeat(starts, lengths)
+    cell = np.arange(int(lengths.sum()))
+    x = cell - np.repeat(starts, lengths)
     deg_host, lam, r0, r1 = (np.repeat(col, lengths) for col in (deg_host, lam, r0, r1))
-    lower, upper = -(-deg_host // 3), (2 * deg_host) // 3
-    window = np.maximum(0, np.maximum(lower - x, x - upper))
-    residue = np.minimum(
-        np.minimum((x - r0) % lam, (r0 - x) % lam),
-        np.minimum((x - r1) % lam, (r1 - x) % lam),
-    )
-    flat = big * window + residue
-    steps = np.abs(np.diff(flat))
-    steps[x[1:] == 0] = 0  # from the last cell of one table to the first of the next
-    return flat, starts, int(steps.max(initial=0))
+    res = x % lam
+    # ceil(d/3) <= x <= floor(2d/3), compared as 3x against d and 2d.
+    ok = (deg_host <= 3 * x) & (3 * x <= 2 * deg_host) & ((res == r0) | (res == r1))
+    far = len(cell)  # more than any distance inside a table
+    down = cell - np.maximum.accumulate(np.where(ok, cell, -1))
+    up = np.minimum.accumulate(np.where(ok, cell, far)[::-1])[::-1] - cell
+    flat = np.minimum(np.where(down <= x, down, far), np.where(up <= deg_host - x, up, far))
+    return flat, starts
 
 
 def solve(
@@ -167,12 +175,15 @@ def solve(
     """Randomized greedy-repair search for a certified subgraph.
 
     Each restart draws edges independently with probability 1/2, then toggles
-    single edges to reduce a potential that weights window distance above the
-    cyclic residue distance; a restart allows at most 4n + m/2 zero-gain
+    single edges to reduce the summed distance of each vertex's degree to its
+    nearest certifiable degree; a restart allows at most 4n + m/2 zero-gain
     moves. A step takes the lowest-index edge of the most negative gain, or
     draws uniformly among the zero-gain edges in index order. The first
     restart reaching zero potential returns its certificate (checked to
-    verify). Exhausting all restarts raises ``BudgetError``.
+    verify). When 6*lambda_v <= d(v), every residue occurs in v's window, so a
+    violating vertex always has a step that lowers its own distance.
+    Exhausting all restarts raises ``BudgetError``, and so does a vertex with
+    no certifiable degree, before the first restart.
     """
     inst.validate(strict=strict)
     g = inst.graph
@@ -181,18 +192,19 @@ def solve(
     if max_steps is None:
         max_steps = 60 * g.n + 4 * g.m
 
-    big = max(inst.moduli) + 1
-    if big * (max(g.degrees, default=0) + 1) > 2**60:
-        # Potentials stay below big * (max degree + 1), and the bucket keys
-        # below four times that, so below this bound int64 never wraps.
-        raise InputError(f"modulus {big - 1} is too large for the search potential")
     index: dict[tuple[int, int, tuple[int, int]], int] = {}
     profiles = zip(g.degrees, inst.moduli, map(inst.allowed_residues, range(g.n)))
     which = [index.setdefault(key, len(index)) for key in profiles]
-    flat, starts, span = _penalty_tables(list(index), big)
-    # A flip moves each endpoint's potential by at most `span`, so every gain
-    # lies in [-2*span, 2*span]; bucket `offset + gain` holds the candidates.
-    offset = 2 * span
+    flat, starts = _penalty_tables(list(index))
+    stuck = np.flatnonzero(np.minimum.reduceat(flat, starts)[which])
+    if stuck.size:
+        v = int(stuck[0])
+        d, lam, (r0, r1) = g.degree(v), inst.moduli[v], inst.allowed_residues(v)
+        lo, hi = -(-d // 3), 2 * d // 3
+        raise BudgetError(f"vertex {v}: no degree from {lo} to {hi} is {r0} or {r1} mod {lam}")
+    # A flip moves each endpoint's distance by at most 1, so every gain lies
+    # in [-2, 2]; bucket `offset + gain` holds the candidates.
+    offset = 2
     base = starts[which]  # vertex v's potential at subgraph degree x is flat[base[v] + x]
     cells = flat.tolist()
     rows = [cells[a : a + d + 1] for a, (d, _, _) in zip(starts.tolist(), index)]
@@ -229,11 +241,9 @@ def solve(
         for _ in range(max_steps):
             if not violating:
                 break
-            low = next((k for k, c in enumerate(size) if c), None)
-            if low is None:
-                break
+            low = next((k for k, c in enumerate(size) if c), offset + 1)
             if low > offset:
-                break  # local minimum with no sideways escape
+                break  # no candidate, or a local minimum with no sideways escape
             heap = heaps[low]
             if low == offset:
                 if plateau_left <= 0:

@@ -291,9 +291,11 @@ def test_dcs_cli_huge_lambda_is_input_error(tmp_path, capsys) -> None:
         code, out, err = run(args, capsys)
         assert (code, out) == (2, "")
         assert err == f"error: vertex 0: 6*lambda={6 * lam} exceeds degree 12\n"
+        # Relaxed, the modulus is taken as given; targets 0 leave K13's
+        # window [4, 8] without a certifiable degree.
         code, out, err = run([*args, "--relaxed"], capsys)
-        assert (code, out) == (2, "")
-        assert err == f"error: modulus {lam} is too large for the search potential\n"
+        assert (code, out) == (3, "")
+        assert err == f"budget exhausted: vertex 0: no degree from 4 to 8 is 0 or 1 mod {lam}\n"
 
 
 def test_dcs_cli_instance_object(tmp_path, capsys) -> None:
@@ -410,21 +412,17 @@ def test_exact_budget_refusal_exit_code(tmp_path, capsys) -> None:
 
 
 def test_dcs_solver_failure_exit_code(tmp_path, capsys) -> None:
-    # Degree-12 host with an impossible residue load under a single restart
-    # either solves or exits 3; with restarts=1 and adversarial targets the
-    # budget path is reachable, and both outcomes are legal here. What must
-    # hold: exit 0 implies a passing certificate in the payload.
+    # K13's window [4, 8] covers only the residues {4, 5, 6, 0, 1} mod 7, so
+    # targets 2 (residues 2 and 3) leave no certifiable degree.
     gpath = tmp_path / "g.txt"
     write_graph(Graph(13, [(i, j) for i in range(13) for j in range(i + 1, 13)]), gpath)
     tfile = tmp_path / "t.json"
-    tfile.write_text(json.dumps([1] * 13))
-    code, out, _ = run(
-        ["dcs", "--in", str(gpath), "--lambda", "2", "--t-file", str(tfile), "--restarts", "1"],
-        capsys,
+    tfile.write_text(json.dumps([2] * 13))
+    code, out, err = run(
+        ["dcs", "--in", str(gpath), "--lambda", "7", "--relaxed", "--t-file", str(tfile)], capsys
     )
-    assert code in (0, 3)
-    if code == 0:
-        assert json.loads(out)["passed"] is True
+    assert (code, out) == (3, "")
+    assert err == "budget exhausted: vertex 0: no degree from 4 to 8 is 2 or 3 mod 7\n"
 
 
 # ---------------------------------------------------------------------------

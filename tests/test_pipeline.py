@@ -239,13 +239,15 @@ def _half_json(half) -> dict:
     "m, k, seed, digest",
     [
         (26, 0.03, 5, "3cc1d07c3b7ecabaf7fc92f3cb86f6d11485b7a64c3b2954b3c3342d52d5fbe3"),
-        (52, 0.038, 7, "8b1a5c67499c7adf2a675b11c4a5acd7d092e81d25964109c18534f71f39c04e"),
+        (52, 0.038, 7, "6a7f3f98e79f04bde8e399195d40fdd3ad849d51362c74526ad7306b49ff4c96"),
     ],
 )
 def test_decompose_half_core_path_pinned(m, k, seed, digest) -> None:
     # Both halves of the K_{m,m} fixtures, where DCS solves a nonempty core.
-    # The hashes were recorded while stage two still ran on frozensets; the
-    # golden decompose runs with an empty core, so only these pin this path.
+    # The hashes were recorded while stage two still ran on frozensets, and
+    # K52,52's again when the DCS potential became the distance to the nearest
+    # certifiable degree; the golden decompose runs with an empty core, so
+    # only these pin this path.
     g = complete_bipartite(m)
     prof = ConstantProfile(k=k, s=0.003, r=0.26, u=0.13, s1=0.0015, r1=0.242, u1=0.059)
     c = far_apart_coloring(g, [(1, 1)] * m + [(20, 20)] * m, palette=40)
