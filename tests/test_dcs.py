@@ -189,7 +189,7 @@ def _strict_edge_instance(n: int, lam: int, seed: int) -> DcsInstance:
 
 def test_one_restart_certifies_at_the_strict_edge() -> None:
     # 6*lambda = d, every n <= 60 and 4 seeds: 768 instances, each certified
-    # by its first restart. The two-level potential left 168 of them stalled.
+    # by its first restart.
     for lam in (2, 3, 4, 5, 6, 8):
         for n in range(6 * lam + 1, 61):
             for seed in range(4):
@@ -200,7 +200,7 @@ def test_one_restart_certifies_at_the_strict_edge() -> None:
 
 @pytest.mark.parametrize("lam, d", [(8, 48), (8, 64), (10, 60)])
 def test_strict_instances_at_n300_certify(lam: int, d: int) -> None:
-    # The two-level potential certified 0/5, 1/5 and 0/5 of these.
+    # Inside the guarantee (6*lambda <= d), so no restart should stall.
     for seed in range(5):
         g = generate_regular(300, d, seed=seed)
         targets = np.random.default_rng(seed).integers(0, lam, size=g.n)
