@@ -14,6 +14,7 @@ from fractions import Fraction
 from itertools import combinations
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -33,7 +34,8 @@ from lidecomp.coloring import (
     resample_until_good,
 )
 from lidecomp.constants import ConstantProfile, DerivedQuantities, REFERENCE_PROFILE
-from lidecomp.graphs import Graph
+from lidecomp import coloring
+from lidecomp.graphs import Graph, generate_regular
 from lidecomp.rounding import (
     BinaryEdgeLabels,
     FractionalEdgeWeights,
@@ -239,6 +241,44 @@ def test_resample_matches_round_by_round_reference(g, profile, d, seed, max_roun
     assert result.audit == audit(g, result.sets, profile, d)
     assert result.success == result.audit.passed
     assert result.success or result.rounds == max_rounds
+
+
+@pytest.mark.parametrize(
+    ("shape", "profile", "d", "max_rounds", "centres"),
+    [
+        # Every vertex fails the audit: each round redraws vertex 0's ball.
+        ((60, 12), PROFILES[0], 12, 40, "repeat"),
+        # A looser d: the centre moves and comes back (11, 5, 0, 5), then the audit passes.
+        ((40, 6), PROFILES[1], 48, 40, "change"),
+        # Forty rounds over many centres, some repeating back to back.
+        ((60, 12), PROFILES[1], 96, 40, "change"),
+    ],
+    ids=["centre-repeats", "centre-changes-then-passes", "centre-changes"],
+)
+def test_long_resample_matches_round_by_round_reference(
+    monkeypatch, shape, profile, d, max_rounds, centres
+) -> None:
+    seen: list[int] = []
+    first_violator = coloring._first_violator
+
+    def record(*args):
+        seen.append(first_violator(*args))
+        return seen[-1]
+
+    monkeypatch.setattr(coloring, "_first_violator", record)
+    g = generate_regular(*shape, seed=1)
+    result = resample_until_good(g, profile, d, seed=0, max_rounds=max_rounds)
+    ref = reference_resample(g, profile, d, 0, max_rounds)
+    assert (result.coloring, result.audit, result.success, result.rounds) == (
+        ref.coloring, ref.audit, ref.success, ref.rounds
+    )
+    assert as_sets(result.sets) == as_sets(ref.sets)
+    rounds = [c for c in seen if c >= 0]
+    assert len(rounds) == result.rounds
+    if centres == "repeat":
+        assert rounds == [0] * max_rounds
+    else:
+        assert len(set(rounds)) > 1
 
 
 def reference_verify(weights: FractionalEdgeWeights, labels: BinaryEdgeLabels) -> RoundingReport:

@@ -60,6 +60,15 @@ def _decompose_best_effort() -> list[str]:
             "--mode", "best-effort", "--seed", "0", "--out", "out.json"]
 
 
+def _decompose_recolor() -> list[str]:
+    # The recolor benchmark's shape: (1000, 64) with the CLI's default 200
+    # resample rounds, every one of them centred on vertex 0.
+    write_graph(generate_regular(1000, 64, seed=1), "g.txt")
+    Path("profile.json").write_text(json.dumps(DEMO, sort_keys=True) + "\n")
+    return ["decompose", "--in", "g.txt", "--profile", "profile.json",
+            "--mode", "best-effort", "--seed", "0", "--out", "out.json"]
+
+
 def _round_all_half() -> list[str]:
     write_graph(generate_regular(40, 7, seed=2), "g.txt")
     return ["round", "--in", "g.txt", "--z", "1/2", "--out", "out.json"]
@@ -96,6 +105,12 @@ def _round_dyadic() -> list[str]:
 def test_golden_decompose_best_effort(workdir) -> None:
     assert _digest(_decompose_best_effort(), 1) == (
         "98b83a2b3bfa2713326547dcb0f08b244c15c3264ae0717b9407c37b6487bfd5"
+    )
+
+
+def test_golden_decompose_recolor(workdir) -> None:
+    assert _digest(_decompose_recolor(), 1) == (
+        "2d93d23b8b15e5143d817dcf6ad4348b7b23785531e358086bc14d4d699cb1f6"
     )
 
 
