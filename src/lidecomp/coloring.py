@@ -9,7 +9,11 @@ residual. A per-vertex audit checks the three incidence counts against their
 thresholds. The resampling loop redraws the two-hop neighbourhood of the
 lowest failing vertex until no vertex fails or the budget runs out. A round
 only looks for that first violator, scanning ascending vertex blocks on the
-CSR adjacency; the full sets and the audit are evaluated once, after the loop.
+CSR adjacency and reading a vertex's uncoloured flag from its row when a block
+first needs it. A round thus costs the rows of the first violating block's
+closed neighbourhood (and of the blocks before it), plus at most one pass
+over the 2m slots for the flags; a repeated centre reuses its two-hop ball.
+The full sets and the audit are evaluated once, after the loop.
 
 Set membership must be bit-stable, so the risky closeness threshold and all
 audit thresholds are evaluated in exact rational arithmetic.
@@ -212,6 +216,16 @@ def _violating(counts: np.ndarray, caps: np.ndarray) -> np.ndarray:
     return np.flatnonzero((counts > caps[:, None]).any(axis=0))
 
 
+def _row_slots(indptr: np.ndarray, vertices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The CSR slots of ``vertices``' rows, row after row, and each row's length."""
+    starts = indptr[vertices]
+    lens = indptr[vertices + 1] - starts
+    # Concatenated ranges starts[i]:starts[i]+lens[i]: each position plus its range's shift.
+    slots = np.repeat(starts - (np.cumsum(lens) - lens), lens)
+    slots += np.arange(slots.size)
+    return slots, lens
+
+
 def _first_violator(
     g: Graph,
     first: np.ndarray,
@@ -222,30 +236,52 @@ def _first_violator(
 ) -> int:
     """The lowest vertex :func:`_violating` reports for these colours, or -1 if none.
 
-    The uncoloured flags take one pass over the edges. The counts are taken
-    only on the CSR half-edges of ascending vertex blocks that start at one
-    vertex and double, so the scan stops at the first block holding a
-    violator; when nothing violates it covers each half-edge once.
+    The counts are taken on the CSR half-edges of ascending vertex blocks
+    that start at one vertex and double, so the scan stops at the first block
+    holding a violator. A vertex's uncoloured flag is read from its own row
+    the first time a block needs it: a block's own rows give its vertices'
+    flags, and each neighbour outside the scanned blocks costs its row once
+    per call. A call thus reads the rows of the closed neighbourhood of the
+    blocks up to the first violating one (only N[0]'s when vertex 0
+    violates), and the flags add at most one pass over the 2m slots to a
+    scan that finds nothing.
     """
-    eu, ev = g.endpoint_arrays()
-    code = first * (palette + 1) + second  # equal codes <=> equal pairs
-    pair_eq = code[eu] == code[ev]
-    uflag = np.zeros(g.n, dtype=bool)
-    uflag[eu[pair_eq]] = True
-    uflag[ev[pair_eq]] = True
     indptr, indices = g.indptr, g.indices
+    code = first.astype(np.int64) * (palette + 1) + second  # equal codes <=> equal pairs
+    # Colours, their differences and cyclic gaps lie in [-palette, palette];
+    # the narrowest type that holds them keeps the per-slot arrays small.
+    small = np.min_scalar_type(-palette - 1)
+    first, second = first.astype(small), second.astype(small)
+    uflag = np.zeros(g.n, dtype=bool)
+    known = np.zeros(g.n, dtype=bool)
     a, size = 0, 1
     while a < g.n:
         b = min(a + size, g.n)
-        row = np.repeat(np.arange(b - a), np.diff(indptr[a : b + 1]))  # block-local source
-        src, dst = row + a, indices[indptr[a] : indptr[b]]
-        touch = uflag[src] | uflag[dst]
-        fs, ft, ss, st = first[src], first[dst], second[src], second[dst]
-        special = ~touch & ((fs == ft) | (ss == st))
-        risky = ~touch & (_close(fs, ft, palette, bound) | _close(ss, st, palette, bound))
-        counts = np.stack(
-            [np.bincount(row[mask], minlength=b - a) for mask in (special, risky, uflag[dst])]
-        )
+        offsets = indptr[a : b + 1] - indptr[a]
+        deg = np.diff(offsets)
+        dst = indices[indptr[a] : indptr[b]]
+        fs, ft = np.repeat(first[a:b], deg), first[dst]
+        ss, st = np.repeat(second[a:b], deg), second[dst]
+        first_eq, second_eq = fs == ft, ss == st
+        hits = np.flatnonzero(first_eq & second_eq)
+        uflag[a + np.searchsorted(offsets[1:], hits, side="right")] = True
+        known[a:b] = True
+        fresh = np.zeros(g.n, dtype=bool)
+        fresh[dst] = True
+        new = np.flatnonzero(fresh & ~known)
+        known[new] = True
+        slots, lens = _row_slots(indptr, new)
+        np.take(code, np.take(indices, slots, out=slots), out=slots)  # neighbour codes
+        hits = np.flatnonzero(slots == np.repeat(code[new], lens))
+        uflag[new[np.searchsorted(np.cumsum(lens), hits, side="right")]] = True
+        touch = np.repeat(uflag[a:b], deg) | uflag[dst]
+        # Per-row sums; the spare last column keeps every row start in range.
+        masks = np.zeros((3, dst.size + 1), dtype=bool)
+        masks[0, :-1] = ~touch & (first_eq | second_eq)  # special
+        masks[1, :-1] = ~touch & (_close(fs, ft, palette, bound) | _close(ss, st, palette, bound))
+        masks[2, :-1] = uflag[dst]
+        counts = np.add.reduceat(masks, offsets[:-1], axis=1, dtype=np.int64)
+        counts[:, deg == 0] = 0  # reduceat reads one slot for an empty row
         bad = _violating(counts, caps)
         if bad.size:
             return a + int(bad[0])
@@ -257,14 +293,10 @@ def _two_hop_ball(g: Graph, centre: int) -> np.ndarray:
     """The vertices within distance 2 of ``centre``, ascending."""
     indptr, indices = g.indptr, g.indices
     nb = indices[indptr[centre] : indptr[centre + 1]]
-    starts = indptr[nb]
-    lens = indptr[nb + 1] - starts
-    # Concatenated ranges starts[i]:starts[i]+lens[i]: each position plus its range's shift.
-    hops = np.arange(lens.sum()) + np.repeat(starts - (np.cumsum(lens) - lens), lens)
     mark = np.zeros(g.n, dtype=bool)
     mark[centre] = True
     mark[nb] = True
-    mark[indices[hops]] = True
+    mark[indices[_row_slots(indptr, nb)[0]]] = True
     return np.flatnonzero(mark)
 
 
@@ -336,11 +368,13 @@ def resample_until_good(
     caps = _audit_caps(profile, d)
 
     rounds = 0
+    ball_centre, redraw = -1, None  # the last centre's ball, reused while it repeats
     while rounds < max_rounds:
         centre = _first_violator(g, first, second, palette, bound, caps)
         if centre < 0:
             break
-        redraw = _two_hop_ball(g, centre)
+        if centre != ball_centre:
+            ball_centre, redraw = centre, _two_hop_ball(g, centre)
         first[redraw] = rng.integers(1, palette + 1, size=redraw.size)
         second[redraw] = rng.integers(1, palette + 1, size=redraw.size)
         rounds += 1

@@ -195,6 +195,22 @@ def test_first_violator_matches_full_audit(case, profile, d) -> None:
     assert _first_violator(g, first, second, c.palette, bound, caps) == expected
 
 
+@pytest.mark.parametrize("palette", [127, 128, 2**15 - 1, 2**15, 2**31 - 1, 2**31])
+def test_first_violator_matches_full_audit_at_wide_palettes(palette) -> None:
+    # The scan narrows colours to the smallest type holding +-palette. Values
+    # at both ends of the palette make the cyclic gaps wrap, and the caps
+    # leave the risky count alone to decide (nothing is risky at bound 0).
+    rng = np.random.default_rng(palette)
+    g = Graph(40, [(u, v) for u, v in combinations(range(40), 2) if rng.random() < 0.3])
+    ends = np.array([1, 2, 3, palette - 2, palette - 1, palette], dtype=np.int64)
+    for bound in (0, 1, 2):
+        caps = np.array([g.n, 3 * bound, g.n], dtype=np.int64)
+        first, second = rng.choice(ends, g.n), rng.choice(ends, g.n)
+        bad = _violating(_audit_counts(g, _set_masks(g, first, second, palette, bound)), caps)
+        expected = int(bad[0]) if bad.size else -1
+        assert _first_violator(g, first, second, palette, bound, caps) == expected
+
+
 def reference_resample(
     g: Graph, profile: ConstantProfile, d: int, seed: int, max_rounds: int
 ) -> ResampleResult:
