@@ -194,6 +194,14 @@ def cmd_exact(args: argparse.Namespace) -> tuple[dict, bool]:
     return payload, ok
 
 
+def _weight(text: str) -> Fraction:
+    """``Fraction(text)``; a plain ``a/b`` of ASCII digits skips the string parser's regex."""
+    num, slash, den = text.partition("/")
+    if slash and (num + den).isascii() and num.isdigit() and den.isdigit():
+        return Fraction(int(num), int(den))
+    return Fraction(text)
+
+
 def cmd_round(args: argparse.Namespace) -> tuple[dict, bool]:
     g = read_graph(args.input)
     if (args.z is None) == (args.z_file is None):
@@ -215,7 +223,7 @@ def cmd_round(args: argparse.Namespace) -> tuple[dict, bool]:
                 if not line or line.startswith("#"):
                     continue
                 try:
-                    values.append(Fraction(line))
+                    values.append(_weight(line))
                 except (ValueError, ZeroDivisionError):
                     raise InputError(f"{args.z_file}: line {ln}: bad weight {line!r}") from None
         weights = FractionalEdgeWeights.from_values(g, values)

@@ -148,8 +148,8 @@ def _penalty_tables(keys: list[tuple[int, int, tuple[int, int]]]) -> tuple[np.nd
     above it; one farther than the table's own end does not count. A table
     with no certifiable degree holds ``len(flat)`` in every cell.
     """
-    clamped = ((d, min(q, d + 2), min(a, d + 1), min(b, d + 1)) for d, q, (a, b) in keys)
-    deg_host, lam, r0, r1 = (np.array(col, dtype=np.int64) for col in zip(*clamped))
+    clamped = [(d, min(q, d + 2), min(a, d + 1), min(b, d + 1)) for d, q, (a, b) in keys]
+    deg_host, lam, r0, r1 = np.array(clamped, dtype=np.int64).reshape(-1, 4).T  # no keys: n = 0
     lengths = deg_host + 1
     starts = np.cumsum(lengths) - lengths
     cell = np.arange(int(lengths.sum()))

@@ -89,6 +89,37 @@ def test_round_z_file_and_input_validation(tmp_path, capsys) -> None:
     assert code == 2
 
 
+WEIGHT_TEXTS = ["1/0", "½", "²/4", "+1/2", "1/-2", " 3/64 ", "0.5", "1e-1", "3/64", "04/8"]
+
+
+@pytest.mark.parametrize("text", WEIGHT_TEXTS)
+def test_weight_parser_matches_fraction(text) -> None:
+    try:
+        expected = Fraction(text)
+    except (ValueError, ZeroDivisionError) as exc:
+        with pytest.raises(type(exc)):
+            cli._weight(text)
+    else:
+        got = cli._weight(text)
+        assert (type(got), got) == (Fraction, expected)
+
+
+def test_round_z_file_bad_weight_messages(tmp_path, capsys) -> None:
+    gpath = tmp_path / "g.txt"
+    write_graph(Graph(3, [(0, 1), (1, 2)]), gpath)
+    zfile = tmp_path / "z.txt"
+    for text in WEIGHT_TEXTS:
+        zfile.write_text(f"1/2\n{text}\n")
+        code, out, err = run(["round", "--in", str(gpath), "--z-file", str(zfile)], capsys)
+        try:
+            Fraction(text)
+        except (ValueError, ZeroDivisionError):
+            assert (code, out) == (2, "")
+            assert err == f"error: {zfile}: line 2: bad weight {text.strip()!r}\n"
+        else:
+            assert code in (0, 1) and err == ""
+
+
 def test_exact_cli_k2_not_decomposable(tmp_path, capsys) -> None:
     gpath = tmp_path / "k2.txt"
     write_graph(Graph(2, [(0, 1)]), gpath)
@@ -279,6 +310,20 @@ def test_dcs_cli(tmp_path, capsys) -> None:
     data = json.loads(out)
     assert data["passed"] is True
     assert all(4 <= x <= 8 for x in data["degrees"])
+
+
+def test_dcs_cli_empty_graph_certifies(tmp_path, capsys) -> None:
+    # No vertex, no edge: the empty subgraph meets every (absent) constraint.
+    gpath = tmp_path / "g.txt"
+    gpath.write_text("0 0\n")
+    tfile = tmp_path / "t.json"
+    tfile.write_text("[]")
+    code, out, err = run(["dcs", "--in", str(gpath), "--lambda", "2", "--t-file", str(tfile)], capsys)
+    assert (code, err) == (0, "")
+    data = json.loads(out)
+    assert [data[k] for k in ("edges", "degrees", "window_ok", "residue_ok", "passed")] == [
+        [], [], [], [], True
+    ]
 
 
 def test_dcs_cli_huge_lambda_is_input_error(tmp_path, capsys) -> None:
