@@ -247,7 +247,7 @@ def _first_violator(
     scan that finds nothing.
     """
     indptr, indices = g.indptr, g.indices
-    code = first.astype(np.int64) * (palette + 1) + second  # equal codes <=> equal pairs
+    code = first * (palette + 1) + second  # equal codes <=> equal pairs
     # Colours, their differences and cyclic gaps lie in [-palette, palette];
     # the narrowest type that holds them keeps the per-slot arrays small.
     small = np.min_scalar_type(-palette - 1)
@@ -271,8 +271,7 @@ def _first_violator(
         new = np.flatnonzero(fresh & ~known)
         known[new] = True
         slots, lens = _row_slots(indptr, new)
-        np.take(code, np.take(indices, slots, out=slots), out=slots)  # neighbour codes
-        hits = np.flatnonzero(slots == np.repeat(code[new], lens))
+        hits = np.flatnonzero(code[indices[slots]] == np.repeat(code[new], lens))
         uflag[new[np.searchsorted(np.cumsum(lens), hits, side="right")]] = True
         touch = np.repeat(uflag[a:b], deg) | uflag[dst]
         # Per-row sums; the spare last column keeps every row start in range.
