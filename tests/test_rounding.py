@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import itertools
 import re
 import time
@@ -238,6 +239,65 @@ def test_odd_cycle_with_tail() -> None:
         out = balanced_round(w)
         assert verify_rounding(w, out).passed
         assert ref_window_ok(g, list(w.values), list(out.values))
+
+
+def finisher_corpus():
+    """300 odd cycles (length 3-9) with 0, 1 or 2 pendant paths, vertices shuffled.
+
+    Each weight is k/q in lowest terms or not, with q drawn per edge from
+    {2, 3, 4, 5, 7, 8, 64}, so the finisher meets many common denominators
+    and many start sums on the boundary (t + 1) * den. Two pendant paths are
+    shifted leaf to leaf before the finisher runs.
+    """
+    rng = np.random.default_rng(20)
+    for i in range(300):
+        length = (3, 5, 7, 9)[i % 4]
+        pairs = [(v, (v + 1) % length) for v in range(length)]
+        n = length
+        for _ in range((i // 4) % 3):
+            prev = int(rng.integers(length))
+            for _ in range(int(rng.integers(1, 4))):
+                pairs.append((prev, n))
+                prev, n = n, n + 1
+        perm = rng.permutation(n)
+        g = Graph(n, [(int(perm[u]), int(perm[v])) for u, v in pairs])
+        dens = rng.choice([2, 3, 4, 5, 7, 8, 64], size=g.m)
+        z = [Fraction(int(rng.integers(1, q)), int(q)) for q in dens]
+        yield FractionalEdgeWeights.from_values(g, z)
+
+
+def test_odd_cycle_finisher_labels_pinned() -> None:
+    # Recorded on the pattern-search finisher, which tried every start and
+    # bit; the one-comparison finisher must give the same labels.
+    digest = hashlib.sha256()
+    for w in finisher_corpus():
+        digest.update(bytes(balanced_round(w).values) + b"|")
+    assert digest.hexdigest() == "b3d939861ed2377bcbf633625981e2aae45acaa61d9038939e461e503ad92763"
+
+
+@pytest.mark.parametrize(
+    ("tail", "triangle", "tail_bit", "doubled"),
+    [
+        (None, "1/3", None, 0),  # no tail: s = 2/3 < 1
+        (None, "2/3", None, 1),  # no tail: s = 4/3 >= 1
+        ("1/4", "1/3", 0, 0),  # t = 0: s = 11/12 < 1
+        ("1/3", "1/3", 0, 1),  # t = 0: s = 1, on the boundary
+        ("2/3", "1/3", 1, 0),  # t = 1: s = 4/3 < 2
+        ("2/3", "2/3", 1, 1),  # t = 1: s = 2, on the boundary
+    ],
+)
+def test_odd_cycle_finisher_doubles_the_bit_at_the_start(tail, triangle, tail_bit, doubled) -> None:
+    # Triangle 0-1-2 with an optional pendant edge 0-3: the cycle starts at
+    # vertex 0 either way (the lowest vertex, or the tail's attach vertex).
+    pairs = [(0, 1), (0, 2), (1, 2)] + ([(0, 3)] if tail else [])
+    g = Graph(4 if tail else 3, pairs)
+    z = [Fraction(tail if (u, v) == (0, 3) else triangle) for u, v in g.edges]
+    w = FractionalEdgeWeights.from_values(g, z)
+    x = balanced_round(w).values
+    assert x[g.edge_id(0, 1)] == x[g.edge_id(0, 2)] == doubled
+    assert x[g.edge_id(1, 2)] == 1 - doubled
+    if tail:
+        assert x[g.edge_id(0, 3)] == tail_bit
 
 
 def test_small_exhaustive_agreement_with_oracle() -> None:
