@@ -22,15 +22,14 @@ the same host degree, modulus and allowed residues share a table of it over
 degrees 0..d(v); the tables lie end to end in one flat array. The search keeps every
 edge's flip gain between steps, with the candidate edges (those with a
 violating endpoint) in buckets keyed by gain. A restart sets up on arrays:
-degrees by ``bincount`` over the endpoint arrays, every edge's bucket key in
+degrees by :func:`~lidecomp.graphs.degree_vector`, every edge's bucket key in
 one expression, and the buckets from one stable ``argsort`` of the keys, so
 each starts as an ascending list. A bucket is a heap with lazy deletion (an
 entry is live while the edge's key still names that bucket) plus an exact
 count, so the improving step's lowest-index edge is a heap top. A flip
 changes only the degrees of its two endpoints, so only the edges on their CSR
 rows are re-scored and re-bucketed: a step costs O(d log m) rather than a
-rescan of every candidate. Neither the search nor the verifier builds the
-``g.edges`` tuple view.
+rescan of every candidate.
 """
 
 from __future__ import annotations
@@ -218,7 +217,7 @@ def solve(
     for restart in range(restarts):
         rng = np.random.default_rng([seed, restart])
         flags = rng.random(g.m) < 0.5
-        deg_a = np.bincount(eu[flags], minlength=g.n) + np.bincount(ev[flags], minlength=g.n)
+        deg_a = degree_vector(g, flags)
         at = base + deg_a
         pen_a = flat[at]
         # A flip moves both endpoint degrees by `step`, which stays inside 0..d(v).

@@ -47,12 +47,13 @@ def is_decomposable(
 
     # Process edges with large endpoint degree sums first: conflicts surface
     # earlier and vertices close sooner.
-    order = sorted(range(g.m), key=lambda i: (-(g.degrees[g.edges[i][0]] + g.degrees[g.edges[i][1]]), i))
+    eu, ev = (a.tolist() for a in g.endpoint_arrays())
+    order = sorted(range(g.m), key=lambda i: (-(g.degrees[eu[i]] + g.degrees[ev[i]]), i))
     counts = [[0] * (k + 1) for _ in range(g.n)]
     remaining = list(g.degrees)
     labels = [0] * g.m
     incident: list[list[tuple[int, int]]] = [[] for _ in range(g.n)]
-    for i, (u, v) in enumerate(g.edges):
+    for i, (u, v) in enumerate(zip(eu, ev)):
         incident[u].append((v, i))
         incident[v].append((u, i))
     nodes = 0
@@ -72,7 +73,7 @@ def is_decomposable(
         if pos == g.m:
             return True
         e = order[pos]
-        u, v = g.edges[e]
+        u, v = eu[e], ev[e]
         top = min(k, max_used + 1)
         for c in range(1, top + 1):
             nodes += 1

@@ -11,16 +11,18 @@ in CSR form: the neighbours of ``v`` are ``indices[indptr[v]:indptr[v+1]]``,
 ascending, and ``slot_edges`` holds the edge id of each of those slots.
 Queries return plain Python ints and tuples; the tuple view ``g.edges`` and
 the pair-to-index dict behind scalar :meth:`Graph.edge_id` lookups are built
-on first use and cached.
+on first use and cached. The tuple view is for callers: the package itself
+reads the endpoint arrays everywhere.
 Graphs are immutable after construction and safe to share between threads.
 
 An edge subset has one form inside the package: a boolean mask of length
 ``m`` over canonical edge indices, whose degrees :func:`degree_vector` counts
-along the CSR rows. A subset enters as an index collection (a list, a set or
-an int64 array, such as the parts the verifier reads) and leaves as an
-ascending int64 index array (DCS certificates, exact-oracle witnesses,
-decomposition parts). :func:`validate_edge_subset` is the one place an index
-collection becomes a mask, so a repeated index selects its edge once.
+over the selected edges' endpoints. A subset enters as an index collection
+(a list, a set or an int64 array, such as the parts the verifier reads) and
+leaves as an ascending int64 index array (DCS certificates, exact-oracle
+witnesses, decomposition parts). :func:`validate_edge_subset` is the one
+place an index collection becomes a mask, so a repeated index selects its
+edge once.
 """
 
 from __future__ import annotations
@@ -138,7 +140,7 @@ class Graph:
     def _pair_ids(self) -> dict[tuple[int, int], int]:
         # Built on the first scalar lookup; a plain attribute keeps later reads fast.
         if self._ids is None:
-            self._ids = dict(zip(self.edges, range(self.m)))
+            self._ids = dict(zip(zip(self._eu.tolist(), self._ev.tolist()), range(self.m)))
         return self._ids
 
     def edge_id(self, u: int, v: int) -> int:
@@ -179,17 +181,14 @@ def validate_edge_subset(g: Graph, es: Collection[int] | np.ndarray) -> np.ndarr
 def degree_vector(g: Graph, mask: np.ndarray) -> np.ndarray:
     """Per-vertex degree array of the edges a boolean mask selects.
 
-    The mask is summed along the CSR rows: one gather through ``slot_edges``
-    and one ``reduceat``. A trailing ``False`` lets an isolated last vertex
-    start its row at ``2m``, and an empty row, which ``reduceat`` fills with
-    the next row's first slot, is zeroed.
+    Two ``bincount``s over the selected edges' endpoints, so the cost follows
+    the mask's density rather than the graph's size.
     """
     if mask.dtype != bool or len(mask) != g.m:
         raise IndexError(f"expected a boolean mask of length {g.m}, got {mask.dtype} {mask.shape}")
-    slots = np.append(mask[g.slot_edges], False)
-    deg = np.add.reduceat(slots, g.indptr[:-1], dtype=np.int64)
-    deg[g.indptr[:-1] == g.indptr[1:]] = 0
-    return deg
+    eu, ev = g.endpoint_arrays()
+    edges = np.flatnonzero(mask)
+    return np.bincount(eu[edges], minlength=g.n) + np.bincount(ev[edges], minlength=g.n)
 
 
 def subgraph_conflicts(g: Graph, mask: np.ndarray) -> np.ndarray:

@@ -29,8 +29,11 @@ Two engines sit behind :func:`balanced_round`:
   through a tree path) preserve every vertex sum; leaf-to-leaf paths confine
   drift to the leaf's single fractional edge, which can never leave its own
   unit window. Components that admit no such move are an odd cycle with at
-  most one pendant path; those are finished exactly by an alternating
-  pattern whose doubled value sits on a vertex chosen to tolerate it.
+  most one pendant path. The finisher alternates the tail's bits from the
+  leaf and the cycle's from its start (the tail's attach vertex, else the
+  lowest vertex), where the odd length doubles one bit: 1 exactly when the
+  start's fractional sum reaches ``t + 1`` for the tail's bit ``t`` there
+  (0 without a tail). One comparison, and every window holds.
 
   Values are integer numerators over one denominator (the lcm of the input
   denominators), refined only when a walk that passes an edge twice needs
@@ -92,9 +95,10 @@ class FractionalEdgeWeights:
 
     def vertex_sums(self) -> list[Fraction]:
         sums = [Fraction(0)] * self.graph.n
-        for i, (u, v) in enumerate(self.graph.edges):
-            sums[u] += self.values[i]
-            sums[v] += self.values[i]
+        eu, ev = self.graph.endpoint_arrays()
+        for u, v, z in zip(eu.tolist(), ev.tolist(), self.values):
+            sums[u] += z
+            sums[v] += z
         return sums
 
 
@@ -113,9 +117,10 @@ class BinaryEdgeLabels:
 
     def vertex_sums(self) -> list[int]:
         sums = [0] * self.graph.n
-        for i, (u, v) in enumerate(self.graph.edges):
-            sums[u] += self.values[i]
-            sums[v] += self.values[i]
+        eu, ev = self.graph.endpoint_arrays()
+        for u, v, x in zip(eu.tolist(), ev.tolist(), self.values):
+            sums[u] += x
+            sums[v] += x
         return sums
 
 
@@ -147,7 +152,8 @@ def verify_rounding(weights: FractionalEdgeWeights, labels: BinaryEdgeLabels) ->
         raise InputError("labels and weights live on different graphs")
     den = math.lcm(*{z.denominator for z in weights.values})
     gap = [0] * g.n
-    for (u, v), z, x in zip(g.edges, weights.values, labels.values):
+    eu, ev = g.endpoint_arrays()
+    for u, v, z, x in zip(eu.tolist(), ev.tolist(), weights.values, labels.values):
         step = x * den - z.numerator * (den // z.denominator)
         gap[u] += step
         gap[v] += step
@@ -395,32 +401,28 @@ class _State:
     ``adj[v]`` lists the fractional edges at ``v`` in ascending order, and
     settling an edge removes it in place, so the order holds throughout.
     ``last`` is the edge settled most recently and ``low`` never exceeds the
-    lowest vertex that still has a fractional edge.
+    lowest vertex that still has a fractional edge. Edge ``e`` joins
+    ``eu[e]`` and ``ev[e]``, and its other end at ``v`` is ``tot[e] - v``.
     """
 
     def __init__(self, g: Graph, fractional: dict[int, Fraction], x: list[int | None]):
-        self.ends = g.edges
+        eu, ev = g.endpoint_arrays()
+        self.eu, self.ev, self.tot = eu.tolist(), ev.tolist(), (eu + ev).tolist()
         self.den = math.lcm(*(val.denominator for val in fractional.values()))
         self.y = {e: val.numerator * (self.den // val.denominator) for e, val in fractional.items()}
         self.x = x
         self.adj: list[list[int]] = [[] for _ in range(g.n)]
         for i in sorted(fractional):
-            u, v = self.ends[i]
-            self.adj[u].append(i)
-            self.adj[v].append(i)
+            self.adj[self.eu[i]].append(i)
+            self.adj[self.ev[i]].append(i)
         self.last: int | None = None
         self.low = 0
-        # The other end of edge e at v is tot[e] - v. The last search's tree
-        # is held on the vertices it marked with the current stamp.
-        self.tot = [u + v for u, v in self.ends]
+        # The last search's tree is held on the vertices it marked with the
+        # current stamp.
         self.mark = [0] * g.n
         self.parent = [-1] * g.n
         self.depth = [0] * g.n
         self.stamp = 0
-
-    def other(self, edge: int, v: int) -> int:
-        a, b = self.ends[edge]
-        return b if a == v else a
 
     def fdeg(self, v: int) -> int:
         return len(self.adj[v])
@@ -428,7 +430,7 @@ class _State:
     def root(self) -> int:
         """An end of the last settled edge that is still fractional, else the lowest such vertex."""
         if self.last is not None:
-            for v in self.ends[self.last]:
+            for v in (self.eu[self.last], self.ev[self.last]):
                 if self.adj[v]:
                     return v
         while not self.adj[self.low]:
@@ -439,8 +441,8 @@ class _State:
         del self.y[edge]
         self.x[edge] = val
         self.last = edge
-        for v in self.ends[edge]:
-            self.adj[v].remove(edge)
+        self.adj[self.eu[edge]].remove(edge)
+        self.adj[self.ev[edge]].remove(edge)
 
     def apply_shift(self, walk: list[int], closed: bool) -> None:
         """Shift alternating mass along a walk until some edge hits a bound.
@@ -462,12 +464,12 @@ class _State:
         # One pass sums each vertex's change and finds the step: num / div
         # units of den, the first smallest room-to-bound ratio, compared by
         # cross-multiplying.
-        ends, y, den = self.ends, self.y, self.den
+        eu, ev, y, den = self.eu, self.ev, self.y, self.den
         vertex_delta: dict[int, int] = {}
         num, div = 0, 0
         for e, de in delta.items():
             if de:
-                a, b = ends[e]
+                a, b = eu[e], ev[e]
                 vertex_delta[a] = vertex_delta.get(a, 0) + de
                 vertex_delta[b] = vertex_delta.get(b, 0) + de
                 room = den - y[e] if de > 0 else y[e]
@@ -568,7 +570,7 @@ def _tree_walk(state: _State, a: int, b: int) -> list[int]:
 def _fundamental_cycle(state: _State, chord: int) -> tuple[int, list[int]]:
     """The apex of the cycle that chord closes in the last search tree, and
     the cycle's edges from the apex down to one end of chord and back up."""
-    u, w = state.ends[chord]
+    u, w = state.eu[chord], state.ev[chord]
     apex, up_u, up_w = _climb(state, u, w)
     return apex, up_w[::-1] + [chord] + up_u
 
@@ -577,78 +579,59 @@ def _ordered_cycle_from(state: _State, start: int, first_edge: int) -> list[int]
     """Follow degree-2 vertices around a cycle; returns its edges in order."""
     edges = [first_edge]
     prev_edge = first_edge
-    cur = state.other(first_edge, start)
+    cur = state.tot[first_edge] - start
     while cur != start:
         options = [e for e in state.adj[cur] if e != prev_edge]
         if len(options) != 1:
             raise AssertionError("cycle walk left the degree-2 set")
         prev_edge = options[0]
         edges.append(prev_edge)
-        cur = state.other(prev_edge, cur)
+        cur = state.tot[prev_edge] - cur
     return edges
-
-
-def _try_pattern(
-    state: _State,
-    cycle_edges: list[int],
-    base_pos: int,
-    base_bit: int,
-    extra: dict[int, int],
-) -> dict[int, int] | None:
-    """Alternating assignment around the cycle with ``base_bit`` doubled at the base.
-
-    ``extra`` carries already-decided labels on non-cycle edges of the same
-    component (the pendant tail). Returns the full component assignment if
-    every vertex lands inside its window, else None. The window is checked
-    on integers scaled by ``den``.
-    """
-    L = len(cycle_edges)
-    assign = dict(extra)
-    for offset in range(L):
-        assign[cycle_edges[(base_pos + offset) % L]] = base_bit if offset % 2 == 0 else 1 - base_bit
-    sums: dict[int, int] = {}
-    totals: dict[int, int] = {}
-    for e, bit in assign.items():
-        for v in state.ends[e]:
-            sums[v] = sums.get(v, 0) + state.y[e]
-            totals[v] = totals.get(v, 0) + bit
-    den = state.den
-    for v, target in sums.items():
-        if not (target - den < totals[v] * den <= target + den):
-            return None
-    return assign
 
 
 def _finish_odd_component(state: _State, comp_vertices: list[int]) -> None:
     """Exact assignment for an odd cycle with at most one pendant path.
 
     These are the only shapes with no sum-preserving move left. Tail edges
-    alternate from a nearest-integer choice at the leaf, giving every inner
-    tail vertex a pair sum of exactly 1, which any window allows; the cycle
-    then takes an alternating pattern whose doubled bit is placed on a vertex
-    that tolerates it. At least one placement always exists.
+    alternate from a nearest-integer choice at the leaf, and the cycle then
+    alternates from its start (the tail's attach vertex, else the lowest
+    vertex), so its odd length doubles one bit there: 1 exactly when the
+    start's fractional sum s is at least ``t + 1``, where ``t`` is the tail's
+    bit at the start (0 without a tail). Every vertex lands in its window
+    (s - 1, s + 1]:
+
+    * every other vertex has two fractional edges, so 0 < s < 2, and gets
+      one unit;
+    * the leaf has one fractional edge, so 0 < s < 1 and either bit fits;
+    * at the start 0 < s < t + 3, so ``t + 2`` units fit iff s >= t + 1 and
+      ``t`` units fit iff s < t + 1.
+
+    So this is also the first pattern that a search over every start and
+    bit accepts; the tests pin its labels.
     """
     leaves = [v for v in comp_vertices if state.fdeg(v) == 1]
     tail_assign: dict[int, int] = {}
+    t = 0
     if leaves:
         if len(leaves) != 1:
             raise AssertionError("odd component must have at most one pendant path")
         cur = leaves[0]
         edge = state.adj[cur][0]
-        bit = 1 if 2 * state.y[edge] >= state.den else 0
+        t = 1 if 2 * state.y[edge] >= state.den else 0
         while True:
-            tail_assign[edge] = bit
-            cur = state.other(edge, cur)
+            tail_assign[edge] = t
+            cur = state.tot[edge] - cur
             if state.fdeg(cur) == 3:
-                attach = cur
                 break
             nxt = [e for e in state.adj[cur] if e not in tail_assign]
             if len(nxt) != 1:
                 raise AssertionError("pendant path must continue through degree-2 vertices")
             edge = nxt[0]
-            bit = 1 - bit
-        first_cycle_edge = min(e for e in state.adj[attach] if e not in tail_assign)
-        cyc_edges = _ordered_cycle_from(state, attach, first_cycle_edge)
+            t = 1 - t
+        start = cur
+        first_cycle_edge = min(e for e in state.adj[start] if e not in tail_assign)
+        cyc_edges = _ordered_cycle_from(state, start, first_cycle_edge)
     else:
         start = comp_vertices[0]
         cyc_edges = _ordered_cycle_from(state, start, state.adj[start][0])
@@ -658,14 +641,11 @@ def _finish_odd_component(state: _State, comp_vertices: list[int]) -> None:
     if len(tail_assign) + len(cyc_edges) != len(comp_vertices):
         raise AssertionError("cycle and tail must cover the component")
 
-    for base_pos in range(len(cyc_edges)):
-        for base_bit in (1, 0):
-            assign = _try_pattern(state, cyc_edges, base_pos, base_bit, tail_assign)
-            if assign is not None:
-                for e, bit in assign.items():
-                    state.assign(e, bit)
-                return
-    raise AssertionError("odd component admits no valid pattern")
+    bit = 1 if sum(state.y[e] for e in state.adj[start]) >= (t + 1) * state.den else 0
+    for e, tail_bit in tail_assign.items():
+        state.assign(e, tail_bit)
+    for i, e in enumerate(cyc_edges):
+        state.assign(e, bit ^ (i & 1))
 
 
 def _round_general(g: Graph, fractional: dict[int, Fraction], x: list[int | None]) -> None:

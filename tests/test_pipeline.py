@@ -7,6 +7,7 @@ import math
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -23,6 +24,7 @@ from lidecomp.constants import (
     exact_degree_bounds,
 )
 from lidecomp.errors import BudgetError, InputError
+from lidecomp.exact import is_decomposable
 from lidecomp.graphs import (
     Graph,
     degree_vector,
@@ -39,6 +41,7 @@ from lidecomp.pipeline import (
     split_edges,
     verify_decomposition,
 )
+from lidecomp.rounding import FractionalEdgeWeights, balanced_round
 
 DEMO = ConstantProfile(k=0.1, s=0.05, r=0.3, u=0.2, s1=0.024, r1=0.279, u1=0.09)
 
@@ -267,6 +270,25 @@ def test_decompose_never_builds_the_edge_tuple_view() -> None:
     decompose_to_four(g, DEMO, mode="best-effort", seed=1, max_rounds=5)
     assert "edges" not in vars(g)
     assert g._ids is None
+
+
+@pytest.mark.parametrize(
+    "action",
+    [
+        lambda g: balanced_round(
+            FractionalEdgeWeights.from_values(g, [Fraction(e % 9, 8) for e in range(g.m)])
+        ),
+        lambda g: balanced_round(FractionalEdgeWeights.constant(g, Fraction(1, 2))),
+        lambda g: is_decomposable(g, 2),
+    ],
+    ids=["round-general", "round-half", "exact"],
+)
+def test_rounding_and_exact_never_build_the_edge_tuple_view(action) -> None:
+    # Like decompose, dcs and verify, which have tests of their own, these
+    # read the endpoint arrays; the tuple view is left to callers.
+    g = generate_circulant(9, [1, 3])
+    action(g)
+    assert "edges" not in vars(g)
 
 
 def test_decompose_half_reports_core_budget_failure(monkeypatch) -> None:
