@@ -294,6 +294,17 @@ def cmd_constants_optimize(args: argparse.Namespace) -> tuple[dict, bool]:
     return payload, True
 
 
+def _seed(text: str) -> int:
+    """An ``--seed`` value: a non-negative integer, as the random generators need."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = -1
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
+    return value
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The argument parser, built on the first call and shared by every later one.
@@ -309,7 +320,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("gen-regular", help="sample a random regular graph")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--d", type=int, required=True)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--out", dest="out_graph", required=True, help="graph file to write")
     p.set_defaults(func=cmd_gen_regular, out=None)
 
@@ -323,7 +334,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--in", dest="input", required=True)
     p.add_argument("--profile", default=None, help="profile JSON (default: built-in constants)")
     p.add_argument("--mode", choices=["strict", "best-effort"], default="strict")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--max-rounds", type=int, default=200)
     p.add_argument("--restarts", type=int, default=50)
     p.add_argument("--out", default=None)
@@ -355,7 +366,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--in", dest="input", required=True)
     p.add_argument("--lambda", dest="lam", type=int, default=None)
     p.add_argument("--t-file", required=True, help="instance JSON: list of targets or object")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--restarts", type=int, default=50)
     p.add_argument("--relaxed", action="store_true", help="skip the degree preconditions")
     p.add_argument("--out", default=None)
@@ -376,7 +387,7 @@ def build_parser() -> argparse.ArgumentParser:
     c.set_defaults(func=cmd_constants_min_d)
 
     c = csub.add_parser("optimize", help="search for a profile with a smaller feasible degree")
-    c.add_argument("--seed", type=int, default=0)
+    c.add_argument("--seed", type=_seed, default=0)
     c.add_argument("--budget", type=int, default=200)
     c.add_argument("--out", default=None)
     c.set_defaults(func=cmd_constants_optimize)

@@ -436,6 +436,8 @@ def decompose_to_four(
     """
     if mode not in ("strict", "best-effort"):
         raise InputError(f"mode must be 'strict' or 'best-effort', got {mode!r}")
+    if restarts < 1:
+        raise InputError(f"restarts must be >= 1, got {restarts}")
     strict = mode == "strict"
     profile.validate()
     if not g.is_regular():

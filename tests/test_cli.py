@@ -607,3 +607,38 @@ def test_main_repeats_every_subcommand_byte_for_byte(tmp_path, monkeypatch, caps
     assert first == second
     codes = [r[0] for r in first]
     assert codes == [0, 0, 1, 1, 0, 0, 0, 0, 2, 1, 0, 0, ("exit", 2)]
+
+
+@pytest.mark.parametrize(
+    ("argv", "message"),
+    [
+        (["gen-regular", "--n", "16", "--d", "3", "--seed", "-1", "--out", "gen.txt"], "non-negative"),
+        (["decompose", "--in", "g.txt", "--seed", "-1"], "non-negative"),
+        (["dcs", "--in", "k13.txt", "--lambda", "2", "--t-file", "t.json", "--seed", "-1"],
+         "non-negative"),
+        (["constants", "optimize", "--seed", "-1", "--budget", "1"], "non-negative"),
+        (["decompose", "--in", "g.txt", "--profile", "profile.json", "--mode", "best-effort",
+          "--max-rounds", "4", "--restarts", "0"], "restarts must be >= 1, got 0"),
+    ],
+    ids=["gen-regular-seed", "decompose-seed", "dcs-seed", "optimize-seed", "decompose-restarts"],
+)
+def test_negative_seed_and_zero_restarts_are_rejected_input(
+    argv, message, tmp_path, monkeypatch, capsys
+) -> None:
+    # Exit 1 means "verified false", so a bad option must exit 2 with a
+    # message rather than escape as a generator's ValueError.
+    monkeypatch.chdir(tmp_path)
+    write_graph(generate_regular(24, 4, seed=1), "g.txt")
+    write_graph(Graph(13, [(i, j) for i in range(13) for j in range(i + 1, 13)]), "k13.txt")
+    Path("t.json").write_text(json.dumps([0] * 13))
+    Path("profile.json").write_text(json.dumps(
+        {"k": 0.45, "s": 0.2, "r": 0.3, "u": 0.4, "s1": 0.1, "r1": 0.2, "u1": 0.2}
+    ))
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    err = capsys.readouterr().err
+    assert code == 2
+    assert message in err and "Traceback" not in err
+    assert not Path("gen.txt").exists()
