@@ -264,7 +264,8 @@ def _constraint_table(profile: ConstantProfile, lift, d, tails: tuple) -> Iterat
     tail_cap = 1.0 / (3.0 * math.e)
     # Risky edges: the per-edge probability argument q must stay below 1.
     q = s / k + 7 / (k * d)
-    # Dependency count of the local lemma: 3(d^3-d^2+d)+2 < 3d^3-1.
+    # Dependency count of the local lemma: 3(d^3-d^2+d)+2 < 3d^3-1. It
+    # reduces to d^2 - d - 1 > 0, so it holds at every d >= 2 and never fails.
     yield "dependency_count", 3 * (d**3 - d**2 + d) + 2, 3 * d**3 - 1, True
     # Special edges: mean 2/k below s1*d, tail below 1/(3e) in the monotone range.
     yield "special_mean", 2 / k, s1 * d, True
@@ -286,7 +287,11 @@ def _constraint_table(profile: ConstantProfile, lift, d, tails: tuple) -> Iterat
     yield "core_min_degree", 12 * k * d + 12, bounds.core_host, False
     # First-part degrees of coloured vertices must clear the selection cap.
     # With an integer d, d / 6 is a float, so the exact backend compares d1
-    # with a rounded right-hand side; payloads pin that value.
+    # with a rounded right-hand side; payloads pin that value. With
+    # d1 = d/6 - s*d/3 - u*d/6 - 13/3 the row reduces to -s*d/6 < 11/3, so it
+    # holds for every valid profile and d >= 0 and never fails. The row is
+    # kept, in the table and in the report, until the paper's separation
+    # condition is re-derived.
     yield "separation_margin", d1, d / 6 - s * d / 6 - u * d / 6 - 2 / 3, True
 
 

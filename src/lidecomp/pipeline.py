@@ -142,17 +142,22 @@ def choose_selections(
     is_uncolored = np.zeros(g.n, dtype=bool)
     is_uncolored[uncolored] = True
     # The fringe edges at uncoloured v, ascending: fringe[fptr[v]:fptr[v + 1]].
+    # In canonical order the edges (u, v) with u < v come before the edges
+    # (v, w), so listing the upper ends first, a stable sort on the end alone
+    # keeps each vertex's edges ascending; the narrowest dtype lets numpy
+    # use a radix sort.
+    vertex = np.min_scalar_type(g.n)
     ids = np.flatnonzero(fringe_half)
-    ends, ids = np.concatenate((eu[ids], ev[ids])), np.concatenate((ids, ids))
+    ends, ids = np.concatenate((ev[ids], eu[ids])), np.concatenate((ids, ids))
     keep = is_uncolored[ends]
     ends, ids = ends[keep], ids[keep]
-    fringe = ids[np.lexsort((ids, ends))].tolist()
+    fringe = ids[np.argsort(ends.astype(vertex), kind="stable")].tolist()
     fcount = np.bincount(ends, minlength=g.n)
     fptr = np.concatenate(([0], np.cumsum(fcount))).tolist()
     # Canonical edges have u < v, so an inside edge's lower end u is processed
     # before v; the lower inside neighbours of v are lower[lptr[v]:lptr[v + 1]].
     inside = np.flatnonzero(inside_half)
-    lower = eu[inside][np.argsort(ev[inside], kind="stable")].tolist()
+    lower = eu[inside][np.argsort(ev[inside].astype(vertex), kind="stable")].tolist()
     lptr = np.concatenate(([0], np.cumsum(np.bincount(ev[inside], minlength=g.n)))).tolist()
 
     infeasible = (fcount[uncolored] < size_count - 1) | (
@@ -379,8 +384,9 @@ class Decomposition:
     verdicts: tuple[bool, ...]
 
     def to_json(self) -> dict:
+        """The payload fields; the parts stay arrays, which the CLI writes as JSON lists."""
         return {
-            "parts": [p.tolist() for p in self.parts],
+            "parts": list(self.parts),
             "verdicts": list(self.verdicts),
         }
 

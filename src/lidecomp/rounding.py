@@ -16,9 +16,11 @@ Two engines sit behind :func:`balanced_round`:
   its seam, which sits on the hub or on the lowest vertex of a hub-free
   component, where the closed right bound permits it. The circuits are
   built in numpy over a CSR layout of the edge ends: pairing each row's
-  slots two by two gives closed trails, a lockstep walk from sampled heads
+  slots two by two gives closed trails, one lockstep walk from sampled heads
   ranks them, and trails that meet at a vertex are spliced by re-pairing
-  one transition of each until every component has one.
+  one transition of each until every component has one. The ranking is
+  not walked again after the splices: only the segments that hold the
+  successor of a re-paired slot are cut there.
   :func:`round_half_edges` is the same rounding for callers that hold an
   edge-index array rather than weights (the pipeline's rule groups); it
   checks the window with ``np.bincount`` in integers.
@@ -244,6 +246,54 @@ def _segments(nxt: np.ndarray, head: np.ndarray) -> tuple[np.ndarray, ...]:
     return owner, off, succ, np.concatenate((gap, np.ones(len(lost), dtype=np.int32)))
 
 
+def _cut(
+    nxt: np.ndarray, moved: np.ndarray,
+    owner: np.ndarray, off: np.ndarray, succ: np.ndarray, gap: np.ndarray,
+) -> tuple[np.ndarray, ...]:
+    """:func:`_segments` of ``nxt`` after the slots ``moved`` took new successors.
+
+    ``owner, off, succ, gap`` are the segments of the permutation before the
+    change; they are updated in place where they change. The splices re-pair
+    slots among themselves, so the moved slots' successors are the same set
+    before and after. Every one of them becomes a head: one that is a head
+    already changes nothing, one inside a segment cuts it there. Only the
+    slots of cut segments get new owners and offsets, and the new heads are
+    numbered after the old ones. Each moved slot now ends its segment, so
+    that segment's successor is the head the slot leads to.
+    """
+    count = len(succ)
+    cut = np.unique(nxt[moved])
+    cut = cut[off[cut] > 0]
+    last = moved
+    if cut.size:
+        # Lay the slots of the cut segments out one segment after another,
+        # each from its head; a slot's place is its segment's base plus its
+        # offset.
+        segs = np.unique(owner[cut])
+        base = np.zeros(count, dtype=np.int64)
+        base[segs] = np.cumsum(gap[segs]) - gap[segs]
+        hit = np.zeros(count, dtype=bool)
+        hit[segs] = True
+        found = np.flatnonzero(hit[owner])
+        slots = np.empty_like(found)
+        slots[base[owner[found]] + off[found]] = found
+        begins = np.zeros(len(slots), dtype=bool)
+        begins[base[segs]] = begins[base[owner[cut]] + off[cut]] = True
+        starts = np.flatnonzero(begins)
+        piece = np.cumsum(begins) - 1
+        number = owner[slots[starts]]
+        number[off[slots[starts]] > 0] = np.arange(count, count + len(cut), dtype=np.int32)
+        owner[slots] = number[piece]
+        off[slots] = np.arange(len(slots)) - starts[piece]
+        ends = np.append(starts[1:], len(slots)) - 1
+        succ = np.append(succ, np.empty(len(cut), dtype=succ.dtype))
+        gap = np.append(gap, np.empty(len(cut), dtype=gap.dtype))
+        gap[number] = ends - starts + 1
+        last = np.concatenate((slots[ends], moved))
+    succ[owner[last]] = owner[nxt[last]]
+    return owner, off, succ, gap
+
+
 def _round_half_euler(n: int, eu: np.ndarray, ev: np.ndarray) -> np.ndarray:
     """Labels (uint8) of the edges ``(eu[j], ev[j])`` of a simple graph on ``0..n-1``.
 
@@ -268,7 +318,9 @@ def _round_half_euler(n: int, eu: np.ndarray, ev: np.ndarray) -> np.ndarray:
       trails, re-pairing one slot of each merges the two trails into one. A
       union-find over the trails takes the first such meeting of each pair
       of trails in slot order until every component holds a single closed
-      trail, which is ranked again.
+      trail. The successor of each re-paired slot becomes a head, and
+      :func:`_cut` splits the first ranking's segments at those heads, so
+      no slot is walked twice.
     * **Seam.** The circuit of the hub's component starts with the hub's
       first edge and every other component's with the first edge of its
       lowest vertex, as a Hierholzer walk from those vertices would; the
@@ -310,18 +362,20 @@ def _round_half_euler(n: int, eu: np.ndarray, ev: np.ndarray) -> np.ndarray:
     head[first] = head[twin[first]] = True
 
     # Pair each row's slots two by two and number the trails.
-    mate = slots ^ 1
-    owner, _, succ, _ = _segments(twin[mate], head)
-    succ = succ.tolist()
-    cycle = [-1] * len(succ)
+    nxt = twin[slots ^ 1]
+    owner, off, succ, gap = _segments(nxt, head)
+    ahead = succ.tolist()
+    cycle = [-1] * len(ahead)
     count = 0
-    for h in range(len(succ)):
+    for h in range(len(ahead)):
         if cycle[h] < 0:
             while cycle[h] < 0:
                 cycle[h] = count
-                h = succ[h]
+                h = ahead[h]
             count += 1
     on = np.asarray(cycle, dtype=np.int32)[owner]
+    # Both lists hold a Python int per head; free them before the next ranking.
+    del ahead, cycle
     # Slots 2i and 2i + 1 lie on the two directions of one trail, so the
     # lower of their cycle numbers names it.
     trail = np.minimum(on[0::2], on[1::2])
@@ -347,11 +401,12 @@ def _round_half_euler(n: int, eu: np.ndarray, ev: np.ndarray) -> np.ndarray:
         mx, my = moved.get(x, x ^ 1), moved.get(y, y ^ 1)
         moved[x], moved[my], moved[y], moved[mx] = my, x, mx, y
     if moved:
-        mate[np.fromiter(moved, dtype=np.int32, count=len(moved))] = list(moved.values())
+        keys = np.fromiter(moved, dtype=np.int32, count=len(moved))
+        nxt[keys] = twin[list(moved.values())]
+        owner, off, succ, gap = _cut(nxt, keys, owner, off, succ, gap)
 
     # Number the heads of each circuit from its seam; heads on the unused
     # direction keep -1.
-    owner, off, succ, gap = _segments(twin[mate], head)
     succ, gap = succ.tolist(), gap.tolist()
     pos = [-1] * len(succ)
     # The hub's row comes last in the layout and its circuit first.

@@ -554,6 +554,72 @@ def test_payload_encoder_matches_json_dumps(tree) -> None:
     assert cli._dumps(tree) == json.dumps(tree, indent=2, sort_keys=True)
 
 
+#: Where the decimal width of an entry changes, and the ends of int64.
+_WIDTH_EDGES = sorted(
+    {0, 1, 2**62, 2**63 - 1} | {10**k + e for k in range(1, 19) for e in (-1, 0, 1)}
+)
+
+_ascending_arrays = st.lists(
+    st.one_of(st.integers(0, 2**62), st.sampled_from(_WIDTH_EDGES)), max_size=30
+).map(lambda values: np.array(sorted(values), dtype=np.int64))
+
+# Repeated small values in any order, and anything int64 holds: mostly
+# unsorted, often negative.
+_other_arrays = st.one_of(
+    st.lists(st.integers(0, 12), min_size=2, max_size=30),
+    st.lists(st.integers(-(2**63), 2**63 - 1), max_size=30),
+).map(lambda values: np.array(values, dtype=np.int64))
+
+
+def _as_lists(tree):
+    if isinstance(tree, np.ndarray):
+        return tree.tolist()
+    if isinstance(tree, dict):
+        return {key: _as_lists(value) for key, value in tree.items()}
+    if isinstance(tree, (list, tuple)):
+        return type(tree)(map(_as_lists, tree))
+    return tree
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.recursive(
+    st.one_of(_ascending_arrays, _other_arrays, st.integers(), st.none(), st.text(max_size=3)),
+    lambda children: st.one_of(
+        st.lists(children, max_size=5),
+        st.dictionaries(st.text(max_size=4), children, max_size=5),
+    ),
+    max_leaves=20,
+))
+@example({"parts": [np.arange(0, 30, 3), np.zeros(0, dtype=np.int64), np.array([7])]})
+def test_payload_encoder_writes_int_arrays_as_lists(tree) -> None:
+    assert cli._dumps(tree) == json.dumps(_as_lists(tree), indent=2, sort_keys=True)
+
+
+def test_only_ascending_non_negative_arrays_take_the_digit_kernel(monkeypatch) -> None:
+    # The rest go through tolist(); so does a uint64 array, which int64 may
+    # not hold. Boolean and float arrays are not integer lists: json.dumps
+    # rejects them and so does the encoder.
+    taken: list[list[int]] = []
+    kernel = cli._ascending_digits
+
+    def spy(ids: np.ndarray, sep: str) -> str:
+        taken.append(ids.tolist())
+        return kernel(ids, sep)
+
+    monkeypatch.setattr(cli, "_ascending_digits", spy)
+    arrays = [
+        np.array([0, 9, 10, 10, 99, 100]), np.array([5], dtype=np.uint8),
+        np.array([3, 3, 3], dtype=np.int32), np.zeros(0, dtype=np.int64),
+        np.array([2, 1]), np.array([-1, 0]), np.array([2**64 - 1], dtype=np.uint64),
+    ]
+    for a in arrays:
+        assert cli._dumps([a]) == json.dumps([a.tolist()], indent=2)
+    assert taken == [[0, 9, 10, 10, 99, 100], [5], [3, 3, 3]]
+    for bad in (np.array([True]), np.array([1.0]), np.array([[1, 2]])):
+        with pytest.raises(TypeError):
+            cli._dumps({"x": bad})
+
+
 def test_payload_encoder_rejects_what_json_rejects() -> None:
     for bad in ([np.int64(1)], {"x": [Fraction(1, 2)]}, {"a": 1, 2: 3}):
         with pytest.raises(TypeError):

@@ -5,12 +5,16 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from lidecomp.constants import (
     SCAN_LO,
     ConstantProfile,
     DerivedQuantities,
     REFERENCE_PROFILE,
+    _constraint_table,
+    _dec,
     _holds,
     _vector_rows,
     bound_functions,
@@ -135,6 +139,38 @@ def test_dependency_count_always_holds() -> None:
     for d in (13, 14, 100, 54000):
         rep = check_profile(REFERENCE_PROFILE, d)
         assert {rec.name: rec.passed for rec in rep.records}["dependency_count"]
+
+
+@st.composite
+def valid_profiles(draw) -> ConstantProfile:
+    """Profiles that pass ``validate``: each split a fraction of its total."""
+    unit = st.floats(1e-6, 1 - 1e-6)
+    k, s, r, u = (draw(unit) for _ in range(4))
+    s1, r1, u1 = s * draw(unit), r * draw(unit), u * draw(unit)
+    prof = ConstantProfile(k=k, s=s, r=r, u=u, s1=s1, r1=r1, u1=u1)
+    try:
+        prof.validate()
+    except InputError:
+        assume(False)
+    return prof
+
+
+@settings(max_examples=300, deadline=None)
+@given(valid_profiles(), st.integers(2, 2 * 10**6))
+def test_separation_margin_and_dependency_count_cannot_fail(prof: ConstantProfile, d: int) -> None:
+    # The rows reduce to -s*d/6 < 11/3 and d^2 - d - 1 > 0, so neither can
+    # fail for a valid profile at d >= 2, on either backend. The tails do
+    # not enter either row.
+    exact = {
+        name: _holds(lhs, rhs, strict)
+        for name, lhs, rhs, strict in _constraint_table(prof, _dec, d, (0.0, 0.0, 0.0))
+    }
+    vector = {
+        name: bool(np.all(_holds(lhs, rhs, strict)))
+        for name, lhs, rhs, strict in _vector_rows(prof, np.array([d]))
+    }
+    for row in ("separation_margin", "dependency_count"):
+        assert exact[row] and vector[row], (row, prof, d)
 
 
 def test_min_feasible_d_reference() -> None:

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import functools
 import hashlib
 import itertools
 import re
@@ -11,7 +12,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lidecomp import rounding
+from lidecomp import pipeline, rounding
+from lidecomp.constants import ConstantProfile
 from lidecomp.errors import BudgetError, InputError
 from lidecomp.graphs import Graph, generate_circulant, generate_regular
 from lidecomp.rounding import (
@@ -612,6 +614,92 @@ def test_half_circuit_is_deterministic_and_independent_of_head_spacing(monkeypat
     for spacing in (1, 3, 64, 10**6):
         monkeypatch.setattr(rounding, "_HEAD_SPACING", spacing)
         assert _round_half_euler(g.n, eu, ev).tobytes() == bits.tobytes()
+
+
+def windmill(blades: int) -> Graph:
+    """``blades`` triangles through vertex 0."""
+    edges = sorted((min(e), max(e)) for i in range(blades)
+                   for e in ((0, 2 * i + 1), (0, 2 * i + 2), (2 * i + 1, 2 * i + 2)))
+    return Graph(2 * blades + 1, edges)
+
+
+@functools.cache
+def half_corpus() -> tuple[tuple[int, np.ndarray, np.ndarray], ...]:
+    """Inputs ``(n, eu, ev)`` of every shape the circuit ranking has to cut.
+
+    The two non-empty rule groups of a (4000, 128) best-effort decompose run
+    on the demo profile (the third is empty there), an odd-regular graph,
+    disjoint odd cycles, the bowtie and windmills, complete graphs, hub and
+    hub-free components side by side, and sparse random graphs with isolated
+    vertices.
+    """
+    groups: list[tuple[int, np.ndarray, np.ndarray]] = []
+    record = pipeline.round_half_edges
+
+    def spy(n: int, eu: np.ndarray, ev: np.ndarray) -> np.ndarray:
+        groups.append((n, eu, ev))
+        return record(n, eu, ev)
+
+    demo = ConstantProfile(k=0.1, s=0.05, r=0.3, u=0.2, s1=0.024, r1=0.279, u1=0.09)
+    pipeline.round_half_edges = spy
+    try:
+        pipeline.decompose_to_four(
+            generate_regular(4000, 128, seed=4), demo, mode="best-effort", seed=0, max_rounds=5
+        )
+    finally:
+        pipeline.round_half_edges = record
+    corpus = [group for group in groups if len(group[1])]
+    assert [len(eu) for _, eu, _ in corpus] == [121654, 126480]
+    graphs = [generate_regular(300, 9, seed=4)]
+    graphs += [disjoint_cycles(length, copies)
+               for length in (3, 5, 7, 9, 11) for copies in (1, 2, 5)]
+    graphs += [Graph(5, [(0, 1), (0, 2), (0, 3), (0, 4), (1, 2), (3, 4)])]
+    graphs += [windmill(blades) for blades in range(2, 12)]
+    graphs += [complete_graph(n) for n in range(1, 16)]
+    graphs += [Graph(16, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3),
+                          (4, 5), (4, 6), (5, 6),
+                          (7, 8), (7, 9), (7, 10),
+                          (11, 13), (11, 14), (13, 15), (14, 15)])]
+    rng = np.random.default_rng(21)
+    for _ in range(60):
+        n = int(rng.integers(2, 60))
+        pairs = rng.integers(0, n, size=(int(rng.integers(0, 2 * n)), 2))
+        graphs.append(Graph(n, {(int(min(a, b)), int(max(a, b))) for a, b in pairs if a != b}))
+    corpus += [(g.n, *g.endpoint_arrays()) for g in graphs]
+    return tuple(corpus)
+
+
+@pytest.mark.parametrize("spacing", [1, 16, 10**6])
+def test_half_labels_pinned_under_every_head_spacing(monkeypatch, spacing: int) -> None:
+    # Recorded before the ranking cut the first walk's segments in place of
+    # a second walk. Spacing 1 makes every slot a head. At 10**6 only the
+    # rows' first slots and their twins are sampled (7922 of the first rule
+    # group's 247304 slots), and every slot of a paired trail that holds
+    # none of them (4334 slots there) becomes a head of its own.
+    monkeypatch.setattr(rounding, "_HEAD_SPACING", spacing)
+    digest = hashlib.sha256()
+    for n, eu, ev in half_corpus():
+        bits = _round_half_euler(n, eu, ev)
+        digest.update(len(bits).to_bytes(8, "little") + bits.tobytes())
+    assert digest.hexdigest() == "2ef9a34c4f90b72e2b7ce63fc1f24db9ed203b46a08c02f1c9a7652e1e927815"
+
+
+def test_half_circuit_walks_the_slots_once(monkeypatch) -> None:
+    # The splices re-pair a few hundred slots of a rule group; the ranking
+    # cuts the first walk's segments there instead of walking every slot
+    # again. An empty group returns before any walk.
+    walks: list[int] = []
+    walk = rounding._segments
+
+    def count(nxt: np.ndarray, head: np.ndarray) -> tuple[np.ndarray, ...]:
+        walks.append(len(nxt))
+        return walk(nxt, head)
+
+    monkeypatch.setattr(rounding, "_segments", count)
+    for n, eu, ev in half_corpus():
+        walks.clear()
+        _round_half_euler(n, eu, ev)
+        assert len(walks) == (1 if len(eu) else 0)
 
 
 def test_segments_turns_slots_on_headless_cycles_into_heads() -> None:
