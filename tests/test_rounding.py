@@ -530,6 +530,13 @@ def disjoint_cycles(length: int, copies: int) -> Graph:
     return Graph(length * copies, sorted(edges))
 
 
+def windmill(blades: int) -> Graph:
+    """``blades`` triangles through vertex 0."""
+    edges = sorted((min(e), max(e)) for i in range(blades)
+                   for e in ((0, 2 * i + 1), (0, 2 * i + 2), (2 * i + 1, 2 * i + 2)))
+    return Graph(2 * blades + 1, edges)
+
+
 def half_bits(g: Graph) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     eu, ev = g.endpoint_arrays()
     return eu, ev, _round_half_euler(g.n, eu, ev)
@@ -545,9 +552,7 @@ def test_half_circuit_splices_two_odd_trails_at_one_vertex() -> None:
     # Windmills: many triangles through vertex 0 splice along one row, so
     # its transitions are re-paired again and again.
     for blades in range(2, 12):
-        edges = sorted((min(e), max(e)) for i in range(blades)
-                       for e in ((0, 2 * i + 1), (0, 2 * i + 2), (2 * i + 1, 2 * i + 2)))
-        g = Graph(2 * blades + 1, edges)
+        g = windmill(blades)
         eu, ev, bits = half_bits(g)
         assert_reference_drift(g.n, eu, ev, bits)
         assert half_drift(g.n, eu, ev, bits)[0] == (2 if blades % 2 else 0)
@@ -614,13 +619,6 @@ def test_half_circuit_is_deterministic_and_independent_of_head_spacing(monkeypat
     for spacing in (1, 3, 64, 10**6):
         monkeypatch.setattr(rounding, "_HEAD_SPACING", spacing)
         assert _round_half_euler(g.n, eu, ev).tobytes() == bits.tobytes()
-
-
-def windmill(blades: int) -> Graph:
-    """``blades`` triangles through vertex 0."""
-    edges = sorted((min(e), max(e)) for i in range(blades)
-                   for e in ((0, 2 * i + 1), (0, 2 * i + 2), (2 * i + 1, 2 * i + 2)))
-    return Graph(2 * blades + 1, edges)
 
 
 @functools.cache
