@@ -98,9 +98,9 @@ def _dumps(obj, pad: str = "") -> str:
     call of the C encoder, which ``indent`` would turn off. A 1-D integer
     array is written as the list of its entries, by :func:`_ascending_digits`
     when it is non-empty, non-negative and non-decreasing and through
-    ``tolist()`` otherwise. Anything else is left to ``json.dumps`` itself
-    (JSON text has no raw newline inside a string, so indenting its lines is
-    safe).
+    ``tolist()`` otherwise. A scalar is one plain ``json.dumps`` call. Anything
+    else is left to ``json.dumps`` itself (JSON text has no raw newline inside
+    a string, so indenting its lines is safe).
     """
     inner = pad + "  "
     if type(obj) is np.ndarray and obj.ndim == 1 and obj.dtype.kind in "iu":
@@ -120,6 +120,8 @@ def _dumps(obj, pad: str = "") -> str:
         else:
             body = (",\n" + inner).join(_dumps(item, inner) for item in obj)
         return f"[\n{inner}{body}\n{pad}]"
+    if type(obj) in _SCALARS:
+        return json.dumps(obj)  # what indent gives, without an indenting encoder per value
     return json.dumps(obj, indent=2, sort_keys=True).replace("\n", "\n" + pad)
 
 

@@ -13,7 +13,17 @@ CSR adjacency and reading a vertex's uncoloured flag from its row when a block
 first needs it. A round thus costs the rows of the first violating block's
 closed neighbourhood (and of the blocks before it), plus at most one pass
 over the 2m slots for the flags; a repeated centre reuses its two-hop ball.
-The full sets and the audit are evaluated once, after the loop.
+Rounds centred on vertex 0 are batched. Vertex 0 has no lower vertex, so it
+is the centre exactly when it violates, its counts read only its two-hop
+ball, and each such round redraws that ball whole: the rounds are independent
+trials. Up to ``_CHUNK_ROUNDS`` of them are drawn in one ``integers`` call and
+judged together on the ball's slot layout, built once per call. The chunk is
+a constant, kept small so that the per-slot arrays, and with them peak
+memory, stay near one round's. The payload stays byte-identical because
+numpy's bounded draws consume the bit generator value by value: one call of
+shape (R, 2, k) gives the values, and leaves the state, of R rounds' two
+calls of size k (a test pins this). The full sets and the audit are
+evaluated once, after the loop.
 
 Set membership must be bit-stable, so the risky closeness threshold and all
 audit thresholds are evaluated in exact rational arithmetic.
@@ -247,7 +257,6 @@ def _first_violator(
     scan that finds nothing.
     """
     indptr, indices = g.indptr, g.indices
-    code = first * (palette + 1) + second  # equal codes <=> equal pairs
     # Colours, their differences and cyclic gaps lie in [-palette, palette];
     # the narrowest type that holds them keeps the per-slot arrays small.
     small = np.min_scalar_type(-palette - 1)
@@ -271,7 +280,10 @@ def _first_violator(
         new = np.flatnonzero(fresh & ~known)
         known[new] = True
         slots, lens = _row_slots(indptr, new)
-        hits = np.flatnonzero(code[indices[slots]] == np.repeat(code[new], lens))
+        nbr = indices[slots]
+        hits = np.flatnonzero(
+            (first[nbr] == np.repeat(first[new], lens)) & (second[nbr] == np.repeat(second[new], lens))
+        )
         uflag[new[np.searchsorted(np.cumsum(lens), hits, side="right")]] = True
         touch = np.repeat(uflag[a:b], deg) | uflag[dst]
         # Per-row sums; the spare last column keeps every row start in range.
@@ -297,6 +309,101 @@ def _two_hop_ball(g: Graph, centre: int) -> np.ndarray:
     mark[nb] = True
     mark[indices[_row_slots(indptr, nb)[0]]] = True
     return np.flatnonzero(mark)
+
+
+#: Rounds drawn and judged per chunk while vertex 0 is the centre. The
+#: chunk's per-slot arrays grow with it (16 rounds of a (1000, 64) ball hold
+#: about 66k slots each). One 200-round chunk raised the recolor benchmark's
+#: peak RSS from 45.1 to 49.2 MB, near its 10% bound; 16 rounds leave it
+#: where one round per call did.
+_CHUNK_ROUNDS = 16
+
+
+@dataclass(frozen=True, eq=False)
+class _ZeroBall:
+    """Vertex 0's two-hop ball and the slots its audit counts read, as ball positions."""
+
+    ball: np.ndarray  # the ball's vertices, ascending, so vertex 0 sits at position 0
+    nbrs: np.ndarray  # N(0)
+    rows: np.ndarray  # the rows of N(0), row after row
+    owners: np.ndarray  # the neighbour owning each row slot
+    starts: np.ndarray  # where each neighbour's row begins in ``rows``
+
+
+def _zero_ball(g: Graph) -> _ZeroBall:
+    indptr, indices = g.indptr, g.indices
+    ball = _two_hop_ball(g, 0)
+    nb = indices[indptr[0] : indptr[1]]
+    slots, lens = _row_slots(indptr, nb)
+    nbrs = np.searchsorted(ball, nb)
+    return _ZeroBall(
+        ball=ball,
+        nbrs=nbrs,
+        rows=np.searchsorted(ball, indices[slots]),
+        owners=np.repeat(nbrs, lens),
+        starts=np.cumsum(lens) - lens,
+    )
+
+
+def _zero_violates(
+    zero: _ZeroBall, draws: np.ndarray, palette: int, bound: int, caps: np.ndarray
+) -> np.ndarray:
+    """Per drawn round, whether vertex 0 violates once its ball holds that round's colours.
+
+    ``draws[i]`` holds round i's first and second colours on ``zero.ball``.
+    Vertex 0's three counts read only its ball: an edge 0w is touched when 0
+    or w repeats its pair on a neighbour, and w's neighbours lie in the ball.
+    """
+    first = draws[:, 0].astype(np.min_scalar_type(-palette - 1))
+    second = draws[:, 1].astype(first.dtype)
+    # Per round and neighbour w of 0: whether w's pair repeats in its row.
+    same_first = np.take(first, zero.rows, axis=1) == np.take(first, zero.owners, axis=1)
+    same_second = np.take(second, zero.rows, axis=1) == np.take(second, zero.owners, axis=1)
+    uflag = np.logical_or.reduceat(same_first & same_second, zero.starts, axis=1)
+    f0, s0 = first[:, :1], second[:, :1]
+    fw, sw = first[:, zero.nbrs], second[:, zero.nbrs]
+    first_eq, second_eq = f0 == fw, s0 == sw
+    touch = uflag | (first_eq & second_eq).any(axis=1, keepdims=True)
+    special = (~touch & (first_eq | second_eq)).sum(axis=1)
+    risky = (~touch & (_close(f0, fw, palette, bound) | _close(s0, sw, palette, bound))).sum(axis=1)
+    return (special > caps[0]) | (risky > caps[1]) | (uflag.sum(axis=1) > caps[2])
+
+
+def _redraw_zero(
+    zero: _ZeroBall,
+    first: np.ndarray,
+    second: np.ndarray,
+    rng: np.random.Generator,
+    palette: int,
+    bound: int,
+    caps: np.ndarray,
+    budget: int,
+) -> int:
+    """Run the rounds centred on vertex 0, a chunk at a time; return how many ran.
+
+    The first round is due (vertex 0 is the first violator); each later one
+    runs while vertex 0 still violates and ``budget`` lasts. Every round
+    redraws the whole ball, so only the last kept round's colours are
+    written. When vertex 0 passes inside a chunk, the generator is rewound
+    to the chunk's start and only the kept rounds are drawn again. The
+    budget's last round is not judged: the loop ends after it either way.
+    """
+    rounds = 0
+    while rounds < budget:
+        size = min(_CHUNK_ROUNDS, budget - rounds)
+        state = rng.bit_generator.state
+        draws = rng.integers(1, palette + 1, size=(size, 2, zero.ball.size))
+        judged = size if rounds + size < budget else size - 1
+        passes = np.flatnonzero(~_zero_violates(zero, draws[:judged], palette, bound, caps))
+        keep = int(passes[0]) + 1 if passes.size else size
+        if keep < size:
+            rng.bit_generator.state = state
+            draws = rng.integers(1, palette + 1, size=(keep, 2, zero.ball.size))
+        first[zero.ball], second[zero.ball] = draws[-1]
+        rounds += keep
+        if passes.size:
+            break
+    return rounds
 
 
 def audit(
@@ -351,6 +458,14 @@ def resample_until_good(
     the audit are evaluated once, for the colouring the loop ends with. Exhausting
     ``max_rounds`` is a flagged return, not an error; termination is budgeted,
     not guaranteed.
+
+    While vertex 0 is the centre, :func:`_redraw_zero` runs the rounds in
+    chunks of ``_CHUNK_ROUNDS`` (a constant, small so that peak memory stays
+    near one round's), judging vertex 0 on every drawn round at once and
+    keeping the rounds up to the first it passes. A chunk is one ``integers``
+    call, which numpy fills with the values, and leaves the generator state,
+    of the per-round calls, so the result is that of the round-by-round loop.
+    Every other centre takes one scan and one redraw per round.
     """
     if max_rounds < 1:
         raise InputError(f"max_rounds must be >= 1, got {max_rounds}")
@@ -368,10 +483,18 @@ def resample_until_good(
 
     rounds = 0
     ball_centre, redraw = -1, None  # the last centre's ball, reused while it repeats
+    zero = None  # vertex 0's ball layout, built when vertex 0 first violates
     while rounds < max_rounds:
         centre = _first_violator(g, first, second, palette, bound, caps)
         if centre < 0:
             break
+        if centre == 0:
+            if zero is None:
+                zero = _zero_ball(g)
+            rounds += _redraw_zero(
+                zero, first, second, rng, palette, bound, caps, max_rounds - rounds
+            )
+            continue
         if centre != ball_centre:
             ball_centre, redraw = centre, _two_hop_ball(g, centre)
         first[redraw] = rng.integers(1, palette + 1, size=redraw.size)

@@ -444,6 +444,8 @@ def decompose_to_four(
         raise InputError(f"mode must be 'strict' or 'best-effort', got {mode!r}")
     if restarts < 1:
         raise InputError(f"restarts must be >= 1, got {restarts}")
+    if max_rounds < 1:
+        raise InputError(f"max_rounds must be >= 1, got {max_rounds}")
     strict = mode == "strict"
     profile.validate()
     if not g.is_regular():

@@ -27,6 +27,8 @@ from lidecomp.coloring import (
     _first_violator,
     _set_masks,
     _violating,
+    _zero_ball,
+    _zero_violates,
     audit,
     closeness_bound,
     distinguish,
@@ -185,6 +187,12 @@ def test_masks_and_counts_match_references(case, profile, d) -> None:
 )
 @example((Graph(0, []), VertexColoring(1, (), ())), PROFILES[0], 0)
 @example((Graph(3, [(0, 1), (1, 2)]), VertexColoring(1, (1, 1, 1), (1, 1, 1))), PROFILES[2], 60)
+# Distinct pairs whose code first * (palette + 1) + second wraps to one int64.
+@example(
+    (Graph(3, [(0, 1), (1, 2)]), VertexColoring(2**33, (5, 1, 1 + 2**31), (9, 1 + 2**31, 1))),
+    PROFILES[0],
+    1,
+)
 def test_first_violator_matches_full_audit(case, profile, d) -> None:
     g, c = case
     first = np.asarray(c.first, dtype=np.int64)
@@ -193,6 +201,10 @@ def test_first_violator_matches_full_audit(case, profile, d) -> None:
     bad = _violating(_audit_counts(g, _set_masks(g, first, second, c.palette, bound)), caps)
     expected = int(bad[0]) if bad.size else -1
     assert _first_violator(g, first, second, c.palette, bound, caps) == expected
+    if g.n:  # the batch judge, on one round holding these colours
+        zero = _zero_ball(g)
+        draws = np.stack((first[zero.ball], second[zero.ball]))[None]
+        assert _zero_violates(zero, draws, c.palette, bound, caps).tolist() == [expected == 0]
 
 
 @pytest.mark.parametrize("palette", [127, 128, 2**15 - 1, 2**15, 2**31 - 1, 2**31])
@@ -203,12 +215,21 @@ def test_first_violator_matches_full_audit_at_wide_palettes(palette) -> None:
     rng = np.random.default_rng(palette)
     g = Graph(40, [(u, v) for u, v in combinations(range(40), 2) if rng.random() < 0.3])
     ends = np.array([1, 2, 3, palette - 2, palette - 1, palette], dtype=np.int64)
+    zero, batch_rng = _zero_ball(g), np.random.default_rng([palette, 1])
     for bound in (0, 1, 2):
         caps = np.array([g.n, 3 * bound, g.n], dtype=np.int64)
         first, second = rng.choice(ends, g.n), rng.choice(ends, g.n)
         bad = _violating(_audit_counts(g, _set_masks(g, first, second, palette, bound)), caps)
         expected = int(bad[0]) if bad.size else -1
         assert _first_violator(g, first, second, palette, bound, caps) == expected
+        # The batch judge, on rounds drawn from the same ends over vertex 0's ball.
+        draws = batch_rng.choice(ends, (8, 2, zero.ball.size))
+        verdicts = []
+        for f, s in draws:
+            first[zero.ball], second[zero.ball] = f, s
+            counts = _audit_counts(g, _set_masks(g, first, second, palette, bound))
+            verdicts.append(0 in _violating(counts, caps))
+        assert _zero_violates(zero, draws, palette, bound, caps).tolist() == verdicts
 
 
 def reference_resample(
@@ -274,14 +295,24 @@ def test_resample_matches_round_by_round_reference(g, profile, d, seed, max_roun
 def test_long_resample_matches_round_by_round_reference(
     monkeypatch, shape, profile, d, max_rounds, centres
 ) -> None:
+    # A round's centre comes from the scan, or, for each round after the
+    # first while vertex 0 is the centre, from the batch verdict that vertex
+    # 0 still violates: the leading violating verdicts of each batch.
     seen: list[int] = []
-    first_violator = coloring._first_violator
+    first_violator, zero_violates = coloring._first_violator, coloring._zero_violates
 
     def record(*args):
         seen.append(first_violator(*args))
         return seen[-1]
 
+    def record_batch(*args):
+        bad = zero_violates(*args)
+        passes = np.flatnonzero(~bad)
+        seen.extend([0] * (int(passes[0]) if passes.size else bad.size))
+        return bad
+
     monkeypatch.setattr(coloring, "_first_violator", record)
+    monkeypatch.setattr(coloring, "_zero_violates", record_batch)
     g = generate_regular(*shape, seed=1)
     result = resample_until_good(g, profile, d, seed=0, max_rounds=max_rounds)
     ref = reference_resample(g, profile, d, 0, max_rounds)

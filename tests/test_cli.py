@@ -685,8 +685,11 @@ def test_main_repeats_every_subcommand_byte_for_byte(tmp_path, monkeypatch, caps
         (["constants", "optimize", "--seed", "-1", "--budget", "1"], "non-negative"),
         (["decompose", "--in", "g.txt", "--profile", "profile.json", "--mode", "best-effort",
           "--max-rounds", "4", "--restarts", "0"], "restarts must be >= 1, got 0"),
+        (["decompose", "--in", "empty.txt", "--mode", "best-effort", "--max-rounds", "0"],
+         "max_rounds must be >= 1, got 0"),
     ],
-    ids=["gen-regular-seed", "decompose-seed", "dcs-seed", "optimize-seed", "decompose-restarts"],
+    ids=["gen-regular-seed", "decompose-seed", "dcs-seed", "optimize-seed", "decompose-restarts",
+         "edgeless-max-rounds"],
 )
 def test_negative_seed_and_zero_restarts_are_rejected_input(
     argv, message, tmp_path, monkeypatch, capsys
@@ -696,6 +699,7 @@ def test_negative_seed_and_zero_restarts_are_rejected_input(
     monkeypatch.chdir(tmp_path)
     write_graph(generate_regular(24, 4, seed=1), "g.txt")
     write_graph(Graph(13, [(i, j) for i in range(13) for j in range(i + 1, 13)]), "k13.txt")
+    write_graph(Graph(3, []), "empty.txt")
     Path("t.json").write_text(json.dumps([0] * 13))
     Path("profile.json").write_text(json.dumps(
         {"k": 0.45, "s": 0.2, "r": 0.3, "u": 0.4, "s1": 0.1, "r1": 0.2, "u1": 0.2}

@@ -313,6 +313,23 @@ def test_resample_deterministic() -> None:
     assert a.coloring == b.coloring and a.rounds == b.rounds
 
 
+@pytest.mark.parametrize("palette", [2, 7, 13, 2**15, 2**31, 2**33])
+@pytest.mark.parametrize("ball", [1, 3, 983, 4161])
+def test_batched_draws_match_per_round_draws(palette, ball) -> None:
+    # resample_until_good draws a batch of rounds as one (R, 2, ball) call in
+    # place of R rounds' two calls; payload bytes rest on numpy keeping this
+    # stream contract. Odd sizes leave half a 64-bit word buffered between
+    # calls at palettes up to 2**32.
+    rounds = 5
+    batch, per_round = np.random.default_rng(palette), np.random.default_rng(palette)
+    batch.integers(1, palette + 1, size=3)
+    per_round.integers(1, palette + 1, size=3)
+    drawn = batch.integers(1, palette + 1, size=(rounds, 2, ball))
+    expected = [per_round.integers(1, palette + 1, size=ball) for _ in range(2 * rounds)]
+    assert np.array_equal(drawn.reshape(2 * rounds, ball), np.array(expected))
+    assert batch.bit_generator.state == per_round.bit_generator.state
+
+
 def test_resample_non_regular_warns_and_strict_rejects() -> None:
     g = Graph(3, [(0, 1), (1, 2)])
     with pytest.warns(UserWarning):
