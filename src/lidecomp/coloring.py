@@ -13,13 +13,13 @@ CSR adjacency and reading a vertex's uncoloured flag from its row when a block
 first needs it. A round thus costs the rows of the first violating block's
 closed neighbourhood (and of the blocks before it), plus at most one pass
 over the 2m slots for the flags; a repeated centre reuses its two-hop ball.
-Rounds centred on vertex 0 are batched. Vertex 0 has no lower vertex, so it
-is the centre exactly when it violates, its counts read only its two-hop
+Rounds centred on vertex 0 run in chunks. Vertex 0 has no lower vertex, so
+it is the centre exactly when it violates, its counts read only its two-hop
 ball, and each such round redraws that ball whole: the rounds are independent
 trials. Up to ``_CHUNK_ROUNDS`` of them are drawn in one ``integers`` call and
-judged together on the ball's slot layout, built once per call. The chunk is
-a constant, kept small so that the per-slot arrays, and with them peak
-memory, stay near one round's. The payload stays byte-identical because
+judged together on the ball's slot layout, built once per resampling. The
+chunk is a constant, kept small so that the per-slot arrays, and with them
+peak memory, stay near one round's. The payload stays byte-identical because
 numpy's bounded draws consume the bit generator value by value: one call of
 shape (R, 2, k) gives the values, and leaves the state, of R rounds' two
 calls of size k (a test pins this). The full sets and the audit are
@@ -281,9 +281,8 @@ def _first_violator(
         known[new] = True
         slots, lens = _row_slots(indptr, new)
         nbr = indices[slots]
-        hits = np.flatnonzero(
-            (first[nbr] == np.repeat(first[new], lens)) & (second[nbr] == np.repeat(second[new], lens))
-        )
+        same_first = first[nbr] == np.repeat(first[new], lens)
+        hits = np.flatnonzero(same_first & (second[nbr] == np.repeat(second[new], lens)))
         uflag[new[np.searchsorted(np.cumsum(lens), hits, side="right")]] = True
         touch = np.repeat(uflag[a:b], deg) | uflag[dst]
         # Per-row sums; the spare last column keeps every row start in range.
@@ -314,7 +313,7 @@ def _two_hop_ball(g: Graph, centre: int) -> np.ndarray:
 #: Rounds drawn and judged per chunk while vertex 0 is the centre. The
 #: chunk's per-slot arrays grow with it (16 rounds of a (1000, 64) ball hold
 #: about 66k slots each). One 200-round chunk raised the recolor benchmark's
-#: peak RSS from 45.1 to 49.2 MB, near its 10% bound; 16 rounds leave it
+#: peak RSS from 45.1 to 49.6 MB, at its 10% bound; 16 rounds leave it
 #: where one round per call did.
 _CHUNK_ROUNDS = 16
 
