@@ -214,13 +214,13 @@ def cmd_verify(args: argparse.Namespace) -> tuple[dict, bool]:
         print("parts do not partition the edge set", file=sys.stderr)
     eu, ev = g.endpoint_arrays()
     for part_idx, conf in enumerate(conflicts):
-        for i in conf:
+        for i in conf.tolist():
             u, v = eu[i], ev[i]
             print(f"part {part_idx}: conflicting edge {i} = ({u},{v})", file=sys.stderr)
     payload = {
         "cover_ok": cover_ok,
         "verdicts": list(verdicts),
-        "conflicts": [list(c) for c in conflicts],
+        "conflicts": [c.tolist() for c in conflicts],
         "passed": ok,
     }
     return payload, ok

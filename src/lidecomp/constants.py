@@ -333,8 +333,8 @@ def _vector_feasible(profile: ConstantProfile, ds: np.ndarray) -> np.ndarray:
     return np.logical_and.reduce([_holds(lhs, rhs, strict) for _, lhs, rhs, strict in rows])
 
 
-def min_feasible_d(profile: ConstantProfile, lo: int = SCAN_LO, hi: int = SCAN_HI) -> int:
-    """Smallest degree in [lo, hi] passing every constraint.
+def min_feasible_d(profile: ConstantProfile, hi: int = SCAN_HI) -> int:
+    """Smallest degree in [SCAN_LO, hi] passing every constraint.
 
     The range below the monotonicity thresholds gets checked exhaustively and
     the region above is a linear scan; both run through a vectorized float
@@ -342,42 +342,36 @@ def min_feasible_d(profile: ConstantProfile, lo: int = SCAN_LO, hi: int = SCAN_H
     the answer.
     """
     profile.validate()
-    if lo < SCAN_LO:
-        raise InputError(f"scan must start at or above {SCAN_LO}, got {lo}")
     chunk = 1 << 16
-    start = lo
+    start = SCAN_LO
     while start <= hi:
         stop = min(hi, start + chunk - 1)
         ds = np.arange(start, stop + 1, dtype=np.int64)
         idx = np.flatnonzero(_vector_feasible(profile, ds))
         if idx.size:
             cand = int(ds[idx[0]])
-            for d in range(max(lo, cand - 4), hi + 1):
+            for d in range(max(SCAN_LO, cand - 4), hi + 1):
                 if check_profile(profile, d).passed:
                     return d
             break
         start = stop + 1
-    raise BudgetError(f"no feasible degree in [{lo}, {hi}]")
+    raise BudgetError(f"no feasible degree in [{SCAN_LO}, {hi}]")
 
 
-def optimize_profile(
-    seed: int,
-    budget: int,
-    start: ConstantProfile = REFERENCE_PROFILE,
-    hi: int = SCAN_HI,
-) -> tuple[ConstantProfile, int]:
+def optimize_profile(seed: int, budget: int) -> tuple[ConstantProfile, int]:
     """Coordinate descent over (k, s, r, u, s1, r1, u1) minimizing the feasible degree.
 
-    ``budget`` counts feasibility-scan evaluations. The start profile is the
-    first evaluation, so the result is never worse than its minimal degree.
+    ``budget`` counts feasibility-scan evaluations. The reference profile is
+    the first evaluation, so the result is never worse than its minimal degree.
     Steps shrink after stale sweeps; once they bottom out, seeded jitter
     around the incumbent restarts the descent. Deterministic per seed.
     """
     if budget < 1:
         raise InputError(f"budget must be >= 1, got {budget}")
-    start.validate()
     rng = np.random.default_rng(seed)
-    evals = 0
+    best_params = {name: getattr(REFERENCE_PROFILE, name) for name in _PROFILE_FIELDS}
+    best_d = min_feasible_d(REFERENCE_PROFILE)
+    evals = 1
 
     def evaluate(params: dict[str, float], cap: int) -> int | None:
         nonlocal evals
@@ -389,10 +383,6 @@ def optimize_profile(
         except (InputError, BudgetError):
             return None
 
-    best_params = {name: getattr(start, name) for name in _PROFILE_FIELDS}
-    best_d = evaluate(best_params, hi)
-    if best_d is None:
-        raise BudgetError("start profile admits no feasible degree")
     base_steps = {name: max(1e-5, 0.08 * best_params[name]) for name in _PROFILE_FIELDS}
     steps = dict(base_steps)
 
@@ -404,7 +394,7 @@ def optimize_profile(
                     break
                 cand = dict(best_params)
                 cand[name] = cand[name] + sign * steps[name]
-                d = evaluate(cand, min(hi, best_d - 1) if best_d > SCAN_LO else hi)
+                d = evaluate(cand, best_d - 1)
                 if d is not None and d < best_d:
                     best_params, best_d = cand, d
                     improved = True
@@ -424,7 +414,7 @@ def optimize_profile(
                     )
                     for name in _PROFILE_FIELDS
                 }
-                d = evaluate(cand, min(hi, best_d - 1) if best_d > SCAN_LO else hi)
+                d = evaluate(cand, best_d - 1)
                 if d is not None and d < best_d:
                     best_params, best_d = cand, d
                 steps = dict(base_steps)

@@ -9,11 +9,9 @@ A :class:`Graph` is held as arrays. The canonical edge list is two int64
 endpoint arrays (sorted once, on the key ``u*n + v``), and the adjacency is
 in CSR form: the neighbours of ``v`` are ``indices[indptr[v]:indptr[v+1]]``,
 ascending, and ``slot_edges`` holds the edge id of each of those slots.
-Queries return plain Python ints and tuples; the tuple view ``g.edges`` and
-the pair-to-index dict behind scalar :meth:`Graph.edge_id` lookups are built
-on first use and cached. The tuple view is for callers: the package itself
-reads the endpoint arrays everywhere.
-Graphs are immutable after construction and safe to share between threads.
+Every array is built in the constructor and is read-only, and nothing is
+built later on first use, so graphs are immutable after construction and
+safe to share between threads.
 
 An edge subset has one form inside the package: a boolean mask of length
 ``m`` over canonical edge indices, whose degrees :func:`degree_vector` counts
@@ -29,7 +27,6 @@ from __future__ import annotations
 
 import io
 from collections.abc import Collection, Iterable, Sequence
-from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -109,7 +106,6 @@ class Graph:
         self.slot_edges = _read_only(slots % max(self.m, 1))
         self._eu = _read_only(np.ascontiguousarray(lo))
         self._ev = _read_only(np.ascontiguousarray(hi))
-        self._ids: dict[tuple[int, int], int] | None = None
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Graph):
@@ -126,29 +122,8 @@ class Graph:
     def __repr__(self) -> str:
         return f"Graph(n={self.n}, m={self.m})"
 
-    @cached_property
-    def edges(self) -> tuple[tuple[int, int], ...]:
-        """Canonical edge list as a tuple of ``(u, v)`` pairs, built on first use."""
-        return tuple(zip(self._eu.tolist(), self._ev.tolist()))
-
-    def neighbors(self, v: int) -> tuple[int, ...]:
-        return tuple(self.indices[self.indptr[v] : self.indptr[v + 1]].tolist())
-
     def degree(self, v: int) -> int:
         return self.degrees[v]
-
-    def _pair_ids(self) -> dict[tuple[int, int], int]:
-        # Built on the first scalar lookup; a plain attribute keeps later reads fast.
-        if self._ids is None:
-            self._ids = dict(zip(zip(self._eu.tolist(), self._ev.tolist()), range(self.m)))
-        return self._ids
-
-    def edge_id(self, u: int, v: int) -> int:
-        """Canonical index of the edge ``uv``; raises ``KeyError`` if absent."""
-        return (self._ids or self._pair_ids())[(u, v) if u < v else (v, u)]
-
-    def has_edge(self, u: int, v: int) -> bool:
-        return ((u, v) if u < v else (v, u)) in (self._ids or self._pair_ids())
 
     def endpoint_arrays(self) -> tuple[np.ndarray, np.ndarray]:
         """Edge endpoints as two read-only int64 arrays in canonical edge order."""

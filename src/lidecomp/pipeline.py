@@ -108,14 +108,17 @@ def split_edges(g: Graph, coloring: VertexColoring, sets: DistinguishedSets) -> 
     return HalfSplit(labels, rules)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SelectionResult:
-    """Greedy per-uncoloured-vertex selections within one half."""
+    """Greedy per-uncoloured-vertex selections within one half.
 
-    selections: dict[int, tuple[int, ...]]
-    sizes: dict[int, int]
-    precondition_failures: tuple[int, ...]  # vertices failing the feasibility bounds
-    conflicts: tuple[int, ...]  # inside-half uncoloured edges with equal adjusted degrees
+    ``selected`` masks the selected fringe edges; the other two fields are
+    ascending int64 arrays.
+    """
+
+    selected: np.ndarray
+    precondition_failures: np.ndarray  # vertices failing the feasibility bounds
+    conflicts: np.ndarray  # inside-half uncoloured edges with equal adjusted degrees
 
 
 def choose_selections(
@@ -163,16 +166,15 @@ def choose_selections(
     infeasible = (fcount[uncolored] < size_count - 1) | (
         degree_vector(g, inside_half)[uncolored] >= size_count
     )
-    failures = uncolored[infeasible].tolist()
-    if failures and strict:
+    failures = uncolored[infeasible]
+    if failures.size and strict:
         raise InputError(
-            f"selection feasibility fails at vertices {failures[:10]} "
+            f"selection feasibility fails at vertices {failures[:10].tolist()} "
             f"(need {size_count - 1} fringe edges and < {size_count} inside edges)"
         )
 
     adjusted = degree_vector(g, half_edges).tolist()  # minus the selection size, once chosen
-    selections: dict[int, tuple[int, ...]] = {}
-    sizes: dict[int, int] = {}
+    chosen: list[int] = []
     for v in uncolored.tolist():
         forbidden = {adjusted[v] - adjusted[w] for w in lower[lptr[v] : lptr[v + 1]]}
         avail = fptr[v + 1] - fptr[v]
@@ -181,18 +183,14 @@ def choose_selections(
             if strict:
                 raise InputError(f"no admissible selection size at vertex {v}")
             size = next((c for c in range(0, avail + 1) if c not in forbidden), 0)
-        selections[v] = tuple(fringe[fptr[v] : fptr[v] + size])
-        sizes[v] = size
+        chosen += fringe[fptr[v] : fptr[v] + size]
         adjusted[v] -= size
 
     adjusted = np.asarray(adjusted)
     conflicts = inside[adjusted[eu[inside]] == adjusted[ev[inside]]]
-    return SelectionResult(
-        selections=selections,
-        sizes=sizes,
-        precondition_failures=tuple(failures),
-        conflicts=tuple(conflicts.tolist()),
-    )
+    selected = np.zeros(g.m, dtype=bool)
+    selected[chosen] = True
+    return SelectionResult(selected, failures, conflicts)
 
 
 def _peel_core_host(
@@ -226,15 +224,16 @@ def _peel_core_host(
 
 @dataclass(frozen=True, eq=False)
 class HalfDecomposition:
-    """One half split into its first (selection/risky/core) and second parts, as edge masks."""
+    """One half split into its first (selection/risky/core) and second parts, as edge masks.
 
-    half: int
+    ``core_excluded`` is the ascending int64 array of coloured vertices peeled
+    from the core host.
+    """
+
     first_part: np.ndarray
     second_part: np.ndarray
-    selections: dict[int, tuple[int, ...]]
-    residue_targets: dict[int, int]
     core: np.ndarray
-    core_excluded: tuple[int, ...]
+    core_excluded: np.ndarray
     diagnostics: dict
 
 
@@ -267,8 +266,7 @@ def decompose_half(
         derived.size_count,
         strict=strict,
     )
-    selected = np.zeros(g.m, dtype=bool)
-    selected[[i for edges in selection.selections.values() for i in edges]] = True
+    selected = selection.selected
 
     # Residue targets for coloured vertices: selection/risky incidence plus
     # the target must equal twice the colour coordinate modulo the modulus.
@@ -276,7 +274,6 @@ def decompose_half(
     colored = np.ones(g.n, dtype=bool)
     colored[sets.uncolored] = False
     residue = (2 * coord - degree_vector(g, selected | risky_half)) % lam
-    targets = dict(zip(np.flatnonzero(colored).tolist(), residue[colored].tolist()))
 
     # Core host: coloured vertices with enough residual-half degree for the
     # degree-constrained solver; the rest are excluded and logged. The bound is
@@ -285,10 +282,10 @@ def decompose_half(
     # sufficient condition for it: 6 * lam = 12 * ceil(kd) <= 12kd + 12.
     need = 6 * lam
     alive, host_edges = _peel_core_host(g, colored, sets.residual & half_edges, need)
-    excluded = tuple(np.flatnonzero(colored & ~alive).tolist())
-    if strict and excluded:
+    excluded = np.flatnonzero(colored & ~alive)
+    if strict and excluded.size:
         raise InputError(
-            f"half {half}: core host degree below {need} at {len(excluded)} vertices"
+            f"half {half}: core host degree below {need} at {excluded.size} vertices"
         )
     core = np.zeros(g.m, dtype=bool)
     core_ok = True
@@ -335,9 +332,9 @@ def decompose_half(
         return int(np.count_nonzero(violated))
 
     diagnostics = {
-        "selection_precondition_failures": len(selection.precondition_failures),
-        "selection_conflicts": list(selection.conflicts),
-        "core_excluded_count": len(excluded),
+        "selection_precondition_failures": selection.precondition_failures.size,
+        "selection_conflicts": selection.conflicts.tolist(),
+        "core_excluded_count": excluded.size,
         "core_certificate_ok": core_ok,
         "first_part_residue_violations": count((have != want) & (have != (want + 1) % lam)),
         # Uncoloured half degrees belong in d/2 - 2 <= x <= d/2 + 2.
@@ -362,11 +359,8 @@ def decompose_half(
         "second_part_colored_cap": count(deg_second[colored] >= math.ceil(bounds.second_part)),
     }
     return HalfDecomposition(
-        half=half,
         first_part=first,
         second_part=second,
-        selections=selection.selections,
-        residue_targets=targets,
         core=core,
         core_excluded=excluded,
         diagnostics=diagnostics,
@@ -406,21 +400,23 @@ class PipelineResult:
 
 def verify_decomposition(
     g: Graph, parts: Sequence[Collection[int] | np.ndarray]
-) -> tuple[bool, tuple[bool, ...], tuple[tuple[int, ...], ...]]:
+) -> tuple[bool, tuple[bool, ...], tuple[np.ndarray, ...]]:
     """Independent check: exact cover plus per-part local irregularity.
 
     Parts are index collections (a list, a set or an int64 array), not
     masks: a mask cannot hold the overlaps this check must reject. Each part
     is validated and judged on its distinct edges. The parts cover every edge
     exactly once iff their sizes sum to m and their union is every edge.
+    Each part's conflicts are the ascending int64 array of its edges whose
+    ends have equal degree within the part.
     """
     masks = [validate_edge_subset(g, part) for part in parts]
     union = np.zeros(g.m, dtype=bool)
     for mask in masks:
         union |= mask
     cover_ok = sum(map(len, parts)) == g.m and union.all()
-    conflicts = tuple(tuple(subgraph_conflicts(g, mask).tolist()) for mask in masks)
-    verdicts = tuple(not c for c in conflicts)
+    conflicts = tuple(subgraph_conflicts(g, mask) for mask in masks)
+    verdicts = tuple(not c.size for c in conflicts)
     return bool(cover_ok), verdicts, conflicts
 
 
@@ -532,8 +528,8 @@ def decompose_to_four(
         "halves": [h.diagnostics for h in halves],
         "core_excluded": [len(h.core_excluded) for h in halves],
         "verdicts": list(verdicts),
-        "conflicts": [list(c[:1000]) for c in conflicts],
-        "conflict_counts": [len(c) for c in conflicts],
+        "conflicts": [c[:1000].tolist() for c in conflicts],
+        "conflict_counts": [c.size for c in conflicts],
         "success": success,
     }
     if strict and not success:

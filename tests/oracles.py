@@ -1,4 +1,4 @@
-"""Reference implementations shared by the test modules.
+"""Reference implementations and scalar graph views shared by the test modules.
 
 The exhaustive search is only permitted on tiny inputs.
 """
@@ -7,6 +7,23 @@ from __future__ import annotations
 
 from lidecomp.dcs import DcsInstance
 from lidecomp.errors import InputError
+from lidecomp.graphs import Graph
+
+
+def edge_list(g: Graph) -> tuple[tuple[int, int], ...]:
+    """The canonical edge list as ``(u, v)`` pairs with ``u < v``, in canonical order."""
+    eu, ev = g.endpoint_arrays()
+    return tuple(zip(eu.tolist(), ev.tolist()))
+
+
+def edge_index(g: Graph) -> dict[tuple[int, int], int]:
+    """The canonical index of each edge, keyed by its ``(u, v)`` pair with ``u < v``."""
+    return {pair: i for i, pair in enumerate(edge_list(g))}
+
+
+def neighbors(g: Graph, v: int) -> tuple[int, ...]:
+    """The neighbours of ``v``, ascending, read from the CSR adjacency."""
+    return tuple(g.indices[g.indptr[v] : g.indptr[v + 1]].tolist())
 
 
 def exhaustive_solve(inst: DcsInstance, max_edges: int = 25) -> frozenset[int] | None:
@@ -25,12 +42,13 @@ def exhaustive_solve(inst: DcsInstance, max_edges: int = 25) -> frozenset[int] |
         return lower[v] <= deg[v] <= upper[v] and deg[v] % inst.moduli[v] in allowed[v]
 
     bad = sum(not vertex_ok(v) for v in range(g.n))
+    edges = edge_list(g)
     inside = [False] * g.m
     if bad == 0:
         return frozenset()
     for step in range(1, 1 << g.m):
         flip = (step & -step).bit_length() - 1
-        u, v = g.edges[flip]
+        u, v = edges[flip]
         was = [vertex_ok(u), vertex_ok(v)]
         delta = -1 if inside[flip] else 1
         inside[flip] = not inside[flip]

@@ -38,6 +38,7 @@ from lidecomp.coloring import (
 from lidecomp.constants import ConstantProfile, DerivedQuantities, REFERENCE_PROFILE
 from lidecomp import coloring
 from lidecomp.graphs import Graph, generate_regular
+from oracles import edge_list, neighbors
 from lidecomp.rounding import (
     BinaryEdgeLabels,
     FractionalEdgeWeights,
@@ -96,12 +97,12 @@ def colored_graphs(
 def reference_sets(g: Graph, c: VertexColoring, profile: ConstantProfile, d: int) -> dict:
     bound = closeness_bound(profile, d)
     pair = list(zip(c.first, c.second))
-    unc = {v for v in range(g.n) if any(pair[w] == pair[v] for w in g.neighbors(v))}
+    unc = {v for v in range(g.n) if any(pair[w] == pair[v] for w in neighbors(g, v))}
     sets = {name: set() for name in (
         "uncolored_edges", "touching", "special", "risky",
         "risky_not_special", "residual", "residual_nonspecial",
     )}
-    for i, (u, v) in enumerate(g.edges):
+    for i, (u, v) in enumerate(edge_list(g)):
         if u in unc and v in unc:
             sets["uncolored_edges"].add(i)
         if u in unc or v in unc:
@@ -126,16 +127,18 @@ def reference_sets(g: Graph, c: VertexColoring, profile: ConstantProfile, d: int
 
 
 def reference_counts(g: Graph, sets: dict, profile: ConstantProfile, d: int):
+    edges = edge_list(g)
+
     def incidence(es: set[int]) -> list[int]:
         deg = [0] * g.n
         for i in es:
-            for v in g.edges[i]:
+            for v in edges[i]:
                 deg[v] += 1
         return deg
 
     special = incidence(sets["special"])
     risky = incidence(sets["risky"])
-    unc = [sum(w in sets["uncolored"] for w in g.neighbors(v)) for v in range(g.n)]
+    unc = [sum(w in sets["uncolored"] for w in neighbors(g, v)) for v in range(g.n)]
     thresholds = [Fraction(str(t)) * d for t in (profile.s, profile.r, profile.u)]
     violations = tuple(
         v
@@ -248,9 +251,9 @@ def reference_resample(
         if result.passed or rounds >= max_rounds:
             return ResampleResult(c, sets, result, result.passed, rounds)
         centre = result.violations[0]
-        ball = {centre, *g.neighbors(centre)}
-        for w in g.neighbors(centre):
-            ball.update(g.neighbors(w))
+        ball = {centre, *neighbors(g, centre)}
+        for w in neighbors(g, centre):
+            ball.update(neighbors(g, w))
         redraw = sorted(ball)
         first[redraw] = rng.integers(1, palette + 1, size=len(redraw))
         second[redraw] = rng.integers(1, palette + 1, size=len(redraw))

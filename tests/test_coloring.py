@@ -16,6 +16,7 @@ from lidecomp.coloring import (
 from lidecomp.constants import ConstantProfile, REFERENCE_PROFILE
 from lidecomp.errors import InputError
 from lidecomp.graphs import Graph, generate_circulant, generate_regular
+from oracles import edge_index, edge_list, neighbors
 
 # Demo-scale profile used wherever the reference constants are too large.
 DEMO = ConstantProfile(k=0.1, s=0.05, r=0.3, u=0.2, s1=0.024, r1=0.279, u1=0.09)
@@ -77,7 +78,7 @@ def test_distinguish_path_example() -> None:
     c = VertexColoring(palette=4, first=(1, 1, 2), second=(1, 1, 3))
     sets = distinguish(g, c, REFERENCE_PROFILE, d=2)
     assert sets.uncolored.tolist() == [0, 1]
-    assert members(sets.uncolored_edges) == {g.edge_id(0, 1)}
+    assert members(sets.uncolored_edges) == {edge_index(g)[0, 1]}
     assert members(sets.touching) == {0, 1}
     assert members(sets.special) == set()
     assert members(sets.risky) == set()
@@ -229,7 +230,7 @@ def _star_counts(
     kk = c.palette
     star_s = [0] * g.n
     star_r = [0] * g.n
-    for u, v in g.edges:
+    for u, v in edge_list(g):
         first_eq = c.first[u] == c.first[v]
         second_eq = c.second[u] == c.second[v]
         if first_eq or second_eq:
@@ -243,10 +244,10 @@ def _star_counts(
     pair = list(zip(c.first, c.second))
     star_u = [0] * g.n
     for v in range(g.n):
-        nv = g.neighbors(v)
+        nv = neighbors(g, v)
         for w in nv:
             others = [pair[x] for x in nv if x != w]
-            others.extend(pair[x] for x in g.neighbors(w) if x != w)
+            others.extend(pair[x] for x in neighbors(g, w) if x != w)
             if pair[w] in others:
                 star_u[v] += 1
     return tuple(star_s), tuple(star_r), tuple(star_u)

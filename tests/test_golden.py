@@ -32,7 +32,7 @@ import pytest
 from lidecomp import rounding
 from lidecomp.cli import _dumps, main
 from lidecomp.graphs import Graph, generate_regular, write_graph
-from oracles import ref_round_half_euler
+from oracles import edge_list, ref_round_half_euler
 
 DEMO = {"k": 0.1, "s": 0.05, "r": 0.3, "u": 0.2, "s1": 0.024, "r1": 0.279, "u1": 0.09}
 
@@ -78,7 +78,7 @@ def _round_all_half_disconnected() -> list[str]:
     # Components with odd degrees (K4, a star, a 5-regular graph), an even
     # path and triangle, and isolated vertices: the auxiliary vertex joins
     # several components and some starts see no edge.
-    shifted = [(u + 17, v + 17) for u, v in generate_regular(16, 5, seed=6).edges]
+    shifted = [(u + 17, v + 17) for u, v in edge_list(generate_regular(16, 5, seed=6))]
     edges = [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3), (4, 5), (5, 6), (6, 7),
              (8, 9), (8, 10), (8, 11), (13, 14), (14, 15), (13, 15), *shifted]
     write_graph(Graph(35, edges), "g.txt")

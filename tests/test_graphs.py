@@ -21,6 +21,7 @@ from lidecomp.graphs import (
     validate_edge_subset,
     write_graph,
 )
+from oracles import edge_index, edge_list, neighbors
 
 
 def path_graph(n: int) -> Graph:
@@ -33,9 +34,9 @@ def complete_graph(n: int) -> Graph:
 
 def test_canonical_edge_order() -> None:
     g = Graph(4, [(3, 1), (0, 2), (1, 0)])
-    assert g.edges == ((0, 1), (0, 2), (1, 3))
-    assert g.edge_id(3, 1) == 2
-    assert g.neighbors(1) == (0, 3)
+    assert edge_list(g) == ((0, 1), (0, 2), (1, 3))
+    assert neighbors(g, 1) == (0, 3)
+    assert g.slot_edges.tolist() == [0, 1, 0, 2, 1, 2]
     assert g.degrees == (2, 2, 1, 1)
 
 
@@ -145,22 +146,15 @@ def test_array_graph_matches_reference(case, as_array) -> None:
     n, edges = case
     ref = ref_graph(n, edges)
     g = Graph(n, np.asarray(edges, dtype=np.int64).reshape(-1, 2) if as_array else edges)
-    assert g.edges == ref["edges"]
+    assert edge_list(g) == ref["edges"]
     assert g.m == len(ref["edges"])
     assert g.degrees == ref["degrees"]
-    assert all(g.neighbors(v) == ref["adjacency"][v] for v in range(n))
-    eu, ev = g.endpoint_arrays()
-    assert eu.tolist() == [u for u, _ in ref["edges"]]
-    assert ev.tolist() == [v for _, v in ref["edges"]]
-    for u in range(n):
-        for v in range(n):
-            key = (u, v) if u < v else (v, u)
-            assert g.has_edge(u, v) == (key in ref["index"])
-            if key in ref["index"]:
-                assert g.edge_id(u, v) == ref["index"][key]
-            else:
-                with pytest.raises(KeyError):
-                    g.edge_id(u, v)
+    assert all(neighbors(g, v) == ref["adjacency"][v] for v in range(n))
+    # Slot j of v's CSR row holds the edge joining v to its j-th neighbour.
+    for v in range(n):
+        for j in range(g.indptr[v], g.indptr[v + 1]):
+            w = int(g.indices[j])
+            assert g.slot_edges[j] == ref["index"][(min(v, w), max(v, w))]
     same = Graph(n, ref["edges"])
     assert g == same and hash(g) == hash(same)
     if ref["edges"]:
@@ -180,7 +174,7 @@ def test_subgraph_degrees_examples() -> None:
     assert degree_vector(c4, np.ones(c4.m, dtype=bool)).tolist() == [2, 2, 2, 2]
     assert degree_vector(c4, np.zeros(c4.m, dtype=bool)).tolist() == [0, 0, 0, 0]
     k3 = complete_graph(3)
-    assert degree_vector(k3, np.arange(k3.m) == k3.edge_id(0, 1)).tolist() == [1, 1, 0]
+    assert degree_vector(k3, np.arange(k3.m) == edge_index(k3)[0, 1]).tolist() == [1, 1, 0]
 
 
 def test_endpoint_arrays_cached_and_read_only() -> None:
@@ -191,7 +185,7 @@ def test_endpoint_arrays_cached_and_read_only() -> None:
     assert g.endpoint_arrays()[0] is eu
     with pytest.raises(ValueError):
         eu[0] = 2
-    assert g == Graph(4, g.edges)  # the cache takes no part in equality
+    assert g == Graph(4, edge_list(g))
     empty_u, empty_v = Graph(3, []).endpoint_arrays()
     assert empty_u.shape == empty_v.shape == (0,)
     assert degree_vector(Graph(0, []), np.zeros(0, dtype=bool)).tolist() == []
@@ -261,7 +255,8 @@ def test_degree_vector_rejects_wrong_mask_length_and_index_arrays() -> None:
 
 def test_validate_edge_subset_masks_distinct_edges_and_names_the_first_bad_index() -> None:
     g = generate_circulant(5, [1])
-    repeated = [g.edge_id(0, 1), g.edge_id(0, 1), g.edge_id(2, 3)]
+    ids = edge_index(g)
+    repeated = [ids[0, 1], ids[0, 1], ids[2, 3]]
     for form in (repeated, tuple(repeated), frozenset(repeated), np.array(repeated)):
         mask = validate_edge_subset(g, form)
         assert mask.dtype == bool and np.flatnonzero(mask).tolist() == sorted(set(repeated))
@@ -289,13 +284,13 @@ def test_subgraph_local_irregularity_and_conflicts() -> None:
     full = frozenset(range(g.m))
     # degrees 1,2,2,1: the middle edge joins two degree-2 vertices
     assert not is_subgraph_locally_irregular(g, full)
-    assert subgraph_conflicts(g, validate_edge_subset(g, full)).tolist() == [g.edge_id(1, 2)]
+    assert subgraph_conflicts(g, validate_edge_subset(g, full)).tolist() == [edge_index(g)[1, 2]]
     assert is_subgraph_locally_irregular(g, frozenset({0, 1}))
 
 
 def test_generate_regular_k4() -> None:
     g = generate_regular(4, 3, seed=0)
-    assert g.edges == complete_graph(4).edges
+    assert g == complete_graph(4)
 
 
 def test_generate_regular_rejects_bad_inputs() -> None:
@@ -310,10 +305,10 @@ def test_generate_regular_rejects_bad_inputs() -> None:
 def test_generate_regular_properties_and_determinism() -> None:
     g1 = generate_regular(50, 6, seed=1)
     g2 = generate_regular(50, 6, seed=1)
-    assert g1.edges == g2.edges
+    assert g1 == g2
     assert degree_vector(g1, np.ones(g1.m, dtype=bool)).tolist() == [6] * 50
     g3 = generate_regular(50, 6, seed=2)
-    assert g3.edges != g1.edges
+    assert g3 != g1
 
 
 def test_generate_regular_dense_degrees() -> None:
@@ -323,8 +318,8 @@ def test_generate_regular_dense_degrees() -> None:
 
 
 def test_generate_circulant() -> None:
-    assert generate_circulant(4, [1]).edges == ((0, 1), (0, 3), (1, 2), (2, 3))
-    assert generate_circulant(5, [1, 2]).edges == complete_graph(5).edges
+    assert edge_list(generate_circulant(4, [1])) == ((0, 1), (0, 3), (1, 2), (2, 3))
+    assert generate_circulant(5, [1, 2]) == complete_graph(5)
     g = generate_circulant(8, [1, 4])
     assert set(g.degrees) == {3}
     with pytest.raises(InputError):
@@ -348,7 +343,7 @@ def test_read_accepts_comments_and_any_order(tmp_path) -> None:
     p = tmp_path / "g.txt"
     p.write_text("# header comment\n3 2\n1 2\n# middle\n0 1\n")
     g = read_graph(p)
-    assert g.edges == ((0, 1), (1, 2))
+    assert edge_list(g) == ((0, 1), (1, 2))
 
 
 @pytest.mark.parametrize(
@@ -435,7 +430,7 @@ def _outcome(fn, *args, **kwargs):
         g = fn(*args, **kwargs)
     except (InputError, BudgetError) as exc:
         return type(exc), str(exc)
-    return g.n, g.edges
+    return g.n, edge_list(g)
 
 
 def test_generate_regular_matches_pair_by_pair_reference() -> None:

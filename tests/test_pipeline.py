@@ -23,6 +23,7 @@ from lidecomp.constants import (
     REFERENCE_PROFILE,
     exact_degree_bounds,
 )
+from lidecomp.dcs import DcsInstance, solve as dcs_solve, verify as dcs_verify
 from lidecomp.errors import BudgetError, InputError
 from lidecomp.exact import is_decomposable
 from lidecomp.graphs import (
@@ -42,6 +43,7 @@ from lidecomp.pipeline import (
     verify_decomposition,
 )
 from lidecomp.rounding import FractionalEdgeWeights, balanced_round
+from oracles import edge_index, edge_list
 
 DEMO = ConstantProfile(k=0.1, s=0.05, r=0.3, u=0.2, s1=0.024, r1=0.279, u1=0.09)
 
@@ -129,14 +131,15 @@ def test_choose_selections_empty_uncolored() -> None:
     out = choose_selections(
         g, np.zeros(0, dtype=np.int64), ~none, none, none, size_count=3
     )
-    assert out.selections == {} and out.conflicts == ()
+    assert not out.selected.any() and out.selected.shape == (g.m,)
+    assert out.conflicts.tolist() == [] and out.precondition_failures.tolist() == []
 
 
 def test_choose_selections_forces_distinct_sizes() -> None:
     # Two adjacent uncoloured vertices with equal half-degrees must end up
     # with different selection sizes.
     g = Graph(6, [(0, 1), (0, 2), (0, 3), (1, 4), (1, 5)])
-    inside = np.arange(g.m) == g.edge_id(0, 1)
+    inside = np.arange(g.m) == edge_index(g)[0, 1]
     fringe = ~inside
     out = choose_selections(
         g,
@@ -146,10 +149,10 @@ def test_choose_selections_forces_distinct_sizes() -> None:
         fringe,
         size_count=3,
     )
-    assert out.sizes[0] != out.sizes[1]
-    assert out.conflicts == ()
-    assert out.selections[0] == tuple(sorted(out.selections[0]))
-    assert set(out.selections[1]) <= members(fringe)
+    sizes = degree_vector(g, out.selected)
+    assert sizes[0] != sizes[1]
+    assert out.conflicts.tolist() == []
+    assert members(out.selected) <= members(fringe)
 
 
 def test_choose_selections_strict_rejects_infeasible() -> None:
@@ -183,17 +186,17 @@ def test_choose_selections_fuzz_postcondition() -> None:
         out = choose_selections(
             g, sets.uncolored, half, inside, fringe, size_count=4
         )
-        deg_half = degree_vector(g, half).tolist()
+        # Each selected edge has one uncoloured end, so the selection sizes
+        # are the selected degrees at the uncoloured vertices.
+        adjusted = (degree_vector(g, half) - degree_vector(g, out.selected)).tolist()
+        edges = edge_list(g)
         # re-check the distinctness condition edge by edge
         expected_conflicts = {
-            i
-            for i in members(inside)
-            if deg_half[g.edges[i][0]] - out.sizes[g.edges[i][0]]
-            == deg_half[g.edges[i][1]] - out.sizes[g.edges[i][1]]
+            i for i in members(inside) if adjusted[edges[i][0]] == adjusted[edges[i][1]]
         }
-        assert set(out.conflicts) == expected_conflicts
-        if not out.precondition_failures:
-            assert not out.conflicts
+        assert set(out.conflicts.tolist()) == expected_conflicts
+        if not out.precondition_failures.size:
+            assert not out.conflicts.size
 
 
 def test_decompose_half_with_core_subgraph() -> None:
@@ -217,7 +220,7 @@ def test_decompose_half_with_core_subgraph() -> None:
     assert not (half.first_part & half.second_part).any()
     assert half.diagnostics["core_certificate_ok"]
     assert half.diagnostics["first_part_residue_violations"] == 0
-    assert half.core_excluded == ()
+    assert half.core_excluded.tolist() == []
     # core degrees inside the middle third of the half-residual host
     host_deg = degree_vector(g, split.labels == 0)
     core_deg = degree_vector(g, half.core)
@@ -225,15 +228,30 @@ def test_decompose_half_with_core_subgraph() -> None:
         assert host_deg[v] <= 3 * core_deg[v] <= 2 * host_deg[v]
 
 
-def _half_json(half) -> dict:
+def _half_json(g, c, sets, split, h, lam, half) -> dict:
+    """The half's fields as pinned, with the per-vertex selections and residue
+    targets of the former dict form rebuilt from the masks."""
+    risky_half = sets.risky & (split.labels == h)
+    selected = half.first_part & ~half.core & ~risky_half
+    # A selected edge is a fringe edge, with exactly one uncoloured end.
+    edges = edge_list(g)
+    selections = {v: [] for v in sets.uncolored.tolist()}
+    for i in members(selected):
+        selections[next(v for v in edges[i] if v in selections)].append(i)
+    colored = np.ones(g.n, dtype=bool)
+    colored[sets.uncolored] = False
+    coord = np.asarray(c.first if h == 0 else c.second)
+    residue = (2 * coord - degree_vector(g, selected | risky_half)) % lam
     return {
-        "half": half.half,
+        "half": h,
         "first_part": np.flatnonzero(half.first_part).tolist(),
         "second_part": np.flatnonzero(half.second_part).tolist(),
         "core": np.flatnonzero(half.core).tolist(),
-        "core_excluded": list(half.core_excluded),
-        "selections": {str(v): list(e) for v, e in half.selections.items()},
-        "residue_targets": {str(v): t for v, t in half.residue_targets.items()},
+        "core_excluded": half.core_excluded.tolist(),
+        "selections": {str(v): sorted(e) for v, e in selections.items()},
+        "residue_targets": {
+            str(v): t for v, t in zip(np.flatnonzero(colored).tolist(), residue[colored].tolist())
+        },
         "diagnostics": half.diagnostics,
     }
 
@@ -256,39 +274,68 @@ def test_decompose_half_core_path_pinned(m, k, seed, digest) -> None:
     c = far_apart_coloring(g, [(1, 1)] * m + [(20, 20)] * m, palette=40)
     sets = distinguish(g, c, prof, d=m)
     split = split_edges(g, c, sets)
+    lam = DerivedQuantities.derive(prof, m).modulus
     halves = [
-        _half_json(decompose_half(g, c, sets, split, h, prof, m, seed=seed)) for h in (0, 1)
+        _half_json(
+            g, c, sets, split, h, lam, decompose_half(g, c, sets, split, h, prof, m, seed=seed)
+        )
+        for h in (0, 1)
     ]
     assert all(h["core"] for h in halves)
     text = json.dumps(halves, sort_keys=True)
     assert hashlib.sha256(text.encode()).hexdigest() == digest
-    assert "edges" not in vars(g)
 
 
-def test_decompose_never_builds_the_edge_tuple_view() -> None:
-    g = generate_regular(60, 8, seed=2)
-    decompose_to_four(g, DEMO, mode="best-effort", seed=1, max_rounds=5)
-    assert "edges" not in vars(g)
-    assert g._ids is None
+def _graph_state(g: Graph) -> dict:
+    """Every attribute of ``g``; an array by its bytes, dtype, shape and writeable flag."""
+    return {
+        name: (value.tobytes(), value.dtype, value.shape, value.flags.writeable)
+        if isinstance(value, np.ndarray)
+        else value
+        for name, value in vars(g).items()
+    }
+
+
+def _solve_dcs(g: Graph) -> None:
+    inst = DcsInstance(g, (4,) * g.n, tuple(v % 8 for v in range(g.n)))
+    dcs_verify(inst, dcs_solve(inst, seed=2).edges)
 
 
 @pytest.mark.parametrize(
-    "action",
+    "make, action",
     [
-        lambda g: balanced_round(
-            FractionalEdgeWeights.from_values(g, [Fraction(e % 9, 8) for e in range(g.m)])
+        (
+            lambda: generate_regular(60, 8, seed=2),
+            lambda g: decompose_to_four(g, DEMO, mode="best-effort", seed=1, max_rounds=5),
         ),
-        lambda g: balanced_round(FractionalEdgeWeights.constant(g, Fraction(1, 2))),
-        lambda g: is_decomposable(g, 2),
+        (
+            lambda: generate_regular(60, 8, seed=2),
+            lambda g: verify_decomposition(g, (range(0, g.m, 2), range(1, g.m, 2), [0])),
+        ),
+        (
+            lambda: generate_circulant(9, [1, 3]),
+            lambda g: balanced_round(
+                FractionalEdgeWeights.from_values(g, [Fraction(e % 9, 8) for e in range(g.m)])
+            ),
+        ),
+        (
+            lambda: generate_circulant(9, [1, 3]),
+            lambda g: balanced_round(FractionalEdgeWeights.constant(g, Fraction(1, 2))),
+        ),
+        (lambda: generate_regular(60, 24, seed=3), _solve_dcs),
+        (lambda: generate_circulant(9, [1, 3]), lambda g: is_decomposable(g, 2)),
     ],
-    ids=["round-general", "round-half", "exact"],
+    ids=["decompose", "verify", "round-general", "round-half", "dcs", "exact"],
 )
-def test_rounding_and_exact_never_build_the_edge_tuple_view(action) -> None:
-    # Like decompose, dcs and verify, which have tests of their own, these
-    # read the endpoint arrays; the tuple view is left to callers.
-    g = generate_circulant(9, [1, 3])
+def test_graph_is_not_modified_by_use(make, action) -> None:
+    # A graph is immutable after construction: no stage caches anything on
+    # it or writes to its arrays, so it is safe to share between threads.
+    g = make()
+    before = _graph_state(g)
     action(g)
-    assert "edges" not in vars(g)
+    assert _graph_state(g) == before
+    arrays = [value for value in vars(g).values() if isinstance(value, np.ndarray)]
+    assert arrays and not any(a.flags.writeable for a in arrays)
 
 
 def test_decompose_half_reports_core_budget_failure(monkeypatch) -> None:
@@ -385,7 +432,7 @@ def test_decompose_half_residues_make_first_part_irregular() -> None:
     for half_idx in (0, 1):
         half = decompose_half(g, c, sets, split, half_idx, prof, m, seed=7)
         assert half.core.any() and np.array_equal(half.first_part, half.core)
-        assert half.core_excluded == ()
+        assert half.core_excluded.tolist() == []
         assert half.diagnostics["first_part_residue_violations"] == 0
         assert is_subgraph_locally_irregular(g, np.flatnonzero(half.first_part))
 
@@ -475,20 +522,28 @@ def reference_verify(g: Graph, parts) -> tuple:
     """Exact cover and per-part conflicts on each part's set of distinct edges."""
     union = set().union(*map(set, parts))
     cover_ok = union == set(range(g.m)) and sum(map(len, parts)) == g.m
+    edges = edge_list(g)
     conflicts = []
     for part in parts:
         distinct = sorted(set(part))
         deg: dict[int, int] = {}
         for i in distinct:
-            for w in g.edges[i]:
+            for w in edges[i]:
                 deg[w] = deg.get(w, 0) + 1
-        conflicts.append(tuple(i for i in distinct if deg[g.edges[i][0]] == deg[g.edges[i][1]]))
-    return cover_ok, tuple(not c for c in conflicts), tuple(conflicts)
+        conflicts.append([i for i in distinct if deg[edges[i][0]] == deg[edges[i][1]]])
+    return cover_ok, tuple(not c for c in conflicts), conflicts
 
 
 def test_verify_decomposition_cover_matches_set_reference() -> None:
     # Exact cover means: the parts' union is every edge and their sizes sum to m.
-    # Verdicts and conflicts are taken on each part's distinct edges.
+    # Verdicts and conflicts are taken on each part's distinct edges; each
+    # part's conflicts are an ascending int64 array.
+    def checked(result: tuple) -> tuple:
+        cover_ok, verdicts, conflicts = result
+        for c in conflicts:
+            assert c.dtype == np.int64 and (np.diff(c) > 0).all()
+        return cover_ok, verdicts, [c.tolist() for c in conflicts]
+
     rng = np.random.default_rng(3)
     for g in (Graph(5, [(0, i) for i in range(1, 5)] + [(1, 2)]), generate_circulant(8, [1, 2])):
         for trial in range(300):
@@ -506,15 +561,19 @@ def test_verify_decomposition_cover_matches_set_reference() -> None:
                     for _ in range(count)
                 ]
             expected = reference_verify(g, parts)
-            assert verify_decomposition(g, tuple(parts)) == expected
+            assert checked(verify_decomposition(g, tuple(parts))) == expected
             arrays = tuple(np.asarray(p, dtype=np.int64) for p in parts)
-            assert verify_decomposition(g, arrays) == expected
+            assert checked(verify_decomposition(g, arrays)) == expected
     g = Graph(5, [(0, i) for i in range(1, 5)] + [(1, 2)])
     assert not verify_decomposition(g, (frozenset({0, 1, 2}), frozenset({0, 1})))[0]
     # P4 with edge 0 twice: the set {0, 1, 2} has conflict edge 1. P3: edge 1 once.
     p4, p3 = Graph(4, [(0, 1), (1, 2), (2, 3)]), Graph(3, [(0, 1), (1, 2)])
-    assert verify_decomposition(p4, ([0, 0, 1, 2],)) == (False, (False,), ((1,),))
-    assert verify_decomposition(p3, ([1, 1], [0])) == (False, (False, False), ((1,), (0,)))
+    assert checked(verify_decomposition(p4, ([0, 0, 1, 2],))) == (False, (False,), [[1]])
+    assert checked(verify_decomposition(p3, ([1, 1], [0]))) == (
+        False,
+        (False, False),
+        [[1], [0]],
+    )
 
 
 def test_decompose_to_four_deterministic() -> None:
@@ -567,14 +626,15 @@ def reference_peel(
 ) -> tuple[set[int], frozenset[int]]:
     """Fixed-point peel: sweep the survivors until none is below ``min_degree``."""
     alive = set(vertices)
-    active = {i for i in edges if set(g.edges[i]) <= alive}
+    pairs = edge_list(g)
+    active = {i for i in edges if set(pairs[i]) <= alive}
     changed = True
     while changed:
         changed = False
         for v in sorted(alive):
-            if sum(v in g.edges[i] for i in active) < min_degree:
+            if sum(v in pairs[i] for i in active) < min_degree:
                 alive.discard(v)
-                active = {i for i in active if v not in g.edges[i]}
+                active = {i for i in active if v not in pairs[i]}
                 changed = True
     return alive, frozenset(active)
 
@@ -602,19 +662,23 @@ def reference_choose_selections(
     size_count: int,
     strict: bool = False,
 ) -> SelectionResult:
-    """The greedy selection on frozensets and dicts, as written before the mask version."""
+    """The greedy selection on frozensets and dicts, as written before the mask version.
+
+    The per-vertex selections become the selected-edge mask at the end.
+    """
+    edges = edge_list(g)
     deg_half = [0] * g.n
     for i in half_edges:
-        for v in g.edges[i]:
+        for v in edges[i]:
             deg_half[v] += 1
     fringe_at: dict[int, list[int]] = {v: [] for v in uncolored}
     inside_neighbors: dict[int, list[int]] = {v: [] for v in uncolored}
     for i in sorted(fringe_half):
-        for v in g.edges[i]:
+        for v in edges[i]:
             if v in fringe_at:
                 fringe_at[v].append(i)
     for i in inside_half:
-        u, v = g.edges[i]
+        u, v = edges[i]
         inside_neighbors[u].append(v)
         inside_neighbors[v].append(u)
 
@@ -649,21 +713,20 @@ def reference_choose_selections(
         selections[v] = tuple(fringe_at[v][:size])
         sizes[v] = size
 
-    conflicts = tuple(
-        sorted(
-            i
-            for i in inside_half
-            if (
-                deg_half[g.edges[i][0]] - sizes[g.edges[i][0]]
-                == deg_half[g.edges[i][1]] - sizes[g.edges[i][1]]
-            )
+    conflicts = sorted(
+        i
+        for i in inside_half
+        if (
+            deg_half[edges[i][0]] - sizes[edges[i][0]]
+            == deg_half[edges[i][1]] - sizes[edges[i][1]]
         )
     )
+    selected = np.zeros(g.m, dtype=bool)
+    selected[[i for chosen in selections.values() for i in chosen]] = True
     return SelectionResult(
-        selections=selections,
-        sizes=sizes,
-        precondition_failures=tuple(failures),
-        conflicts=conflicts,
+        selected=selected,
+        precondition_failures=np.asarray(failures, dtype=np.int64),
+        conflicts=np.asarray(conflicts, dtype=np.int64),
     )
 
 
@@ -701,7 +764,12 @@ def test_choose_selections_matches_reference(d, n, palette, seed, half, size_cou
         frozenset(members(inside)),
         frozenset(members(fringe)),
     )
-    assert got == expected
+    if isinstance(got, str) or isinstance(expected, str):
+        assert got == expected
+        return
+    for field in dataclasses.fields(SelectionResult):
+        a, b = getattr(got, field.name), getattr(expected, field.name)
+        assert a.dtype == b.dtype and np.array_equal(a, b), field.name
 
 
 def test_array_dataclasses_compare_by_identity() -> None:
@@ -713,7 +781,11 @@ def test_array_dataclasses_compare_by_identity() -> None:
     split = split_edges(g, resampled.coloring, sets)
     half = decompose_half(g, resampled.coloring, sets, split, 0, DEMO, 8, seed=1)
     decomposition = decompose_to_four(g, DEMO, mode="best-effort", max_rounds=3).decomposition
-    for obj in (sets, resampled, split, half, decomposition):
+    half_edges = split.labels == 0
+    inside = sets.uncolored_edges & half_edges
+    fringe = sets.touching & half_edges & ~inside
+    selection = choose_selections(g, sets.uncolored, half_edges, inside, fringe, 3)
+    for obj in (sets, resampled, split, selection, half, decomposition):
         twin = dataclasses.replace(obj)
         assert obj == obj
         assert not obj == twin

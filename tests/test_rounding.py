@@ -25,14 +25,15 @@ from lidecomp.rounding import (
     round_half_edges,
     verify_rounding,
 )
-from oracles import ref_round_half_euler
+from oracles import edge_index, edge_list, ref_round_half_euler
 
 
 def ref_window_ok(g: Graph, z: list[Fraction], x: list[int]) -> bool:
     """Independent re-statement of the contract, used as the test oracle."""
+    edges = edge_list(g)
     for v in range(g.n):
-        zs = sum(z[i] for i in range(g.m) if v in g.edges[i])
-        xs = sum(x[i] for i in range(g.m) if v in g.edges[i])
+        zs = sum(z[i] for i in range(g.m) if v in edges[i])
+        xs = sum(x[i] for i in range(g.m) if v in edges[i])
         if not (zs - 1 < xs <= zs + 1):
             return False
     return True
@@ -75,10 +76,10 @@ def components(g: Graph) -> list[list[int]]:
             v = label[v]
         return v
 
-    for u, v in g.edges:
+    for u, v in edge_list(g):
         label[find(u)] = find(v)
     parts: dict[int, list[int]] = {}
-    for i, (u, _) in enumerate(g.edges):
+    for i, (u, _) in enumerate(edge_list(g)):
         parts.setdefault(find(u), []).append(i)
     return list(parts.values())
 
@@ -223,10 +224,11 @@ def test_search_root_moves_between_components(monkeypatch) -> None:
 
     monkeypatch.setattr(rounding._State, "assign", record)
     path = {(0, 1): Fraction(1, 4), (1, 16): Fraction(1, 8), (16, 17): Fraction(1, 4)}
-    w = FractionalEdgeWeights.from_values(DISJOINT, [path.get(e, Fraction(3, 8)) for e in DISJOINT.edges])
+    w = FractionalEdgeWeights.from_values(DISJOINT, [path.get(e, Fraction(3, 8)) for e in edge_list(DISJOINT)])
     out = balanced_round(w)
     assert verify_rounding(w, out).passed
-    first, middle, last = (DISJOINT.edge_id(u, v) for u, v in path)
+    ids = edge_index(DISJOINT)
+    first, middle, last = (ids[e] for e in path)
     assert order[:2] == [middle, first] and order[-1] == last
     assert sorted(order) == list(range(DISJOINT.m))
 
@@ -293,13 +295,14 @@ def test_odd_cycle_finisher_doubles_the_bit_at_the_start(tail, triangle, tail_bi
     # vertex 0 either way (the lowest vertex, or the tail's attach vertex).
     pairs = [(0, 1), (0, 2), (1, 2)] + ([(0, 3)] if tail else [])
     g = Graph(4 if tail else 3, pairs)
-    z = [Fraction(tail if (u, v) == (0, 3) else triangle) for u, v in g.edges]
+    z = [Fraction(tail if (u, v) == (0, 3) else triangle) for u, v in edge_list(g)]
     w = FractionalEdgeWeights.from_values(g, z)
     x = balanced_round(w).values
-    assert x[g.edge_id(0, 1)] == x[g.edge_id(0, 2)] == doubled
-    assert x[g.edge_id(1, 2)] == 1 - doubled
+    ids = edge_index(g)
+    assert x[ids[0, 1]] == x[ids[0, 2]] == doubled
+    assert x[ids[1, 2]] == 1 - doubled
     if tail:
-        assert x[g.edge_id(0, 3)] == tail_bit
+        assert x[ids[0, 3]] == tail_bit
 
 
 def test_small_exhaustive_agreement_with_oracle() -> None:
@@ -315,6 +318,7 @@ def test_small_exhaustive_agreement_with_oracle() -> None:
     ]
     rng = np.random.default_rng(2)
     for g in shapes:
+        edges = edge_list(g)
         for _ in range(8):
             z = [Fraction(int(rng.integers(0, 5)), 4) for _ in range(g.m)]
             w = FractionalEdgeWeights.from_values(g, z)
@@ -322,7 +326,7 @@ def test_small_exhaustive_agreement_with_oracle() -> None:
             # Every window sits inside one component, so the feasible set is
             # the product of the components' feasible sets.
             for part in components(g):
-                host = Graph(g.n, [g.edges[i] for i in part])
+                host = Graph(g.n, [edges[i] for i in part])
                 feasible = brute_force_feasible(host, [w.values[i] for i in part])
                 assert feasible, "contract guarantees a feasible labeling exists"
                 assert tuple(out.values[i] for i in part) in feasible
