@@ -9,9 +9,8 @@ A :class:`Graph` is held as arrays. The canonical edge list is two int64
 endpoint arrays (sorted once, on the key ``u*n + v``), and the adjacency is
 in CSR form: the neighbours of ``v`` are ``indices[indptr[v]:indptr[v+1]]``,
 ascending, and ``slot_edges`` holds the edge id of each of those slots.
-Every array is built in the constructor and is read-only, and nothing is
-built later on first use, so graphs are immutable after construction and
-safe to share between threads.
+Every attribute is set in the constructor and every array is read-only, so
+graphs are immutable after construction and safe to share between threads.
 
 An edge subset has one form inside the package: a boolean mask of length
 ``m`` over canonical edge indices, whose degrees :func:`degree_vector` counts
