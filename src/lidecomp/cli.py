@@ -48,7 +48,7 @@ from lidecomp.graphs import (
     write_graph,
 )
 from lidecomp.pipeline import decompose_to_four, verify_decomposition
-from lidecomp.rounding import FractionalEdgeWeights, balanced_round
+from lidecomp.rounding import FractionalEdgeWeights, balanced_round, verify_rounding
 
 
 def _manifest(args: argparse.Namespace) -> dict:
@@ -179,7 +179,7 @@ def cmd_gen_circulant(args: argparse.Namespace) -> tuple[dict, bool]:
     payload = {
         "vertices": g.n,
         "edges": g.m,
-        "degree": g.degrees[0] if g.n else 0,
+        "degree": int(g.degrees[0]) if g.n else 0,
         "path": args.out_graph,
     }
     return payload, True
@@ -274,11 +274,12 @@ def cmd_round(args: argparse.Namespace) -> tuple[dict, bool]:
                 except (ValueError, ZeroDivisionError):
                     raise InputError(f"{args.z_file}: line {ln}: bad weight {line!r}") from None
         weights = FractionalEdgeWeights.from_values(g, values)
-    labels, report = balanced_round(weights, with_report=True)
+    labels = balanced_round(weights)
+    report = verify_rounding(weights, labels)
     payload = {
-        "x": list(labels.values),
+        "x": labels.values.tolist(),
         "passed": report.passed,
-        "drifts": list(report.drifts),
+        "drifts": report.drifts.tolist(),
     }
     return payload, report.passed
 

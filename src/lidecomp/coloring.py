@@ -40,7 +40,7 @@ import numpy as np
 
 from lidecomp.constants import ConstantProfile, DerivedQuantities
 from lidecomp.errors import InputError, json_int
-from lidecomp.graphs import Graph, degree_vector
+from lidecomp.graphs import Graph, _read_only, degree_vector
 
 
 def mod_distance(m: int, n: int, modulus: int) -> int:
@@ -50,38 +50,47 @@ def mod_distance(m: int, n: int, modulus: int) -> int:
     return min((m - n) % modulus, (n - m) % modulus)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class VertexColoring:
-    """Per-vertex pair of palette values in 1..palette.
+    """Per-vertex pair of palette values in 1..palette, as two read-only int64 arrays.
 
     The first coordinate governs the half-0 subgraph (its equal-value classes
     are meant to be independent sets there); the second plays the same role
-    for half 1.
+    for half 1. Either coordinate may be given as any integer sequence; a
+    value past int64 raises ``InputError``.
     """
 
     palette: int
-    first: tuple[int, ...]
-    second: tuple[int, ...]
+    first: np.ndarray
+    second: np.ndarray
+
+    def __post_init__(self) -> None:
+        for name in ("first", "second"):
+            try:
+                values = np.array(getattr(self, name), dtype=np.int64)
+            except OverflowError:
+                raise InputError("colour value outside int64") from None
+            object.__setattr__(self, name, _read_only(values))
 
     def validate(self, g: Graph) -> None:
-        if self.palette < 1:
-            raise InputError(f"palette must be >= 1, got {self.palette}")
+        if not 1 <= self.palette <= np.iinfo(np.int64).max:
+            raise InputError(f"palette must be in 1..2**63 - 1, got {self.palette}")
         if len(self.first) != g.n or len(self.second) != g.n:
             raise InputError("colouring does not cover the vertex set")
         for vals in (self.first, self.second):
-            if vals and not (1 <= min(vals) and max(vals) <= self.palette):
+            if vals.size and not (1 <= vals.min() and vals.max() <= self.palette):
                 raise InputError("colour value outside 1..palette")
 
     def to_json(self) -> dict:
-        return {"K": self.palette, "O": list(self.first), "I": list(self.second)}
+        return {"K": self.palette, "O": self.first.tolist(), "I": self.second.tolist()}
 
     @classmethod
     def from_json(cls, data: dict) -> "VertexColoring":
         try:
             return cls(
                 palette=json_int(data["K"]),
-                first=tuple(json_int(x) for x in data["O"]),
-                second=tuple(json_int(x) for x in data["I"]),
+                first=[json_int(x) for x in data["O"]],
+                second=[json_int(x) for x in data["I"]],
             )
         except (KeyError, TypeError, ValueError) as exc:
             raise InputError(f"malformed colouring JSON: {exc}") from None
@@ -94,7 +103,7 @@ def assign_random(g: Graph, palette: int, seed: int) -> VertexColoring:
     rng = np.random.default_rng(seed)
     first = rng.integers(1, palette + 1, size=g.n)
     second = rng.integers(1, palette + 1, size=g.n)
-    return VertexColoring(palette, tuple(first.tolist()), tuple(second.tolist()))
+    return VertexColoring(palette, first, second)
 
 
 @dataclass(frozen=True, eq=False)
@@ -102,7 +111,7 @@ class DistinguishedSets:
     """The vertex and edge sets a fixed colouring induces on a host graph.
 
     ``uncolored`` lists vertices in ascending order; every other field is a
-    boolean mask over the canonical edge indices.
+    boolean mask over the canonical edge indices. Every field is read-only.
     """
 
     uncolored: np.ndarray  # vertices whose full pair repeats on a neighbour
@@ -144,12 +153,12 @@ def _set_masks(
     special = ~touch & (first_eq | second_eq)
     risky = ~touch & (_close(fu, fv, palette, bound) | _close(su, sv, palette, bound))
     return DistinguishedSets(
-        uncolored=np.flatnonzero(uflag),
-        uncolored_edges=inside,
-        touching=touch,
-        special=special,
-        risky=risky,
-        residual=~touch & ~risky,
+        uncolored=_read_only(np.flatnonzero(uflag)),
+        uncolored_edges=_read_only(inside),
+        touching=_read_only(touch),
+        special=_read_only(special),
+        risky=_read_only(risky),
+        residual=_read_only(~touch & ~risky),
     )
 
 
@@ -163,35 +172,33 @@ def distinguish(
     """
     c.validate(g)
     profile.validate()
-    first = np.asarray(c.first, dtype=np.int64)
-    second = np.asarray(c.second, dtype=np.int64)
-    return _set_masks(g, first, second, c.palette, closeness_bound(profile, d))
+    return _set_masks(g, c.first, c.second, c.palette, closeness_bound(profile, d))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ColoringAudit:
-    """Per-vertex incidence counts checked strictly against their thresholds."""
+    """Read-only per-vertex incidence counts, checked strictly against their thresholds."""
 
-    special_counts: tuple[int, ...]
-    risky_counts: tuple[int, ...]
-    uncolored_counts: tuple[int, ...]
+    special_counts: np.ndarray
+    risky_counts: np.ndarray
+    uncolored_counts: np.ndarray
     special_threshold: float  # s*d
     risky_threshold: float  # r*d
     uncolored_threshold: float  # u*d
-    violations: tuple[int, ...]
+    violations: np.ndarray
     passed: bool
 
     def to_json(self) -> dict:
         return {
-            "special_counts": list(self.special_counts),
-            "risky_counts": list(self.risky_counts),
-            "uncolored_counts": list(self.uncolored_counts),
+            "special_counts": self.special_counts.tolist(),
+            "risky_counts": self.risky_counts.tolist(),
+            "uncolored_counts": self.uncolored_counts.tolist(),
             "thresholds": {
                 "special": self.special_threshold,
                 "risky": self.risky_threshold,
                 "uncolored": self.uncolored_threshold,
             },
-            "violations": list(self.violations),
+            "violations": self.violations.tolist(),
             "passed": self.passed,
         }
 
@@ -417,19 +424,17 @@ def audit(
     graph, not just endpoints of uncoloured edges.
     """
     profile.validate()
-    counts = _audit_counts(g, sets)
-    violations = tuple(_violating(counts, _audit_caps(profile, d)).tolist())
-    sc, rc, uc = counts.tolist()
-
+    counts = _read_only(_audit_counts(g, sets))
+    violations = _read_only(_violating(counts, _audit_caps(profile, d)))
     return ColoringAudit(
-        special_counts=tuple(sc),
-        risky_counts=tuple(rc),
-        uncolored_counts=tuple(uc),
+        special_counts=counts[0],
+        risky_counts=counts[1],
+        uncolored_counts=counts[2],
         special_threshold=profile.s * d,
         risky_threshold=profile.r * d,
         uncolored_threshold=profile.u * d,
         violations=violations,
-        passed=not violations,
+        passed=not violations.size,
     )
 
 
@@ -501,6 +506,6 @@ def resample_until_good(
         rounds += 1
 
     sets = _set_masks(g, first, second, palette, bound)
-    coloring = VertexColoring(palette, tuple(first.tolist()), tuple(second.tolist()))
+    coloring = VertexColoring(palette, first, second)
     result = audit(g, sets, profile, d)
     return ResampleResult(coloring, sets, result, result.passed, rounds)

@@ -41,7 +41,7 @@ from heapq import heappop, heappush
 import numpy as np
 
 from lidecomp.errors import BudgetError, InputError, json_int
-from lidecomp.graphs import Graph, degree_vector, validate_edge_subset
+from lidecomp.graphs import Graph, _read_only, degree_vector, validate_edge_subset
 
 
 @dataclass(frozen=True)
@@ -60,15 +60,14 @@ class DcsInstance:
             if lam < 2:
                 raise InputError(f"modulus at vertex {v} must be >= 2, got {lam}")
         if strict:
-            deg = np.asarray(g.degrees, dtype=np.int64)
             # 6*lambda > d(v) iff lambda > d(v)//6; no product, so no dtype wraps.
-            bad = np.flatnonzero((deg < 12) | (np.asarray(self.moduli) > deg // 6))
+            bad = np.flatnonzero((g.degrees < 12) | (np.asarray(self.moduli) > g.degrees // 6))
             if bad.size:
                 v = int(bad[0])
-                if g.degree(v) < 12:
-                    raise InputError(f"vertex {v} has degree {g.degree(v)} < 12")
+                if g.degrees[v] < 12:
+                    raise InputError(f"vertex {v} has degree {g.degrees[v]} < 12")
                 raise InputError(
-                    f"vertex {v}: 6*lambda={6 * self.moduli[v]} exceeds degree {g.degree(v)}"
+                    f"vertex {v}: 6*lambda={6 * self.moduli[v]} exceeds degree {g.degrees[v]}"
                 )
 
     def allowed_residues(self, v: int) -> tuple[int, int]:
@@ -92,21 +91,22 @@ class DcsInstance:
 class DcsCertificate:
     """Edge subset plus the per-vertex window/residue verdicts that certify it.
 
-    ``edges`` is the subset as an ascending int64 array of edge indices.
+    ``edges`` is the subset as an ascending int64 array of edge indices,
+    ``degrees`` its int64 vertex degrees; all four arrays are read-only.
     """
 
     edges: np.ndarray
-    degrees: tuple[int, ...]
-    window_ok: tuple[bool, ...]
-    residue_ok: tuple[bool, ...]
+    degrees: np.ndarray
+    window_ok: np.ndarray
+    residue_ok: np.ndarray
     passed: bool
 
     def to_json(self) -> dict:
         return {
             "edges": self.edges.tolist(),
-            "degrees": list(self.degrees),
-            "window_ok": list(self.window_ok),
-            "residue_ok": list(self.residue_ok),
+            "degrees": self.degrees.tolist(),
+            "window_ok": self.window_ok.tolist(),
+            "residue_ok": self.residue_ok.tolist(),
             "passed": self.passed,
         }
 
@@ -116,21 +116,18 @@ def verify(inst: DcsInstance, edges: Collection[int] | np.ndarray) -> DcsCertifi
     g = inst.graph
     mask = validate_edge_subset(g, edges)
     inst.validate(strict=False)
-    deg_arr = degree_vector(g, mask)
-    host = np.diff(g.indptr)
+    deg = degree_vector(g, mask)
     # d/3 <= x <= 2d/3, compared as 3x against d and 2d to stay exact.
-    window = tuple(((host <= 3 * deg_arr) & (3 * deg_arr <= 2 * host)).tolist())
-    deg = deg_arr.tolist()
-    residue = tuple(
-        x % lam in allowed
-        for x, lam, allowed in zip(deg, inst.moduli, map(inst.allowed_residues, range(g.n)))
-    )
+    window = (g.degrees <= 3 * deg) & (3 * deg <= 2 * g.degrees)
+    # The moduli may pass int64, so the residues are taken on Python ints.
+    rows = zip(deg.tolist(), inst.moduli, map(inst.allowed_residues, range(g.n)))
+    residue = np.array([x % lam in allowed for x, lam, allowed in rows], dtype=bool)
     return DcsCertificate(
-        edges=np.flatnonzero(mask),
-        degrees=tuple(deg),
-        window_ok=window,
-        residue_ok=residue,
-        passed=all(window) and all(residue),
+        edges=_read_only(np.flatnonzero(mask)),
+        degrees=_read_only(deg),
+        window_ok=_read_only(window),
+        residue_ok=_read_only(residue),
+        passed=bool(window.all() and residue.all()),
     )
 
 
@@ -192,13 +189,13 @@ def solve(
         max_steps = 60 * g.n + 4 * g.m
 
     index: dict[tuple[int, int, tuple[int, int]], int] = {}
-    profiles = zip(g.degrees, inst.moduli, map(inst.allowed_residues, range(g.n)))
+    profiles = zip(g.degrees.tolist(), inst.moduli, map(inst.allowed_residues, range(g.n)))
     which = [index.setdefault(key, len(index)) for key in profiles]
     flat, starts = _penalty_tables(list(index))
     stuck = np.flatnonzero(np.minimum.reduceat(flat, starts)[which])
     if stuck.size:
         v = int(stuck[0])
-        d, lam, (r0, r1) = g.degree(v), inst.moduli[v], inst.allowed_residues(v)
+        d, lam, (r0, r1) = int(g.degrees[v]), inst.moduli[v], inst.allowed_residues(v)
         lo, hi = -(-d // 3), 2 * d // 3
         raise BudgetError(f"vertex {v}: no degree from {lo} to {hi} is {r0} or {r1} mod {lam}")
     # A flip moves each endpoint's distance by at most 1, so every gain lies

@@ -48,9 +48,10 @@ def is_decomposable(
     # Process edges with large endpoint degree sums first: conflicts surface
     # earlier and vertices close sooner.
     eu, ev = (a.tolist() for a in g.endpoint_arrays())
-    order = sorted(range(g.m), key=lambda i: (-(g.degrees[eu[i]] + g.degrees[ev[i]]), i))
+    deg = g.degrees.tolist()
+    order = sorted(range(g.m), key=lambda i: (-(deg[eu[i]] + deg[ev[i]]), i))
     counts = [[0] * (k + 1) for _ in range(g.n)]
-    remaining = list(g.degrees)
+    remaining = deg
     labels = [0] * g.m
     incident: list[list[tuple[int, int]]] = [[] for _ in range(g.n)]
     for i, (u, v) in enumerate(zip(eu, ev)):

@@ -12,6 +12,13 @@ ascending, and ``slot_edges`` holds the edge id of each of those slots.
 Every attribute is set in the constructor and every array is read-only, so
 graphs are immutable after construction and safe to share between threads.
 
+A per-vertex or per-edge vector has one form too: a read-only numpy array
+(``Graph.degrees``, colour pairs, audit counts, labels, weight numerators,
+certificate verdicts), passed from stage to stage unconverted; a loop that
+walks one calls ``tolist()`` once first. The exception is a DCS instance's
+moduli and targets: tuples of Python ints, as relaxed instances take moduli
+past 2**63, which no int64 array holds.
+
 An edge subset has one form inside the package: a boolean mask of length
 ``m`` over canonical edge indices, whose degrees :func:`degree_vector` counts
 over the selected edges' endpoints. A subset enters as an index collection
@@ -97,7 +104,7 @@ class Graph:
         deg = np.bincount(src, minlength=n)
         self.n = n
         self.m = len(key)
-        self.degrees: tuple[int, ...] = tuple(deg.tolist())
+        self.degrees = _read_only(deg)
         slots = np.argsort(src, kind="stable")
         self.indptr = _read_only(np.concatenate(([0], np.cumsum(deg))))
         self.indices = _read_only(np.concatenate((lo, hi))[slots])
@@ -121,15 +128,12 @@ class Graph:
     def __repr__(self) -> str:
         return f"Graph(n={self.n}, m={self.m})"
 
-    def degree(self, v: int) -> int:
-        return self.degrees[v]
-
     def endpoint_arrays(self) -> tuple[np.ndarray, np.ndarray]:
         """Edge endpoints as two read-only int64 arrays in canonical edge order."""
         return self._eu, self._ev
 
     def is_regular(self) -> bool:
-        return self.n == 0 or len(set(self.degrees)) == 1
+        return self.n == 0 or bool((self.degrees == self.degrees[0]).all())
 
 
 def validate_edge_subset(g: Graph, es: Collection[int] | np.ndarray) -> np.ndarray:
@@ -180,9 +184,8 @@ def is_subgraph_locally_irregular(g: Graph, es: Collection[int] | np.ndarray) ->
 
 def is_locally_irregular(g: Graph) -> bool:
     """True iff adjacent vertices always have distinct degrees (vacuously for no edges)."""
-    deg = np.diff(g.indptr)
     eu, ev = g.endpoint_arrays()
-    return not (deg[eu] == deg[ev]).any()
+    return not (g.degrees[eu] == g.degrees[ev]).any()
 
 
 def generate_regular(n: int, d: int, seed: int, max_restarts: int = 200) -> Graph:
@@ -265,7 +268,7 @@ def generate_regular(n: int, d: int, seed: int, max_restarts: int = 200) -> Grap
             # A key lo*n + hi with lo <= hi is a multiple of n+1 only if lo == hi.
             kept = kept[kept % (n + 1) != 0]
             g = Graph(n, np.column_stack(np.divmod(kept, n)))
-            if g.degrees.count(d) != n:
+            if (g.degrees != d).any():
                 raise AssertionError("stub pairing left a vertex with degree != d")
             return g
     raise BudgetError(f"regular graph generation failed after {max_restarts} restarts")

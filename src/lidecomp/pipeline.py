@@ -36,7 +36,9 @@ from lidecomp.constants import (
 )
 from lidecomp.dcs import DcsInstance, solve as dcs_solve
 from lidecomp.errors import BudgetError, InputError
-from lidecomp.graphs import Graph, degree_vector, subgraph_conflicts, validate_edge_subset
+from lidecomp.graphs import (
+    Graph, _read_only, degree_vector, subgraph_conflicts, validate_edge_subset
+)
 from lidecomp.rounding import round_half_edges
 
 #: Per-rule domains: 0/1 are the special-edge rules, 2..4 the rounded groups.
@@ -49,7 +51,7 @@ RULE_RESIDUAL_PLAIN = 4
 
 @dataclass(frozen=True, eq=False)
 class HalfSplit:
-    """0/1 edge labels and the rule that produced each label; half h is ``labels == h``."""
+    """Read-only 0/1 edge labels and the rule that produced each; half h is ``labels == h``."""
 
     labels: np.ndarray
     rules: np.ndarray
@@ -74,7 +76,7 @@ def split_edges(g: Graph, coloring: VertexColoring, sets: DistinguishedSets) -> 
     labels = np.full(g.m, -1, dtype=np.int64)
     rules = np.full(g.m, -1, dtype=np.int64)
     special = np.flatnonzero(sets.special)
-    first, second = np.asarray(coloring.first), np.asarray(coloring.second)
+    first, second = coloring.first, coloring.second
     first_eq = first[eu[special]] == first[ev[special]]
     second_eq = second[eu[special]] == second[ev[special]]
     if (first_eq == second_eq).any():
@@ -105,7 +107,7 @@ def split_edges(g: Graph, coloring: VertexColoring, sets: DistinguishedSets) -> 
     )
     if not all(balance):
         raise AssertionError("rounding contract violated inside a rule group")
-    return HalfSplit(labels, rules)
+    return HalfSplit(_read_only(labels), _read_only(rules))
 
 
 @dataclass(frozen=True, eq=False)
@@ -113,7 +115,7 @@ class SelectionResult:
     """Greedy per-uncoloured-vertex selections within one half.
 
     ``selected`` masks the selected fringe edges; the other two fields are
-    ascending int64 arrays.
+    ascending int64 arrays. All three are read-only.
     """
 
     selected: np.ndarray
@@ -190,7 +192,7 @@ def choose_selections(
     conflicts = inside[adjusted[eu[inside]] == adjusted[ev[inside]]]
     selected = np.zeros(g.m, dtype=bool)
     selected[chosen] = True
-    return SelectionResult(selected, failures, conflicts)
+    return SelectionResult(_read_only(selected), _read_only(failures), _read_only(conflicts))
 
 
 def _peel_core_host(
@@ -227,7 +229,7 @@ class HalfDecomposition:
     """One half split into its first (selection/risky/core) and second parts, as edge masks.
 
     ``core_excluded`` is the ascending int64 array of coloured vertices peeled
-    from the core host.
+    from the core host. Every array is read-only.
     """
 
     first_part: np.ndarray
@@ -255,7 +257,7 @@ def decompose_half(
     inside = sets.uncolored_edges & half_edges
     fringe = sets.touching & half_edges & ~inside
     risky_half = sets.risky & half_edges
-    coord = np.asarray(coloring.first if half == 0 else coloring.second)
+    coord = coloring.first if half == 0 else coloring.second
 
     selection = choose_selections(
         g,
@@ -359,10 +361,10 @@ def decompose_half(
         "second_part_colored_cap": count(deg_second[colored] >= math.ceil(bounds.second_part)),
     }
     return HalfDecomposition(
-        first_part=first,
-        second_part=second,
-        core=core,
-        core_excluded=excluded,
+        first_part=_read_only(first),
+        second_part=_read_only(second),
+        core=_read_only(core),
+        core_excluded=_read_only(excluded),
         diagnostics=diagnostics,
     )
 
@@ -371,7 +373,7 @@ def decompose_half(
 class Decomposition:
     """Ordered disjoint edge parts covering the host graph's edge set.
 
-    Each part is an ascending int64 array of edge indices.
+    Each part is a read-only ascending int64 array of edge indices.
     """
 
     parts: tuple[np.ndarray, ...]
@@ -407,15 +409,15 @@ def verify_decomposition(
     masks: a mask cannot hold the overlaps this check must reject. Each part
     is validated and judged on its distinct edges. The parts cover every edge
     exactly once iff their sizes sum to m and their union is every edge.
-    Each part's conflicts are the ascending int64 array of its edges whose
-    ends have equal degree within the part.
+    Each part's conflicts are the read-only ascending int64 array of its
+    edges whose ends have equal degree within the part.
     """
     masks = [validate_edge_subset(g, part) for part in parts]
     union = np.zeros(g.m, dtype=bool)
     for mask in masks:
         union |= mask
     cover_ok = sum(map(len, parts)) == g.m and union.all()
-    conflicts = tuple(subgraph_conflicts(g, mask) for mask in masks)
+    conflicts = tuple(_read_only(subgraph_conflicts(g, mask)) for mask in masks)
     verdicts = tuple(not c.size for c in conflicts)
     return bool(cover_ok), verdicts, conflicts
 
@@ -446,10 +448,10 @@ def decompose_to_four(
     profile.validate()
     if not g.is_regular():
         raise InputError("input graph is not regular")
-    d = g.degrees[0] if g.n else 0
+    d = int(g.degrees[0]) if g.n else 0
 
     if g.m == 0:
-        decomp = Decomposition((np.zeros(0, dtype=np.int64),) * 4, (True,) * 4)
+        decomp = Decomposition((_read_only(np.zeros(0, dtype=np.int64)),) * 4, (True,) * 4)
         report = {
             "mode": mode,
             "seed": seed,
@@ -497,7 +499,7 @@ def decompose_to_four(
         for half in (0, 1)
     )
     parts = tuple(
-        np.flatnonzero(part)
+        _read_only(np.flatnonzero(part))
         for h in halves
         for part in (h.first_part, h.second_part)
     )

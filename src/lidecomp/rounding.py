@@ -2,9 +2,9 @@
 
 Given per-edge weights z in [0, 1], produce x in {0, 1} so that at every
 vertex the label sum stays within the window (z-sum - 1, z-sum + 1]; the left
-bound is strict, the right is not. Weights are held as exact ``Fraction``s;
-the general engine and the verifier compute on integers over a common
-denominator, which keeps the half-integer boundary cases bit-stable.
+bound is strict, the right is not. Weights are integer numerators over a
+common denominator; the general engine and the window check compute on
+them, which keeps the half-integer boundary cases bit-stable.
 
 Two engines sit behind :func:`balanced_round`:
 
@@ -23,7 +23,7 @@ Two engines sit behind :func:`balanced_round`:
   successor of a re-paired slot are cut there.
   :func:`round_half_edges` is the same rounding for callers that hold an
   edge-index array rather than weights (the pipeline's rule groups); it
-  checks the window with ``np.bincount`` in integers.
+  checks the window with the verifier's integer check.
 
 * general weights: repeatedly shift mass along structures of the fractional
   subgraph until an edge hits 0 or 1 (a deterministic form of dependent
@@ -62,7 +62,7 @@ from fractions import Fraction
 import numpy as np
 
 from lidecomp.errors import BudgetError, InputError
-from lidecomp.graphs import Graph
+from lidecomp.graphs import Graph, _read_only
 
 
 def _as_fraction(value) -> Fraction:
@@ -74,132 +74,123 @@ def _as_fraction(value) -> Fraction:
     return out
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FractionalEdgeWeights:
-    """Per-edge weights in [0, 1] over a host graph, held exactly."""
+    """Per-edge weights in [0, 1] over a host graph, held exactly.
+
+    Edge ``e`` weighs ``numerators[e] / denominator``, the lcm of the weights'
+    own denominators. The read-only numerators are int64 while the
+    denominator times the largest degree (at least 1) is below 2**63, so
+    every vertex sum fits, and Python ints (dtype object) past that.
+    """
 
     graph: Graph
-    values: tuple[Fraction, ...]
+    numerators: np.ndarray
+    denominator: int
 
     def __post_init__(self) -> None:
-        if len(self.values) != self.graph.m:
-            raise InputError(
-                f"expected {self.graph.m} weights, got {len(self.values)}"
-            )
+        if len(self.numerators) != self.graph.m:
+            raise InputError(f"expected {self.graph.m} weights, got {len(self.numerators)}")
+        wide = self.denominator * int(self.graph.degrees.max(initial=1)) >= 2**63
+        values = np.array(self.numerators, dtype=object if wide else np.int64)
+        object.__setattr__(self, "numerators", _read_only(values))
 
     @classmethod
     def from_values(cls, g: Graph, values) -> "FractionalEdgeWeights":
-        return cls(g, tuple(_as_fraction(v) for v in values))
+        weights = [_as_fraction(v) for v in values]
+        den = math.lcm(*{z.denominator for z in weights})
+        return cls(g, [z.numerator * (den // z.denominator) for z in weights], den)
 
     @classmethod
     def constant(cls, g: Graph, value) -> "FractionalEdgeWeights":
-        return cls(g, (_as_fraction(value),) * g.m)
-
-    def vertex_sums(self) -> list[Fraction]:
-        sums = [Fraction(0)] * self.graph.n
-        eu, ev = self.graph.endpoint_arrays()
-        for u, v, z in zip(eu.tolist(), ev.tolist(), self.values):
-            sums[u] += z
-            sums[v] += z
-        return sums
+        z = _as_fraction(value)
+        return cls(g, np.full(g.m, z.numerator), z.denominator)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BinaryEdgeLabels:
-    """Per-edge 0/1 labels over a host graph."""
+    """Per-edge 0/1 labels over a host graph, as a read-only uint8 array."""
 
     graph: Graph
-    values: tuple[int, ...]
+    values: np.ndarray
 
     def __post_init__(self) -> None:
         if len(self.values) != self.graph.m:
             raise InputError(f"expected {self.graph.m} labels, got {len(self.values)}")
-        if any(v not in (0, 1) for v in self.values):
+        values = np.asarray(self.values)
+        if not ((values == 0) | (values == 1)).all():  # before the cast, which would wrap
             raise InputError("labels must be 0 or 1")
-
-    def vertex_sums(self) -> list[int]:
-        sums = [0] * self.graph.n
-        eu, ev = self.graph.endpoint_arrays()
-        for u, v, x in zip(eu.tolist(), ev.tolist(), self.values):
-            sums[u] += x
-            sums[v] += x
-        return sums
+        object.__setattr__(self, "values", _read_only(values.astype(np.uint8)))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RoundingReport:
     passed: bool
-    drifts: tuple[float, ...]  # per-vertex x-sum minus z-sum
-    violations: tuple[int, ...]
+    drifts: np.ndarray  # float64: per-vertex x-sum minus z-sum
+    violations: np.ndarray  # int64: the vertices outside their window, ascending
 
     def to_json(self) -> dict:
         return {
             "passed": self.passed,
-            "drifts": list(self.drifts),
-            "violations": list(self.violations),
+            "drifts": self.drifts.tolist(),
+            "violations": self.violations.tolist(),
         }
 
 
-def verify_rounding(weights: FractionalEdgeWeights, labels: BinaryEdgeLabels) -> RoundingReport:
-    """Exact check of the per-vertex window (z-sum - 1, z-sum + 1].
+def _window_gaps(
+    n: int, eu: np.ndarray, ev: np.ndarray, steps: np.ndarray, den: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Each vertex's sum ``gap`` of ``steps`` over its edges, and where ``-den < gap <= den`` fails.
 
-    Sums are compared as integers over the common denominator ``L`` of the
-    weights: ``gap[v]`` is ``L`` times the x-sum minus ``L`` times the z-sum,
-    and the window reads ``-L < gap[v] <= L``. Each drift ``gap[v] / L`` is
-    an int/int true division, correctly rounded like ``float`` of the exact
-    rational.
+    ``steps[e]`` is ``den`` times edge ``e``'s label minus its weight's
+    numerator. ``np.add.at`` sums int64 and Python ints alike, exactly.
+    """
+    gap = np.zeros(n, dtype=steps.dtype)
+    np.add.at(gap, eu, steps)
+    np.add.at(gap, ev, steps)
+    return gap, np.flatnonzero((gap <= -den) | (gap > den))
+
+
+def verify_rounding(weights: FractionalEdgeWeights, labels: BinaryEdgeLabels) -> RoundingReport:
+    """Exact check of the per-vertex window (z-sum - 1, z-sum + 1] by :func:`_window_gaps`.
+
+    Each drift ``gap[v] / den`` is an int/int true division, correctly
+    rounded like ``float`` of the exact rational.
     """
     g = weights.graph
     if labels.graph != g:
         raise InputError("labels and weights live on different graphs")
-    den = math.lcm(*{z.denominator for z in weights.values})
-    gap = [0] * g.n
+    den, num = weights.denominator, weights.numerators
     eu, ev = g.endpoint_arrays()
-    for u, v, z, x in zip(eu.tolist(), ev.tolist(), weights.values, labels.values):
-        step = x * den - z.numerator * (den // z.denominator)
-        gap[u] += step
-        gap[v] += step
-    violations = tuple(v for v, t in enumerate(gap) if not -den < t <= den)
-    drifts = tuple(t / den for t in gap)
-    return RoundingReport(passed=not violations, drifts=drifts, violations=violations)
+    gap, violations = _window_gaps(g.n, eu, ev, labels.values.astype(num.dtype) * den - num, den)
+    drifts = _read_only(np.array([t / den for t in gap.tolist()], dtype=float))
+    return RoundingReport(not violations.size, drifts, _read_only(violations))
 
 
-def balanced_round(
-    weights: FractionalEdgeWeights, *, with_report: bool = False
-) -> BinaryEdgeLabels | tuple[BinaryEdgeLabels, RoundingReport]:
+def balanced_round(weights: FractionalEdgeWeights) -> BinaryEdgeLabels:
     """Round weights to labels satisfying the per-vertex window at every vertex.
 
     Deterministic: structures are discovered in canonical (lowest-index)
     order. Raises ``BudgetError`` if the result fails its own verifier,
-    which would indicate a defect rather than bad luck. With
-    ``with_report`` the verifier's report is returned beside the labels,
-    so a caller that shows it need not verify again.
+    which would indicate a defect rather than bad luck.
     """
-    g = weights.graph
-    x: list[int | None] = [None] * g.m
-    fractional: dict[int, Fraction] = {}
-    for i, val in enumerate(weights.values):
-        if val.denominator == 1:
-            x[i] = val.numerator
-        else:
-            fractional[i] = val
-
-    if fractional:
-        # Weights lie in [0, 1] in lowest terms, so denominator 2 means 1/2.
-        if all(val.denominator == 2 for val in fractional.values()):
-            members = np.fromiter(fractional, dtype=np.int64, count=len(fractional))
+    g, den, num = weights.graph, weights.denominator, weights.numerators
+    x = (num == den).astype(np.uint8)
+    fractional = np.flatnonzero((num > 0) & (num < den))
+    if fractional.size:
+        # Weights lie in [0, 1], so denominator 2 means every fractional weight is 1/2.
+        if den == 2:
             eu, ev = g.endpoint_arrays()
-            bits = _round_half_euler(g.n, eu[members], ev[members]).tolist()
-            for i, bit in zip(fractional, bits):
-                x[i] = bit
+            x[fractional] = _round_half_euler(g.n, eu[fractional], ev[fractional])
         else:
-            _round_general(g, fractional, x)
+            _round_general(g, den, dict(zip(fractional.tolist(), num[fractional].tolist())), x)
 
-    labels = BinaryEdgeLabels(g, tuple(x))  # type: ignore[arg-type]
+    labels = BinaryEdgeLabels(g, x)
     report = verify_rounding(weights, labels)
     if not report.passed:
-        raise BudgetError(f"rounding violated its window at vertices {report.violations}")
-    return (labels, report) if with_report else labels
+        violations = tuple(report.violations.tolist())
+        raise BudgetError(f"rounding violated its window at vertices {violations}")
+    return labels
 
 
 # ---------------------------------------------------------------------------
@@ -430,14 +421,10 @@ def round_half_edges(n: int, eu: np.ndarray, ev: np.ndarray) -> np.ndarray:
     """Balanced 0/1 labels (uint8) for weight-1/2 edges given by endpoint arrays.
 
     The same walk as :func:`balanced_round`'s all-1/2 path, checked by the
-    integer form of :func:`verify_rounding` with denominator 2: at every
-    vertex ``gap = 2 * ones - degree`` must satisfy ``-2 < gap <= 2``.
+    verifier's :func:`_window_gaps` with denominator 2 and numerators 1.
     """
     bits = _round_half_euler(n, eu, ev)
-    one = bits == 1
-    gap = 2 * (np.bincount(eu[one], minlength=n) + np.bincount(ev[one], minlength=n))
-    gap -= np.bincount(eu, minlength=n) + np.bincount(ev, minlength=n)
-    violations = np.flatnonzero((gap <= -2) | (gap > 2))
+    violations = _window_gaps(n, eu, ev, 2 * bits.astype(np.int64) - 1, 2)[1]
     if violations.size:
         raise BudgetError(f"rounding violated its window at vertices {tuple(violations.tolist())}")
     return bits
@@ -460,14 +447,12 @@ class _State:
     ``eu[e]`` and ``ev[e]``, and its other end at ``v`` is ``tot[e] - v``.
     """
 
-    def __init__(self, g: Graph, fractional: dict[int, Fraction], x: list[int | None]):
+    def __init__(self, g: Graph, den: int, y: dict[int, int], x: np.ndarray):
         eu, ev = g.endpoint_arrays()
         self.eu, self.ev, self.tot = eu.tolist(), ev.tolist(), (eu + ev).tolist()
-        self.den = math.lcm(*(val.denominator for val in fractional.values()))
-        self.y = {e: val.numerator * (self.den // val.denominator) for e, val in fractional.items()}
-        self.x = x
+        self.den, self.y, self.x = den, y, x
         self.adj: list[list[int]] = [[] for _ in range(g.n)]
-        for i in sorted(fractional):
+        for i in sorted(y):
             self.adj[self.eu[i]].append(i)
             self.adj[self.ev[i]].append(i)
         self.last: int | None = None
@@ -703,9 +688,10 @@ def _finish_odd_component(state: _State, comp_vertices: list[int]) -> None:
         state.assign(e, bit ^ (i & 1))
 
 
-def _round_general(g: Graph, fractional: dict[int, Fraction], x: list[int | None]) -> None:
-    state = _State(g, fractional, x)
-    guard = 4 * (len(fractional) + 1)
+def _round_general(g: Graph, den: int, y: dict[int, int], x: np.ndarray) -> None:
+    """Settle the fractional edges ``e`` (weight ``y[e] / den``) into the labels ``x``."""
+    state = _State(g, den, y, x)
+    guard = 4 * (len(y) + 1)
     while state.y:
         guard -= 1
         if guard < 0:

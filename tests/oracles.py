@@ -5,9 +5,12 @@ The exhaustive search is only permitted on tiny inputs.
 
 from __future__ import annotations
 
+from fractions import Fraction
+
 from lidecomp.dcs import DcsInstance
 from lidecomp.errors import InputError
 from lidecomp.graphs import Graph
+from lidecomp.rounding import FractionalEdgeWeights
 
 
 def edge_list(g: Graph) -> tuple[tuple[int, int], ...]:
@@ -26,14 +29,28 @@ def neighbors(g: Graph, v: int) -> tuple[int, ...]:
     return tuple(g.indices[g.indptr[v] : g.indptr[v + 1]].tolist())
 
 
+def weight_fractions(w: FractionalEdgeWeights) -> list[Fraction]:
+    """Each edge's weight as a ``Fraction``, in canonical edge order."""
+    return [Fraction(k, w.denominator) for k in w.numerators.tolist()]
+
+
+def vertex_sums(g: Graph, values) -> list:
+    """Per vertex, the sum of ``values`` (one per edge) over its edges, by a plain loop."""
+    sums = [0] * g.n
+    for (u, v), z in zip(edge_list(g), values):
+        sums[u] += z
+        sums[v] += z
+    return sums
+
+
 def exhaustive_solve(inst: DcsInstance, max_edges: int = 25) -> frozenset[int] | None:
     """Exhaust all edge subsets (gray-code order); None when none is feasible."""
     g = inst.graph
     inst.validate(strict=False)
     if g.m > max_edges:
         raise InputError(f"exhaustive search capped at {max_edges} edges, got {g.m}")
-    lower = [-(-g.degree(v) // 3) for v in range(g.n)]
-    upper = [(2 * g.degree(v)) // 3 for v in range(g.n)]
+    lower = [-(-d // 3) for d in g.degrees.tolist()]
+    upper = [(2 * d) // 3 for d in g.degrees.tolist()]
     allowed = [inst.allowed_residues(v) for v in range(g.n)]
 
     deg = [0] * g.n

@@ -38,11 +38,10 @@ from lidecomp.coloring import (
 from lidecomp.constants import ConstantProfile, DerivedQuantities, REFERENCE_PROFILE
 from lidecomp import coloring
 from lidecomp.graphs import Graph, generate_regular
-from oracles import edge_list, neighbors
+from oracles import edge_list, neighbors, vertex_sums, weight_fractions
 from lidecomp.rounding import (
     BinaryEdgeLabels,
     FractionalEdgeWeights,
-    RoundingReport,
     verify_rounding,
 )
 
@@ -164,8 +163,7 @@ def as_sets(sets: DistinguishedSets) -> dict:
 @given(colored_graphs(), st.sampled_from(PROFILES), st.integers(0, 60))
 def test_masks_and_counts_match_references(case, profile, d) -> None:
     g, c = case
-    first = np.asarray(c.first, dtype=np.int64)
-    second = np.asarray(c.second, dtype=np.int64)
+    first, second = c.first, c.second
     masks = _set_masks(g, first, second, c.palette, closeness_bound(profile, d))
     sets = distinguish(g, c, profile, d)
     assert as_sets(masks) == as_sets(sets) == reference_sets(g, c, profile, d)
@@ -175,10 +173,9 @@ def test_masks_and_counts_match_references(case, profile, d) -> None:
     full = audit(g, sets, profile, d)
     ref_counts, ref_violations = reference_counts(g, as_sets(sets), profile, d)
     assert counts.tolist() == [list(x) for x in ref_counts]
-    assert (full.special_counts, full.risky_counts, full.uncolored_counts) == tuple(
-        tuple(x) for x in ref_counts
-    )
-    assert loop_violations == full.violations == ref_violations
+    rows = (full.special_counts, full.risky_counts, full.uncolored_counts)
+    assert [row.tolist() for row in rows] == [list(x) for x in ref_counts]
+    assert loop_violations == tuple(full.violations.tolist()) == ref_violations
     assert full.passed == (not ref_violations)
 
 
@@ -198,8 +195,7 @@ def test_masks_and_counts_match_references(case, profile, d) -> None:
 )
 def test_first_violator_matches_full_audit(case, profile, d) -> None:
     g, c = case
-    first = np.asarray(c.first, dtype=np.int64)
-    second = np.asarray(c.second, dtype=np.int64)
+    first, second = c.first, c.second
     bound, caps = closeness_bound(profile, d), _audit_caps(profile, d)
     bad = _violating(_audit_counts(g, _set_masks(g, first, second, c.palette, bound)), caps)
     expected = int(bad[0]) if bad.size else -1
@@ -245,12 +241,12 @@ def reference_resample(
     second = rng.integers(1, palette + 1, size=g.n)
     rounds = 0
     while True:
-        c = VertexColoring(palette, tuple(first.tolist()), tuple(second.tolist()))
+        c = VertexColoring(palette, first, second)
         sets = distinguish(g, c, profile, d)
         result = audit(g, sets, profile, d)
         if result.passed or rounds >= max_rounds:
             return ResampleResult(c, sets, result, result.passed, rounds)
-        centre = result.violations[0]
+        centre = int(result.violations[0])
         ball = {centre, *neighbors(g, centre)}
         for w in neighbors(g, centre):
             ball.update(neighbors(g, w))
@@ -273,12 +269,12 @@ def test_resample_matches_round_by_round_reference(g, profile, d, seed, max_roun
         warnings.simplefilter("ignore")
         result = resample_until_good(g, profile, d, seed=seed, max_rounds=max_rounds)
     ref = reference_resample(g, profile, d, seed, max_rounds)
-    assert (result.coloring, result.audit, result.success, result.rounds) == (
-        ref.coloring, ref.audit, ref.success, ref.rounds
+    assert (result.coloring.to_json(), result.audit.to_json(), result.success, result.rounds) == (
+        ref.coloring.to_json(), ref.audit.to_json(), ref.success, ref.rounds
     )
     assert as_sets(result.sets) == as_sets(ref.sets)
     assert as_sets(result.sets) == as_sets(distinguish(g, result.coloring, profile, d))
-    assert result.audit == audit(g, result.sets, profile, d)
+    assert result.audit.to_json() == audit(g, result.sets, profile, d).to_json()
     assert result.success == result.audit.passed
     assert result.success or result.rounds == max_rounds
 
@@ -319,8 +315,8 @@ def test_long_resample_matches_round_by_round_reference(
     g = generate_regular(*shape, seed=1)
     result = resample_until_good(g, profile, d, seed=0, max_rounds=max_rounds)
     ref = reference_resample(g, profile, d, 0, max_rounds)
-    assert (result.coloring, result.audit, result.success, result.rounds) == (
-        ref.coloring, ref.audit, ref.success, ref.rounds
+    assert (result.coloring.to_json(), result.audit.to_json(), result.success, result.rounds) == (
+        ref.coloring.to_json(), ref.audit.to_json(), ref.success, ref.rounds
     )
     assert as_sets(result.sets) == as_sets(ref.sets)
     rounds = [c for c in seen if c >= 0]
@@ -331,14 +327,14 @@ def test_long_resample_matches_round_by_round_reference(
         assert len(set(rounds)) > 1
 
 
-def reference_verify(weights: FractionalEdgeWeights, labels: BinaryEdgeLabels) -> RoundingReport:
-    zsums = weights.vertex_sums()
-    xsums = labels.vertex_sums()
-    violations = tuple(
-        v for v in range(weights.graph.n) if not zsums[v] - 1 < xsums[v] <= zsums[v] + 1
-    )
-    drifts = tuple(float(x - z) for x, z in zip(xsums, zsums))
-    return RoundingReport(passed=not violations, drifts=drifts, violations=violations)
+def reference_verify(weights: FractionalEdgeWeights, labels: BinaryEdgeLabels) -> dict:
+    """The report's JSON, from plain ``Fraction`` sums."""
+    g = weights.graph
+    zsums = vertex_sums(g, weight_fractions(weights))
+    xsums = vertex_sums(g, labels.values.tolist())
+    violations = [v for v in range(g.n) if not zsums[v] - 1 < xsums[v] <= zsums[v] + 1]
+    drifts = [float(x - z) for x, z in zip(xsums, zsums)]
+    return {"passed": not violations, "drifts": drifts, "violations": violations}
 
 
 fractions_01 = st.one_of(
@@ -348,14 +344,33 @@ fractions_01 = st.one_of(
 )
 
 
+@st.composite
+def labelled_weights(draw) -> tuple[Graph, list[Fraction], list[int]]:
+    g = draw(graphs(max_n=8))
+    z = draw(st.lists(fractions_01, min_size=g.m, max_size=g.m))
+    return g, z, draw(st.lists(st.integers(0, 1), min_size=g.m, max_size=g.m))
+
+
+# The numerators are int64 exactly while the common denominator times the
+# largest degree (2 on the path) stays below 2**63: denominators 2**62 - 1
+# (int64), 2**62 (product exactly 2**63) and 2**62 + 1 (Python ints).
+PATH = Graph(3, [(0, 1), (1, 2)])
+
+
 @settings(max_examples=300, deadline=None)
-@given(graphs(max_n=8), st.data())
-def test_integer_verify_matches_fraction_reference(g, data) -> None:
-    z = data.draw(st.lists(fractions_01, min_size=g.m, max_size=g.m))
-    x = data.draw(st.lists(st.integers(0, 1), min_size=g.m, max_size=g.m))
+@given(labelled_weights())
+@example((PATH, [Fraction(2**62 - 2, 2**62 - 1), Fraction(1, 2**62 - 1)], [1, 1]))
+@example((PATH, [Fraction(2**62 - 2, 2**62 - 1), Fraction(2**62 - 3, 2**62 - 1)], [0, 0]))
+@example((PATH, [Fraction(1, 2**62), Fraction(2**62 - 1, 2**62)], [0, 1]))
+@example((PATH, [Fraction(2**62, 2**62 + 1), Fraction(1, 2**62 + 1)], [1, 1]))
+@example((PATH, [Fraction(2**62, 2**62 + 1), Fraction(2**62 - 1, 2**62 + 1)], [0, 0]))
+def test_integer_verify_matches_fraction_reference(case) -> None:
+    g, z, x = case
     weights = FractionalEdgeWeights.from_values(g, z)
     labels = BinaryEdgeLabels(g, tuple(x))
-    assert verify_rounding(weights, labels) == reference_verify(weights, labels)
+    wide = weights.denominator * int(g.degrees.max(initial=1)) >= 2**63
+    assert weights.numerators.dtype == (object if wide else np.int64)
+    assert verify_rounding(weights, labels).to_json() == reference_verify(weights, labels)
 
 
 def test_integer_verify_window_boundaries() -> None:
@@ -365,14 +380,14 @@ def test_integer_verify_window_boundaries() -> None:
     high = verify_rounding(weights, BinaryEdgeLabels(g, (1, 1)))
     assert high.passed and high.drifts[1] == 1.0  # drift exactly +1 is allowed
     low = verify_rounding(weights, BinaryEdgeLabels(g, (0, 0)))
-    assert not low.passed and low.violations == (1,) and low.drifts[1] == -1.0
+    assert not low.passed and low.violations.tolist() == [1] and low.drifts[1] == -1.0
     for labels in ((1, 1), (0, 0), (1, 0), (0, 1)):
         got = verify_rounding(weights, BinaryEdgeLabels(g, labels))
-        assert got == reference_verify(weights, BinaryEdgeLabels(g, labels))
+        assert got.to_json() == reference_verify(weights, BinaryEdgeLabels(g, labels))
     assert math.isclose(high.drifts[0], 2 / 3)
 
 
 def test_integer_verify_empty_graph() -> None:
     g = Graph(0, [])
     report = verify_rounding(FractionalEdgeWeights.from_values(g, []), BinaryEdgeLabels(g, ()))
-    assert report == RoundingReport(passed=True, drifts=(), violations=())
+    assert report.to_json() == {"passed": True, "drifts": [], "violations": []}

@@ -37,7 +37,7 @@ def ref_predicate(inst: DcsInstance, edges: frozenset[int]) -> bool:
         deg[u] += 1
         deg[v] += 1
     for v in range(g.n):
-        if not (g.degree(v) / 3 <= deg[v] <= 2 * g.degree(v) / 3):
+        if not (g.degrees[v] / 3 <= deg[v] <= 2 * g.degrees[v] / 3):
             return False
         lam = inst.moduli[v]
         if deg[v] % lam not in (inst.targets[v] % lam, (inst.targets[v] + 1) % lam):
@@ -408,7 +408,7 @@ def reference_solve(
         max_steps = 60 * g.n + 4 * g.m
     certifiable = []
     for v in range(g.n):
-        lo, hi = -(-g.degree(v) // 3), (2 * g.degree(v)) // 3
+        lo, hi = -(-g.degrees[v] // 3), (2 * g.degrees[v]) // 3
         good = [x for x in range(lo, hi + 1) if x % inst.moduli[v] in inst.allowed_residues(v)]
         if not good:
             (r0, r1), lam = inst.allowed_residues(v), inst.moduli[v]

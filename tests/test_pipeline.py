@@ -23,7 +23,7 @@ from lidecomp.constants import (
     REFERENCE_PROFILE,
     exact_degree_bounds,
 )
-from lidecomp.dcs import DcsInstance, solve as dcs_solve, verify as dcs_verify
+from lidecomp.dcs import DcsCertificate, DcsInstance, solve as dcs_solve, verify as dcs_verify
 from lidecomp.errors import BudgetError, InputError
 from lidecomp.exact import is_decomposable
 from lidecomp.graphs import (
@@ -42,7 +42,7 @@ from lidecomp.pipeline import (
     split_edges,
     verify_decomposition,
 )
-from lidecomp.rounding import FractionalEdgeWeights, balanced_round
+from lidecomp.rounding import FractionalEdgeWeights, balanced_round, verify_rounding
 from oracles import edge_index, edge_list
 
 DEMO = ConstantProfile(k=0.1, s=0.05, r=0.3, u=0.2, s1=0.024, r1=0.279, u1=0.09)
@@ -72,7 +72,7 @@ def test_split_single_group_when_no_distinguished_edges() -> None:
     split = split_edges(g, c, sets)
     assert set(split.rules) == {4}
     for v, dz in enumerate(degree_vector(g, split.labels == 0).tolist()):
-        assert abs(2 * dz - g.degree(v)) <= 2
+        assert abs(2 * dz - g.degrees[v]) <= 2
 
 
 def test_split_special_edges_deterministic() -> None:
@@ -93,11 +93,11 @@ def _composite_balance_ok(g: Graph, sets, split) -> bool:
     uncolored = set(sets.uncolored.tolist())
     for v in range(g.n):
         if v in uncolored:
-            if abs(2 * dz[v] - g.degree(v)) > 4:  # two rounded groups
+            if abs(2 * dz[v] - g.degrees[v]) > 4:  # two rounded groups
                 return False
         else:
             # three rounded groups plus the deterministic special edges
-            if abs(2 * (dz[v] - dsz[v]) - (g.degree(v) - ds[v])) > 6:
+            if abs(2 * (dz[v] - dsz[v]) - (g.degrees[v] - ds[v])) > 6:
                 return False
     return True
 
@@ -121,7 +121,7 @@ def test_split_fuzz_balance_and_rule_partition() -> None:
         if not sets.special.any():
             special_free_seen += 1
             for v, dz in enumerate(degree_vector(g, split.labels == 0).tolist()):
-                assert abs(2 * dz - g.degree(v)) <= 6  # |d0 - d/2| <= 3 literally
+                assert abs(2 * dz - g.degrees[v]) <= 6  # |d0 - d/2| <= 3 literally
     assert special_free_seen > 0
 
 
@@ -240,7 +240,7 @@ def _half_json(g, c, sets, split, h, lam, half) -> dict:
         selections[next(v for v in edges[i] if v in selections)].append(i)
     colored = np.ones(g.n, dtype=bool)
     colored[sets.uncolored] = False
-    coord = np.asarray(c.first if h == 0 else c.second)
+    coord = c.first if h == 0 else c.second
     residue = (2 * coord - degree_vector(g, selected | risky_half)) % lam
     return {
         "half": h,
@@ -296,9 +296,24 @@ def _graph_state(g: Graph) -> dict:
     }
 
 
-def _solve_dcs(g: Graph) -> None:
+def _solve_dcs(g: Graph) -> DcsCertificate:
     inst = DcsInstance(g, (4,) * g.n, tuple(v % 8 for v in range(g.n)))
-    dcs_verify(inst, dcs_solve(inst, seed=2).edges)
+    return dcs_verify(inst, dcs_solve(inst, seed=2).edges)
+
+
+def _arrays(obj) -> list[np.ndarray]:
+    """Every array reachable from ``obj`` through attributes, sequences and dict values."""
+    if isinstance(obj, np.ndarray):
+        return [obj]
+    if isinstance(obj, dict):
+        items = obj.values()
+    elif isinstance(obj, (tuple, list)):
+        items = obj
+    elif hasattr(obj, "__dict__"):
+        items = vars(obj).values()
+    else:
+        return []
+    return [a for item in items for a in _arrays(item)]
 
 
 @pytest.mark.parametrize(
@@ -330,12 +345,14 @@ def _solve_dcs(g: Graph) -> None:
 def test_graph_is_not_modified_by_use(make, action) -> None:
     # A graph is immutable after construction: no stage caches anything on
     # it or writes to its arrays, so it is safe to share between threads.
+    # Every array a stage returns is read-only as well.
     g = make()
     before = _graph_state(g)
-    action(g)
+    returned = _arrays(action(g))
     assert _graph_state(g) == before
     arrays = [value for value in vars(g).values() if isinstance(value, np.ndarray)]
     assert arrays and not any(a.flags.writeable for a in arrays)
+    assert not any(a.flags.writeable for a in returned)
 
 
 def test_decompose_half_reports_core_budget_failure(monkeypatch) -> None:
@@ -398,13 +415,13 @@ def test_rounding_contract_check_survives_optimize_flag() -> None:
     # A closed walk of odd length (a triangle) cannot preserve every vertex
     # sum; the general rounding engine must refuse it under python -O too.
     code = """
-from fractions import Fraction
+import numpy as np
 from lidecomp.graphs import Graph
 from lidecomp.rounding import _State
 
 assert False, "assert statements are live"
-weights = {e: Fraction(1, 3) for e in range(3)}
-state = _State(Graph(3, [(0, 1), (0, 2), (1, 2)]), weights, [None] * 3)
+weights = {e: 1 for e in range(3)}  # 1/3 each
+state = _State(Graph(3, [(0, 1), (0, 2), (1, 2)]), 3, weights, np.zeros(3, dtype=np.uint8))
 try:
     state.apply_shift([0, 2, 1], closed=True)
 except AssertionError as exc:
@@ -785,7 +802,10 @@ def test_array_dataclasses_compare_by_identity() -> None:
     inside = sets.uncolored_edges & half_edges
     fringe = sets.touching & half_edges & ~inside
     selection = choose_selections(g, sets.uncolored, half_edges, inside, fringe, 3)
-    for obj in (sets, resampled, split, selection, half, decomposition):
+    weights = FractionalEdgeWeights.constant(g, Fraction(1, 2))
+    labels = balanced_round(weights)
+    vectors = (resampled.coloring, resampled.audit, weights, labels, verify_rounding(weights, labels))
+    for obj in (sets, resampled, split, selection, half, decomposition, *vectors):
         twin = dataclasses.replace(obj)
         assert obj == obj
         assert not obj == twin
