@@ -139,6 +139,9 @@ def _set_masks(
 ) -> DistinguishedSets:
     """Evaluate the set definitions for colour arrays with values in 1..palette."""
     eu, ev = g.endpoint_arrays()
+    # As in _first_violator: the narrowest type holding [-palette, palette].
+    small = np.min_scalar_type(-palette - 1)
+    first, second = first.astype(small), second.astype(small)
     fu, fv, su, sv = first[eu], first[ev], second[eu], second[ev]
     first_eq = fu == fv
     second_eq = su == sv

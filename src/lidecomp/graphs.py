@@ -17,7 +17,12 @@ A per-vertex or per-edge vector has one form too: a read-only numpy array
 certificate verdicts), passed from stage to stage unconverted; a loop that
 walks one calls ``tolist()`` once first. The exception is a DCS instance's
 moduli and targets: tuples of Python ints, as relaxed instances take moduli
-past 2**63, which no int64 array holds.
+past 2**63, which no int64 array holds. Memory per edge sets how large a
+graph fits, so a per-edge temporary takes the narrowest dtype that holds its
+values (colours, vertex ids, slot numbers) and is dropped after its last use,
+while a returned vector keeps its documented dtype: int64 degrees and
+indices, bool masks, uint8 labels. ``HalfSplit``'s labels and rules, with
+values -1..4, are int8.
 
 An edge subset has one form inside the package: a boolean mask of length
 ``m`` over canonical edge indices, whose degrees :func:`degree_vector` counts
@@ -97,19 +102,23 @@ class Graph:
                 first = int(key[dup[0]])
                 raise InputError(f"duplicate edge {(first // n, first % n)}")
             lo, hi = lo[order], hi[order]
+        del key
         # Neighbours of x: the lower ends of its edges (ascending, since the
         # edges are sorted), then the upper ends; a stable sort on the source
         # keeps that order. The narrowest dtype lets numpy use a radix sort.
-        src = np.concatenate((hi, lo)).astype(np.min_scalar_type(max(n - 1, 0)))
+        vertex = np.min_scalar_type(max(n - 1, 0))
+        src = np.concatenate((hi.astype(vertex), lo.astype(vertex)))
         deg = np.bincount(src, minlength=n)
         self.n = n
-        self.m = len(key)
+        self.m = len(lo)
         self.degrees = _read_only(deg)
         slots = np.argsort(src, kind="stable")
+        del src
         self.indptr = _read_only(np.concatenate(([0], np.cumsum(deg))))
         self.indices = _read_only(np.concatenate((lo, hi))[slots])
         # Entry p of src is an end of edge p mod m; slot j holds edge slot_edges[j].
-        self.slot_edges = _read_only(slots % max(self.m, 1))
+        slots %= max(self.m, 1)
+        self.slot_edges = _read_only(slots)
         self._eu = _read_only(np.ascontiguousarray(lo))
         self._ev = _read_only(np.ascontiguousarray(hi))
 
@@ -305,21 +314,28 @@ def _parse_canonical(data: bytes) -> np.ndarray | None:
     line-by-line parser then handles, error messages included.
     """
     buf = np.frombuffer(data, dtype=np.uint8)
-    seps = np.flatnonzero((buf == 32) | (buf == 10))
+    sep = buf == 32
+    sep |= buf == 10
+    seps = np.flatnonzero(sep)
+    del sep
     if not seps.size or seps[-1] != len(buf) - 1 or seps.size % 2:
         return None
     kinds = buf[seps]
     # Each token is 1..18 bytes between separators, and only digits are left.
-    widths = np.diff(seps, prepend=-1) - 1
-    digits = len(buf) - seps.size
+    widths = np.diff(seps, prepend=-1)
+    widths -= 1
+    digit = buf >= 48
+    digit &= buf <= 57
     if (
         (kinds[0::2] != 32).any()
         or (kinds[1::2] != 10).any()
         or widths.min() < 1
         or widths.max() > 18
-        or np.count_nonzero((buf >= 48) & (buf <= 57)) != digits
+        or np.count_nonzero(digit) != len(buf) - seps.size
     ):
         return None
+    # Free the per-byte and per-token checks before the values are built.
+    del seps, kinds, widths, digit
     return np.fromstring(data, dtype=np.int64, sep=" ")
 
 
@@ -362,6 +378,7 @@ def read_graph(path: str | Path) -> Graph:
     values = _parse_canonical(data)
     if values is None:
         values = _parse_lines(path, data.decode("utf-8"))
+    del data
     n, m = (int(x) for x in values[:2])
     pairs = values[2:].reshape(-1, 2)
     if len(pairs) != m:

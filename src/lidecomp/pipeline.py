@@ -51,7 +51,7 @@ RULE_RESIDUAL_PLAIN = 4
 
 @dataclass(frozen=True, eq=False)
 class HalfSplit:
-    """Read-only 0/1 edge labels and the rule that produced each; half h is ``labels == h``."""
+    """Read-only int8 0/1 edge labels and the rule that produced each; half h is ``labels == h``."""
 
     labels: np.ndarray
     rules: np.ndarray
@@ -73,8 +73,8 @@ def split_edges(g: Graph, coloring: VertexColoring, sets: DistinguishedSets) -> 
     group every vertex ends within one of an even split.
     """
     eu, ev = g.endpoint_arrays()
-    labels = np.full(g.m, -1, dtype=np.int64)
-    rules = np.full(g.m, -1, dtype=np.int64)
+    labels = np.full(g.m, -1, dtype=np.int8)
+    rules = np.full(g.m, -1, dtype=np.int8)
     special = np.flatnonzero(sets.special)
     first, second = coloring.first, coloring.second
     first_eq = first[eu[special]] == first[ev[special]]
@@ -114,13 +114,18 @@ def split_edges(g: Graph, coloring: VertexColoring, sets: DistinguishedSets) -> 
 class SelectionResult:
     """Greedy per-uncoloured-vertex selections within one half.
 
-    ``selected`` masks the selected fringe edges; the other two fields are
-    ascending int64 arrays. All three are read-only.
+    ``selected`` masks the selected fringe edges; the next two fields are
+    ascending int64 arrays, and the last three are the per-vertex int64
+    degrees the selection counted, which :func:`decompose_half`'s diagnostics
+    reuse. Every field is read-only.
     """
 
     selected: np.ndarray
     precondition_failures: np.ndarray  # vertices failing the feasibility bounds
     conflicts: np.ndarray  # inside-half uncoloured edges with equal adjusted degrees
+    half_degrees: np.ndarray  # degrees in the half
+    inside_degrees: np.ndarray  # degrees among the inside edges
+    fringe_degrees: np.ndarray  # fringe edges at each uncoloured vertex, 0 at coloured ones
 
 
 def choose_selections(
@@ -156,18 +161,18 @@ def choose_selections(
     ends, ids = np.concatenate((ev[ids], eu[ids])), np.concatenate((ids, ids))
     keep = is_uncolored[ends]
     ends, ids = ends[keep], ids[keep]
-    fringe = ids[np.argsort(ends.astype(vertex), kind="stable")].tolist()
+    del keep
+    fringe = ids[np.argsort(ends.astype(vertex), kind="stable")]
     fcount = np.bincount(ends, minlength=g.n)
-    fptr = np.concatenate(([0], np.cumsum(fcount))).tolist()
+    del ends, ids
     # Canonical edges have u < v, so an inside edge's lower end u is processed
     # before v; the lower inside neighbours of v are lower[lptr[v]:lptr[v + 1]].
     inside = np.flatnonzero(inside_half)
     lower = eu[inside][np.argsort(ev[inside].astype(vertex), kind="stable")].tolist()
     lptr = np.concatenate(([0], np.cumsum(np.bincount(ev[inside], minlength=g.n)))).tolist()
 
-    infeasible = (fcount[uncolored] < size_count - 1) | (
-        degree_vector(g, inside_half)[uncolored] >= size_count
-    )
+    deg_inside = degree_vector(g, inside_half)
+    infeasible = (fcount[uncolored] < size_count - 1) | (deg_inside[uncolored] >= size_count)
     failures = uncolored[infeasible]
     if failures.size and strict:
         raise InputError(
@@ -175,24 +180,30 @@ def choose_selections(
             f"(need {size_count - 1} fringe edges and < {size_count} inside edges)"
         )
 
-    adjusted = degree_vector(g, half_edges).tolist()  # minus the selection size, once chosen
-    chosen: list[int] = []
+    deg_half = degree_vector(g, half_edges)
+    adjusted = deg_half.tolist()  # minus the selection size, once chosen
+    avail = fcount.tolist()
     for v in uncolored.tolist():
         forbidden = {adjusted[v] - adjusted[w] for w in lower[lptr[v] : lptr[v + 1]]}
-        avail = fptr[v + 1] - fptr[v]
-        size = next((c for c in range(min(size_count, avail + 1)) if c not in forbidden), None)
+        size = next((c for c in range(min(size_count, avail[v] + 1)) if c not in forbidden), None)
         if size is None:
             if strict:
                 raise InputError(f"no admissible selection size at vertex {v}")
-            size = next((c for c in range(0, avail + 1) if c not in forbidden), 0)
-        chosen += fringe[fptr[v] : fptr[v] + size]
+            size = next((c for c in range(0, avail[v] + 1) if c not in forbidden), 0)
         adjusted[v] -= size
 
     adjusted = np.asarray(adjusted)
     conflicts = inside[adjusted[eu[inside]] == adjusted[ev[inside]]]
+    # Vertex v selects its first sizes[v] fringe edges, which start at starts[v].
+    sizes = deg_half - adjusted
+    starts = np.cumsum(fcount) - fcount
+    slots = np.repeat(starts - (np.cumsum(sizes) - sizes), sizes)
+    slots += np.arange(slots.size)
     selected = np.zeros(g.m, dtype=bool)
-    selected[chosen] = True
-    return SelectionResult(_read_only(selected), _read_only(failures), _read_only(conflicts))
+    selected[fringe[slots]] = True
+    return SelectionResult(
+        *map(_read_only, (selected, failures, conflicts, deg_half, deg_inside, fcount))
+    )
 
 
 def _peel_core_host(
@@ -324,9 +335,9 @@ def decompose_half(
     bounds = exact_degree_bounds(profile, d)
     col_low, col_high = bounds.colored_half
     unc = sets.uncolored
-    deg_half = degree_vector(g, half_edges)
+    deg_half = selection.half_degrees
     deg_first = degree_vector(g, first)
-    deg_second = degree_vector(g, second)
+    deg_second = deg_half - deg_first
     have = deg_first[alive] % lam
     want = 2 * coord[alive] % lam
 
@@ -346,10 +357,10 @@ def decompose_half(
             | (deg_half[colored] >= math.ceil(col_high))
         ),
         "uncolored_inside_cap": count(
-            degree_vector(g, inside)[unc] >= math.ceil(bounds.inside_cap)
+            selection.inside_degrees[unc] >= math.ceil(bounds.inside_cap)
         ),
         "uncolored_fringe_floor": count(
-            degree_vector(g, fringe)[unc] <= math.floor(bounds.fringe_floor)
+            selection.fringe_degrees[unc] <= math.floor(bounds.fringe_floor)
         ),
         "first_part_separation": count(
             (deg_first[colored] > 0) & (deg_first[colored] <= math.floor(derived.separation))

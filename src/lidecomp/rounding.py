@@ -340,10 +340,12 @@ def _round_half_euler(n: int, eu: np.ndarray, ev: np.ndarray) -> np.ndarray:
     rank = 2 * np.concatenate((ev, odd, eu, np.full(len(odd), n))).astype(np.min_scalar_type(2 * n))
     rank[k:size] += 1
     order = np.argsort(rank, kind="stable").astype(np.int32)
+    del rank
     slots = np.arange(2 * size, dtype=np.int32)
     where = np.empty_like(order)
     where[order] = slots
-    twin = np.empty_like(order)
+    del order
+    twin = np.empty_like(where)
     twin[where[:size]] = where[size:]
     twin[where[size:]] = where[:size]
     counts = np.append(deg + deg % 2, len(odd))
@@ -354,6 +356,7 @@ def _round_half_euler(n: int, eu: np.ndarray, ev: np.ndarray) -> np.ndarray:
 
     # Pair each row's slots two by two and number the trails.
     nxt = twin[slots ^ 1]
+    del slots
     owner, off, succ, gap = _segments(nxt, head)
     ahead = succ.tolist()
     cycle = [-1] * len(ahead)
@@ -370,6 +373,7 @@ def _round_half_euler(n: int, eu: np.ndarray, ev: np.ndarray) -> np.ndarray:
     # Slots 2i and 2i + 1 lie on the two directions of one trail, so the
     # lower of their cycle numbers names it.
     trail = np.minimum(on[0::2], on[1::2])
+    del on
 
     # Splice trails that meet at adjacent transitions of a row.
     row_begins = np.zeros(size, dtype=bool)
@@ -410,11 +414,11 @@ def _round_half_euler(n: int, eu: np.ndarray, ev: np.ndarray) -> np.ndarray:
         while pos[h] < 0:
             pos[h] = p
             p, h = p + gap[h], succ[h]
-    start = np.asarray(pos, dtype=np.int32)[owner]
-    bit = (start + off + 1) & 1
+    pos = np.asarray(pos, dtype=np.int32)
     # Of each edge's two slots, the one on a numbered circuit gives its bit.
     end, other = where[:k], where[size : size + k]
-    return np.where(start[end] >= 0, bit[end], bit[other]).astype(np.uint8)
+    slot = np.where(pos[owner[end]] >= 0, end, other)
+    return ((pos[owner[slot]] + off[slot] + 1) & 1).astype(np.uint8)
 
 
 def round_half_edges(n: int, eu: np.ndarray, ev: np.ndarray) -> np.ndarray:

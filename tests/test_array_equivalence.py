@@ -159,8 +159,26 @@ def as_sets(sets: DistinguishedSets) -> dict:
     return out
 
 
+def _palette_edge(palette: int) -> tuple[Graph, VertexColoring]:
+    """Colours 1 and ``palette`` on adjacent vertices in both coordinates.
+
+    Their gap is ``palette - 1``, so ``_close``'s ``palette - gap`` runs at
+    the edge of the narrowest type that holds the palette.
+    """
+    g = Graph(3, [(0, 1), (1, 2)])
+    return g, VertexColoring(palette, (1, palette, 1), (palette, 1, palette // 2))
+
+
 @settings(max_examples=200, deadline=None)
 @given(colored_graphs(), st.sampled_from(PROFILES), st.integers(0, 60))
+# Palettes at the edges of int8, int16 and int32, and past them.
+@example(_palette_edge(127), PROFILES[0], 60)
+@example(_palette_edge(128), PROFILES[0], 60)
+@example(_palette_edge(32767), PROFILES[0], 60)
+@example(_palette_edge(32768), PROFILES[0], 60)
+@example(_palette_edge(2**31 - 1), PROFILES[0], 60)
+@example(_palette_edge(2**31), PROFILES[0], 60)
+@example(_palette_edge(2**33), PROFILES[0], 60)
 def test_masks_and_counts_match_references(case, profile, d) -> None:
     g, c = case
     first, second = c.first, c.second

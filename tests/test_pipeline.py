@@ -7,6 +7,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -32,6 +33,8 @@ from lidecomp.graphs import (
     generate_circulant,
     generate_regular,
     is_subgraph_locally_irregular,
+    read_graph,
+    write_graph,
 )
 from lidecomp.pipeline import (
     SelectionResult,
@@ -740,10 +743,17 @@ def reference_choose_selections(
     )
     selected = np.zeros(g.m, dtype=bool)
     selected[[i for chosen in selections.values() for i in chosen]] = True
+    inside_degrees, fringe_degrees = [0] * g.n, [0] * g.n
+    for v in uncolored:
+        inside_degrees[v] = len(inside_neighbors[v])
+        fringe_degrees[v] = len(fringe_at[v])
     return SelectionResult(
         selected=selected,
         precondition_failures=np.asarray(failures, dtype=np.int64),
         conflicts=np.asarray(conflicts, dtype=np.int64),
+        half_degrees=np.asarray(deg_half, dtype=np.int64),
+        inside_degrees=np.asarray(inside_degrees, dtype=np.int64),
+        fringe_degrees=np.asarray(fringe_degrees, dtype=np.int64),
     )
 
 
@@ -810,3 +820,40 @@ def test_array_dataclasses_compare_by_identity() -> None:
         assert obj == obj
         assert not obj == twin
         assert obj != twin
+
+
+def _traced_peak(action) -> int:
+    """Peak traced bytes above the level at entry while ``action()`` runs.
+
+    Tracing is started and stopped here only if it was off; a run already
+    tracing keeps tracing (its recorded peak restarts at the call).
+    """
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        action()
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+
+
+def test_decompose_and_read_peak_memory_stay_within_budget(tmp_path) -> None:
+    # Bounds are multiples of the graph's own array bytes (48 per edge plus
+    # the per-vertex arrays), about 15% above what narrow, freed per-edge
+    # temporaries give: 1.55x for the pipeline and 1.68x for reading. With
+    # int64 temporaries and dead arrays kept alive they were 2.41x and 2.09x.
+    g = generate_regular(1000, 64, seed=1)
+    graph_bytes = sum(a.nbytes for a in vars(g).values() if isinstance(a, np.ndarray))
+    path = tmp_path / "graph.txt"
+    write_graph(g, path)
+
+    def run() -> None:
+        decompose_to_four(g, DEMO, mode="best-effort", seed=1, max_rounds=5)
+
+    run()  # the first call also imports what numpy loads lazily
+    assert _traced_peak(run) <= 1.8 * graph_bytes
+    assert _traced_peak(lambda: read_graph(path)) <= 1.95 * graph_bytes
