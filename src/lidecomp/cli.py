@@ -450,6 +450,10 @@ def main(argv: list[str] | None = None) -> int:
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except MemoryError as exc:
+        # Exit 1 means a false verdict, so a size too large to hold is an input error.
+        print(f"error: out of memory: {str(exc) or 'allocation failed'}", file=sys.stderr)
+        return 2
     except BudgetError as exc:
         print(f"budget exhausted: {exc}", file=sys.stderr)
         return 3

@@ -12,18 +12,17 @@ only looks for that first violator, scanning ascending vertex blocks on the
 CSR adjacency and reading a vertex's uncoloured flag from its row when a block
 first needs it. A round thus costs the rows of the first violating block's
 closed neighbourhood (and of the blocks before it), plus at most one pass
-over the 2m slots for the flags; a repeated centre reuses its two-hop ball.
-Rounds centred on vertex 0 run in chunks. Vertex 0 has no lower vertex, so
-it is the centre exactly when it violates, its counts read only its two-hop
-ball, and each such round redraws that ball whole: the rounds are independent
-trials. Up to ``_CHUNK_ROUNDS`` of them are drawn in one ``integers`` call and
-judged together on the ball's slot layout, built once per resampling. The
-chunk is a constant, kept small so that the per-slot arrays, and with them
-peak memory, stay near one round's. The payload stays byte-identical because
-numpy's bounded draws consume the bit generator value by value: one call of
-shape (R, 2, k) gives the values, and leaves the state, of R rounds' two
-calls of size k (a test pins this). The full sets and the audit are
-evaluated once, after the loop.
+over the 2m slots for the flags. Rounds centred on vertex 0 run in chunks.
+Vertex 0 has no lower vertex, so it is the centre exactly when it violates,
+its counts read only its two-hop ball, and each such round redraws that ball
+whole: the rounds are independent trials. Up to ``_CHUNK_ROUNDS`` of them
+are drawn in one ``integers`` call and judged together on the ball's slot
+layout, built once per resampling. The chunk is a constant, kept small so
+that the per-slot arrays, and with them peak memory, stay near one round's.
+The payload stays byte-identical because numpy's bounded draws consume the
+bit generator value by value: one call of shape (R, 2, k) gives the values,
+and leaves the state, of R rounds' two calls of size k (a test pins this).
+The full sets and the audit are evaluated once, after the loop.
 
 Set membership must be bit-stable, so the risky closeness threshold and all
 audit thresholds are evaluated in exact rational arithmetic.
@@ -489,7 +488,6 @@ def resample_until_good(
     caps = _audit_caps(profile, d)
 
     rounds = 0
-    ball_centre, redraw = -1, None  # the last centre's ball, reused while it repeats
     zero = None  # vertex 0's ball layout, built when vertex 0 first violates
     while rounds < max_rounds:
         centre = _first_violator(g, first, second, palette, bound, caps)
@@ -502,8 +500,7 @@ def resample_until_good(
                 zero, first, second, rng, palette, bound, caps, max_rounds - rounds
             )
             continue
-        if centre != ball_centre:
-            ball_centre, redraw = centre, _two_hop_ball(g, centre)
+        redraw = _two_hop_ball(g, centre)
         first[redraw] = rng.integers(1, palette + 1, size=redraw.size)
         second[redraw] = rng.integers(1, palette + 1, size=redraw.size)
         rounds += 1

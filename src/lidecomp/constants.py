@@ -23,6 +23,7 @@ quickly; the exact backend confirms every degree they report.
 from __future__ import annotations
 
 import math
+import sys
 from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
@@ -304,6 +305,9 @@ def check_profile(profile: ConstantProfile, d: int) -> FeasibilityReport:
     profile.validate()
     if d < SCAN_LO:
         raise InputError(f"degree must be >= {SCAN_LO}, got {d}")
+    # The report holds floats, and no row exceeds dependency_count's 3d^3 - 1.
+    if 3 * d**3 - 1 > sys.float_info.max:
+        raise InputError(f"degree must keep 3d^3 - 1 within a float (d <= ~3.91e102), got {d}")
     records = tuple(
         ConstraintRecord(name, float(lhs), float(rhs), _holds(lhs, rhs, strict))
         for name, lhs, rhs, strict in _constraint_table(

@@ -20,16 +20,18 @@ and ``solve`` says so before searching.
 A vertex's potential depends only on its subgraph degree, so vertices with
 the same host degree, modulus and allowed residues share a table of it over
 degrees 0..d(v); the tables lie end to end in one flat array. The search keeps every
-edge's flip gain between steps, with the candidate edges (those with a
-violating endpoint) in buckets keyed by gain. A restart sets up on arrays:
-degrees by :func:`~lidecomp.graphs.degree_vector`, every edge's bucket key in
-one expression, and the buckets from one stable ``argsort`` of the keys, so
-each starts as an ascending list. A bucket is a heap with lazy deletion (an
-entry is live while the edge's key still names that bucket) plus an exact
-count, so the improving step's lowest-index edge is a heap top. A flip
-changes only the degrees of its two endpoints, so only the edges on their CSR
-rows are re-scored and re-bucketed: a step costs O(d log m) rather than a
-rescan of every candidate.
+edge's flip gain between steps, as a key ``2 + gain`` if the edge has a
+violating endpoint, else -1. A restart sets up on arrays: degrees by
+:func:`~lidecomp.graphs.degree_vector`, every edge's key in one expression,
+and one heap, sorted once, of codes ``key*m + e`` for the keys up to 2 (gain
+at most 0). An entry is live while its edge's key is still the one it was
+pushed with (lazy deletion), so the lowest live code names the lowest gain and
+its lowest-index edge. No step takes a positive gain, so those keys are never
+pushed; when the lowest live gain is 0, every live entry is a zero-gain edge,
+and these are the plateau draw's ties and the new heap. A flip changes only
+the degrees of its two endpoints, so only the edges on their CSR rows are
+re-scored and re-pushed: a step costs O(d log m) rather than a rescan of
+every candidate.
 """
 
 from __future__ import annotations
@@ -199,8 +201,9 @@ def solve(
         lo, hi = -(-d // 3), 2 * d // 3
         raise BudgetError(f"vertex {v}: no degree from {lo} to {hi} is {r0} or {r1} mod {lam}")
     # A flip moves each endpoint's distance by at most 1, so every gain lies
-    # in [-2, 2]; bucket `offset + gain` holds the candidates.
+    # in [-2, 2]; a candidate's key is `offset + gain`, any other edge's -1.
     offset = 2
+    m = g.m
     base = starts[which]  # vertex v's potential at subgraph degree x is flat[base[v] + x]
     cells = flat.tolist()
     rows = [cells[a : a + d + 1] for a, (d, _, _) in zip(starts.tolist(), index)]
@@ -222,12 +225,9 @@ def solve(
         pu, pv = pen_a[eu], pen_a[ev]
         gain = flat[at[eu] + step] - pu + flat[at[ev] + step] - pv
         keys = np.where((pu != 0) | (pv != 0), offset + gain, -1)
-        counts = np.bincount(keys + 1, minlength=2 * offset + 2)
-        # Stably sorted, each bucket's edges ascend, which makes each one a heap.
-        order = np.argsort(keys, kind="stable")[counts[0] :].tolist()
-        stops = np.cumsum(counts[1:]).tolist()
-        heaps = [order[a:b] for a, b in zip([0] + stops, stops)]
-        size = counts[1:].tolist()
+        # Candidates that do not raise the potential, as codes key*m + e; sorted, a heap.
+        todo = np.flatnonzero((keys >= 0) & (keys <= offset))
+        heap = np.sort(keys[todo] * m + todo).tolist()
         slot = keys.tolist()
         inside = flags.tolist()
         deg = deg_a.tolist()
@@ -237,21 +237,20 @@ def solve(
         for _ in range(max_steps):
             if not violating:
                 break
-            low = next((k for k, c in enumerate(size) if c), offset + 1)
-            if low > offset:
+            # An entry is live while its edge's key is still the one it was pushed with.
+            while heap and slot[heap[0] % m] != heap[0] // m:
+                heappop(heap)
+            if not heap:
                 break  # no candidate, or a local minimum with no sideways escape
-            heap = heaps[low]
+            low, e = divmod(heap[0], m)
             if low == offset:
                 if plateau_left <= 0:
                     break
                 plateau_left -= 1
-                ties = sorted({f for f in heap if slot[f] == low})
-                heaps[low] = ties  # ascending, so still a heap, without stale entries
+                # Only keys up to offset are pushed, so every live entry is a zero-gain edge.
+                ties = sorted({c % m for c in heap if slot[c % m] == offset})
+                heap = [offset * m + f for f in ties]  # ascending, so still a heap
                 e = ties[int(rng.integers(0, len(ties)))]
-            else:
-                while slot[heap[0]] != low:
-                    heappop(heap)
-                e = heap[0]
             d = -1 if inside[e] else 1
             inside[e] = not inside[e]
             ends = (end_u[e], end_v[e])
@@ -276,16 +275,12 @@ def solve(
                             key = offset + up + table[w][deg[w] + 1] - pw
                     else:
                         key = -1
-                    old = slot[f]
-                    if key != old:
-                        if old >= 0:
-                            size[old] -= 1
-                        if key >= 0:
-                            size[key] += 1
-                            heappush(heaps[key], f)
+                    if key != slot[f]:
                         slot[f] = key
+                        if 0 <= key <= offset:
+                            heappush(heap, key * m + f)
         if not violating:
-            del heaps  # stale entries pile up in the heaps; free them before verify
+            del heap  # stale entries pile up in the heap; free it before verify
             cert = verify(inst, np.flatnonzero(inside))
             if not cert.passed:
                 raise AssertionError("zero-potential state failed verification")

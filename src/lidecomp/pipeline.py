@@ -57,20 +57,15 @@ class HalfSplit:
     rules: np.ndarray
 
 
-def _half_balance(g: Graph, subset: np.ndarray, labels: np.ndarray) -> bool:
-    """Check |deg_zero(v) - deg(v)/2| <= 1 within the edges ``subset`` masks, at every vertex."""
-    total = degree_vector(g, subset)
-    zeros = degree_vector(g, subset & (labels == 0))
-    return bool((np.abs(2 * zeros - total) <= 2).all())
-
-
 def split_edges(g: Graph, coloring: VertexColoring, sets: DistinguishedSets) -> HalfSplit:
     """Label every edge 0 or 1 by the five-rule scheme.
 
     Special edges go to the half whose coordinate still separates their
     endpoints; the risky-or-inside, touching-fringe, and plain-residual
-    groups are each balanced-rounded with weight one half, so within each
-    group every vertex ends within one of an even split.
+    groups are each balanced-rounded with weight one half. The rounding's
+    exact window check (``BudgetError`` otherwise) puts every vertex within
+    one of an even split in each group, and so in the risky and the inside
+    edges alone, which share no vertex.
     """
     eu, ev = g.endpoint_arrays()
     labels = np.full(g.m, -1, dtype=np.int8)
@@ -98,15 +93,6 @@ def split_edges(g: Graph, coloring: VertexColoring, sets: DistinguishedSets) -> 
         rules[members] = rule
     if (labels < 0).any():
         raise AssertionError("rules must cover every edge")
-
-    balance = (
-        _half_balance(g, risky, labels),
-        _half_balance(g, inside, labels),
-        _half_balance(g, fringe, labels),
-        _half_balance(g, plain, labels),
-    )
-    if not all(balance):
-        raise AssertionError("rounding contract violated inside a rule group")
     return HalfSplit(_read_only(labels), _read_only(rules))
 
 
@@ -518,8 +504,6 @@ def decompose_to_four(
     if not cover_ok:
         raise AssertionError("parts must cover the edge set exactly")
     rule_counts = np.bincount(split.rules, minlength=5).tolist()
-    if len(rule_counts) != 5 or sum(rule_counts) != g.m:
-        raise AssertionError("every edge must carry exactly one rule")
 
     success = all(verdicts)
     report = {

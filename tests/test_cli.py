@@ -415,6 +415,33 @@ def test_missing_input_file_is_input_error(capsys) -> None:
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "--graph", "{graph}", "--decomp", "{decomp}"],
+        ["round", "--in", "{graph}"],
+        ["gen-regular", "--n", "100000000000000", "--d", "2", "--out", "{out}"],
+        ["constants", "check", "--d", str(10**103)],
+    ],
+    ids=["verify", "round", "gen-regular", "constants-check"],
+)
+def test_out_of_range_sizes_are_input_errors(argv, tmp_path, capsys) -> None:
+    # Exit 1 is a false verdict, so a size that cannot be held must exit 2.
+    # 10^14 vertices ask for 728 TiB, past the 128 TiB user address space,
+    # so the request fails at once and allocates nothing; 3d^3 at d = 10^103
+    # is past the largest float.
+    graph = tmp_path / "huge.txt"
+    graph.write_text("100000000000000 0\n")
+    decomp = tmp_path / "decomp.json"
+    decomp.write_text(json.dumps({"parts": [[], [], [], []]}))
+    paths = {"graph": graph, "decomp": decomp, "out": tmp_path / "out.txt"}
+    code, out, err = run([arg.format(**paths) for arg in argv], capsys)
+    assert code == 2
+    assert err.startswith("error:")
+    assert "Traceback" not in err
+    assert out == ""
+
+
 def test_decompose_strict_rejects_infeasible_scale(tmp_path, capsys) -> None:
     gpath = tmp_path / "c4.txt"
     write_graph(generate_circulant(4, [1]), gpath)

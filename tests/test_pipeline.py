@@ -414,6 +414,30 @@ except AssertionError as exc:
     assert _run_optimized(code) == "raised: special edge must agree in exactly one coordinate"
 
 
+def test_split_stops_unbalanced_group_under_optimize_flag() -> None:
+    # The rounding's window check is the only per-group balance check in the
+    # split; with every bit 0 each vertex lands its whole group degree in
+    # half 0, and the check must fire when python -O strips assert statements.
+    code = """
+import lidecomp.rounding as rounding
+from lidecomp.coloring import assign_random, distinguish
+from lidecomp.constants import REFERENCE_PROFILE
+from lidecomp.errors import BudgetError
+from lidecomp.graphs import generate_regular
+from lidecomp.pipeline import split_edges
+
+assert False, "assert statements are live"
+rounding._round_half_euler = lambda n, eu, ev: (eu * 0).astype("uint8")
+g = generate_regular(20, 6, seed=1)
+c = assign_random(g, 3, seed=1)
+try:
+    split_edges(g, c, distinguish(g, c, REFERENCE_PROFILE, d=6))
+except BudgetError as exc:
+    print("raised:", exc)
+"""
+    assert _run_optimized(code).startswith("raised: rounding violated its window at vertices")
+
+
 def test_rounding_contract_check_survives_optimize_flag() -> None:
     # A closed walk of odd length (a triangle) cannot preserve every vertex
     # sum; the general rounding engine must refuse it under python -O too.
