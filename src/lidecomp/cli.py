@@ -143,9 +143,7 @@ def _load_profile(path: str | None) -> ConstantProfile:
         raise InputError(f"cannot read profile: {exc}") from None
     except json.JSONDecodeError as exc:
         raise InputError(f"profile is not valid JSON: {exc}") from None
-    profile = ConstantProfile.from_json(data)
-    profile.validate()
-    return profile
+    return ConstantProfile.from_json(data)
 
 
 def _load_json(path: str) -> dict | list:

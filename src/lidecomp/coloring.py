@@ -55,8 +55,8 @@ class VertexColoring:
 
     The first coordinate governs the half-0 subgraph (its equal-value classes
     are meant to be independent sets there); the second plays the same role
-    for half 1. Either coordinate may be given as any integer sequence; a
-    value past int64 raises ``InputError``.
+    for half 1. Either coordinate may be given as any integer sequence. A
+    palette outside 1..2**63 - 1 or a value outside 1..palette raises ``InputError``.
     """
 
     palette: int
@@ -70,12 +70,8 @@ class VertexColoring:
             except OverflowError:
                 raise InputError("colour value outside int64") from None
             object.__setattr__(self, name, _read_only(values))
-
-    def validate(self, g: Graph) -> None:
         if not 1 <= self.palette <= np.iinfo(np.int64).max:
             raise InputError(f"palette must be in 1..2**63 - 1, got {self.palette}")
-        if len(self.first) != g.n or len(self.second) != g.n:
-            raise InputError("colouring does not cover the vertex set")
         for vals in (self.first, self.second):
             if vals.size and not (1 <= vals.min() and vals.max() <= self.palette):
                 raise InputError("colour value outside 1..palette")
@@ -86,13 +82,12 @@ class VertexColoring:
     @classmethod
     def from_json(cls, data: dict) -> "VertexColoring":
         try:
-            return cls(
-                palette=json_int(data["K"]),
-                first=[json_int(x) for x in data["O"]],
-                second=[json_int(x) for x in data["I"]],
-            )
+            palette = json_int(data["K"])
+            first = [json_int(x) for x in data["O"]]
+            second = [json_int(x) for x in data["I"]]
         except (KeyError, TypeError, ValueError) as exc:
             raise InputError(f"malformed colouring JSON: {exc}") from None
+        return cls(palette, first, second)
 
 
 def assign_random(g: Graph, palette: int, seed: int) -> VertexColoring:
@@ -172,8 +167,8 @@ def distinguish(
     ``d`` is the degree parameter used in the closeness threshold; it need not
     match the actual degrees of ``g``.
     """
-    c.validate(g)
-    profile.validate()
+    if len(c.first) != g.n or len(c.second) != g.n:
+        raise InputError("colouring does not cover the vertex set")
     return _set_masks(g, c.first, c.second, c.palette, closeness_bound(profile, d))
 
 
@@ -425,7 +420,6 @@ def audit(
     The uncoloured count is the number of uncoloured *neighbours* in the whole
     graph, not just endpoints of uncoloured edges.
     """
-    profile.validate()
     counts = _read_only(_audit_counts(g, sets))
     violations = _read_only(_violating(counts, _audit_caps(profile, d)))
     return ColoringAudit(
@@ -479,7 +473,6 @@ def resample_until_good(
         if strict:
             raise InputError("resampling requires a regular graph in strict mode")
         warnings.warn("resampling a non-regular graph; audit thresholds use d as given")
-    profile.validate()
     palette = DerivedQuantities.derive(profile, d).palette
     bound = closeness_bound(profile, d)
     rng = np.random.default_rng(seed)

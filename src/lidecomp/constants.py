@@ -47,7 +47,7 @@ def _dec(x: float) -> Fraction:
 
 @dataclass(frozen=True)
 class ConstantProfile:
-    """Dimensionless constants (fractions of d) plus tail split points."""
+    """Dimensionless constants (fractions of d) plus tail split points, checked when built."""
 
     k: float
     s: float
@@ -84,7 +84,7 @@ class ConstantProfile:
     def tail_bases(self) -> tuple[float, float, float]:
         return tuple(math.exp(x) for x in self.log_tail_bases())  # type: ignore[return-value]
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         for name in ("k", "s", "r", "u"):
             val = getattr(self, name)
             if not 0.0 < val < 1.0:
@@ -107,11 +107,22 @@ class ConstantProfile:
         return {name: getattr(self, name) for name in _PROFILE_FIELDS}
 
     @classmethod
-    def from_json(cls, data: dict) -> "ConstantProfile":
+    def from_json(cls, data: object) -> "ConstantProfile":
+        if not isinstance(data, dict):
+            raise InputError(f"profile JSON must be an object, got {type(data).__name__}")
         missing = [name for name in _PROFILE_FIELDS if name not in data]
         if missing:
             raise InputError(f"profile JSON missing fields {missing}")
-        return cls(**{name: float(data[name]) for name in _PROFILE_FIELDS})
+        values = {}
+        for name in _PROFILE_FIELDS:
+            x = data[name]
+            if type(x) not in (int, float):  # exact types: bool is an int subclass
+                raise InputError(f"profile field {name} must be a number, got {x!r}")
+            try:
+                values[name] = float(x)
+            except OverflowError:
+                raise InputError(f"profile field {name} is too large for a float") from None
+        return cls(**values)
 
 
 #: The optimized constants the 4-subgraph decomposition is proved with.
@@ -221,7 +232,6 @@ def bound_functions(profile: ConstantProfile, d: int) -> tuple[float, float, flo
     ``(e^delta / (1+delta)^(1+delta))^mu`` to 1e-9 relative, which the closed
     forms are algebraically equal to.
     """
-    profile.validate()
     if d < 1:
         raise InputError(f"degree must be >= 1, got {d}")
     ln_s3, ln_r3, ln_u3 = profile.log_tail_bases()
@@ -243,7 +253,6 @@ def bound_functions(profile: ConstantProfile, d: int) -> tuple[float, float, flo
 
 def monotonicity_thresholds(profile: ConstantProfile) -> tuple[float, float, float]:
     """Degrees beyond which the three tail bound functions strictly decrease."""
-    profile.validate()
     ln_s3, ln_r3, _ = profile.log_tail_bases()
     return (-3.0 / ln_s3, -3.0 / ln_r3, 24.0 / profile.u2**2)
 
@@ -302,7 +311,6 @@ def _holds(lhs, rhs, strict: bool):
 
 def check_profile(profile: ConstantProfile, d: int) -> FeasibilityReport:
     """Evaluate every named constraint of the construction at degree ``d``, exactly."""
-    profile.validate()
     if d < SCAN_LO:
         raise InputError(f"degree must be >= {SCAN_LO}, got {d}")
     # The report holds floats, and no row exceeds dependency_count's 3d^3 - 1.
@@ -345,7 +353,6 @@ def min_feasible_d(profile: ConstantProfile, hi: int = SCAN_HI) -> int:
     pass that narrows the boundary, after which the exact scalar check fixes
     the answer.
     """
-    profile.validate()
     chunk = 1 << 16
     start = SCAN_LO
     while start <= hi:
@@ -382,7 +389,6 @@ def optimize_profile(seed: int, budget: int) -> tuple[ConstantProfile, int]:
         evals += 1
         try:
             prof = ConstantProfile(**params)
-            prof.validate()
             return min_feasible_d(prof, hi=cap)
         except (InputError, BudgetError):
             return None

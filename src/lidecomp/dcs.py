@@ -48,29 +48,18 @@ from lidecomp.graphs import Graph, _read_only, degree_vector, validate_edge_subs
 
 @dataclass(frozen=True)
 class DcsInstance:
-    """Host graph plus per-vertex modulus and residue target."""
+    """Host graph plus per-vertex modulus and residue target, checked when built."""
 
     graph: Graph
     moduli: tuple[int, ...]
     targets: tuple[int, ...]
 
-    def validate(self, strict: bool = True) -> None:
-        g = self.graph
-        if len(self.moduli) != g.n or len(self.targets) != g.n:
+    def __post_init__(self) -> None:
+        if len(self.moduli) != self.graph.n or len(self.targets) != self.graph.n:
             raise InputError("moduli/targets must cover every vertex")
         for v, lam in enumerate(self.moduli):
             if lam < 2:
                 raise InputError(f"modulus at vertex {v} must be >= 2, got {lam}")
-        if strict:
-            # 6*lambda > d(v) iff lambda > d(v)//6; no product, so no dtype wraps.
-            bad = np.flatnonzero((g.degrees < 12) | (np.asarray(self.moduli) > g.degrees // 6))
-            if bad.size:
-                v = int(bad[0])
-                if g.degrees[v] < 12:
-                    raise InputError(f"vertex {v} has degree {g.degrees[v]} < 12")
-                raise InputError(
-                    f"vertex {v}: 6*lambda={6 * self.moduli[v]} exceeds degree {g.degrees[v]}"
-                )
 
     def allowed_residues(self, v: int) -> tuple[int, int]:
         lam = self.moduli[v]
@@ -117,7 +106,6 @@ def verify(inst: DcsInstance, edges: Collection[int] | np.ndarray) -> DcsCertifi
     """Exact certificate for an index collection's edges against the instance predicate."""
     g = inst.graph
     mask = validate_edge_subset(g, edges)
-    inst.validate(strict=False)
     deg = degree_vector(g, mask)
     # d/3 <= x <= 2d/3, compared as 3x against d and 2d to stay exact.
     window = (g.degrees <= 3 * deg) & (3 * deg <= 2 * g.degrees)
@@ -183,8 +171,17 @@ def solve(
     Exhausting all restarts raises ``BudgetError``, and so does a vertex with
     no certifiable degree, before the first restart.
     """
-    inst.validate(strict=strict)
     g = inst.graph
+    if strict:
+        # 6*lambda > d(v) iff lambda > d(v)//6; no product, so no dtype wraps.
+        bad = np.flatnonzero((g.degrees < 12) | (np.asarray(inst.moduli) > g.degrees // 6))
+        if bad.size:
+            v = int(bad[0])
+            if g.degrees[v] < 12:
+                raise InputError(f"vertex {v} has degree {g.degrees[v]} < 12")
+            raise InputError(
+                f"vertex {v}: 6*lambda={6 * inst.moduli[v]} exceeds degree {g.degrees[v]}"
+            )
     if restarts < 1:
         raise InputError(f"restarts must be >= 1, got {restarts}")
     if max_steps is None:

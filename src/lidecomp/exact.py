@@ -69,35 +69,36 @@ def is_decomposable(
                     return False
         return True
 
-    def assign(pos: int, max_used: int) -> bool:
-        nonlocal nodes
-        if pos == g.m:
-            return True
+    # Depth-first without recursion: labels[order[pos]] is the label tried at
+    # pos (0 before the first), used[pos] the largest label before pos.
+    used = [0] * (g.m + 1)
+    pos = 0
+    while pos < g.m:
         e = order[pos]
         u, v = eu[e], ev[e]
-        top = min(k, max_used + 1)
-        for c in range(1, top + 1):
-            nodes += 1
-            if nodes > node_budget:
-                raise BudgetError(f"exact search exceeded {node_budget} nodes")
-            labels[e] = c
-            counts[u][c] += 1
-            counts[v][c] += 1
-            remaining[u] -= 1
-            remaining[v] -= 1
-            ok = (remaining[u] > 0 or closed_ok(u)) and (remaining[v] > 0 or closed_ok(v))
-            if ok and assign(pos + 1, max(max_used, c)):
-                return True
+        c = labels[e]
+        if c:  # undo the previous try at this position
+            for w in (u, v):
+                counts[w][c] -= 1
+                remaining[w] += 1
+        if c == min(k, used[pos] + 1):  # every label tried: backtrack
             labels[e] = 0
-            counts[u][c] -= 1
-            counts[v][c] -= 1
-            remaining[u] += 1
-            remaining[v] += 1
-        return False
-
-    if assign(0, 0):
-        return True, tuple(labels)
-    return False, None
+            if pos == 0:
+                return False, None
+            pos -= 1
+            continue
+        c += 1
+        nodes += 1
+        if nodes > node_budget:
+            raise BudgetError(f"exact search exceeded {node_budget} nodes")
+        labels[e] = c
+        for w in (u, v):
+            counts[w][c] += 1
+            remaining[w] -= 1
+        if (remaining[u] > 0 or closed_ok(u)) and (remaining[v] > 0 or closed_ok(v)):
+            used[pos + 1] = max(used[pos], c)
+            pos += 1
+    return True, tuple(labels)
 
 
 def min_parts(

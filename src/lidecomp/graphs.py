@@ -12,6 +12,12 @@ ascending, and ``slot_edges`` holds the edge id of each of those slots.
 Every attribute is set in the constructor and every array is read-only, so
 graphs are immutable after construction and safe to share between threads.
 
+Every input type checks itself once, when it is built, and raises
+``InputError`` there: :class:`Graph`, ``FractionalEdgeWeights``,
+``BinaryEdgeLabels``, ``ConstantProfile``, ``DcsInstance`` and
+``VertexColoring``. So no stage re-checks one; a stage checks only how its
+inputs fit together, such as a colouring's length against its graph.
+
 A per-vertex or per-edge vector has one form too: a read-only numpy array
 (``Graph.degrees``, colour pairs, audit counts, labels, weight numerators,
 certificate verdicts), passed from stage to stage unconverted; a loop that

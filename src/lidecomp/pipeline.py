@@ -442,7 +442,6 @@ def decompose_to_four(
     if max_rounds < 1:
         raise InputError(f"max_rounds must be >= 1, got {max_rounds}")
     strict = mode == "strict"
-    profile.validate()
     if not g.is_regular():
         raise InputError("input graph is not regular")
     d = int(g.degrees[0]) if g.n else 0

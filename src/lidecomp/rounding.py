@@ -695,11 +695,8 @@ def _finish_odd_component(state: _State, comp_vertices: list[int]) -> None:
 def _round_general(g: Graph, den: int, y: dict[int, int], x: np.ndarray) -> None:
     """Settle the fractional edges ``e`` (weight ``y[e] / den``) into the labels ``x``."""
     state = _State(g, den, y, x)
-    guard = 4 * (len(y) + 1)
+    # Each pass settles an edge or raises, so the loop ends within len(y) passes.
     while state.y:
-        guard -= 1
-        if guard < 0:
-            raise BudgetError("rounding failed to converge")
         reached, even, odd = _search(state, state.root())
         if even is not None:
             state.apply_shift(_fundamental_cycle(state, even)[1], closed=True)

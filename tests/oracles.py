@@ -46,7 +46,6 @@ def vertex_sums(g: Graph, values) -> list:
 def exhaustive_solve(inst: DcsInstance, max_edges: int = 25) -> frozenset[int] | None:
     """Exhaust all edge subsets (gray-code order); None when none is feasible."""
     g = inst.graph
-    inst.validate(strict=False)
     if g.m > max_edges:
         raise InputError(f"exhaustive search capped at {max_edges} edges, got {g.m}")
     lower = [-(-d // 3) for d in g.degrees.tolist()]

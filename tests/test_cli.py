@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 from lidecomp import cli
 from lidecomp.cli import main
+from lidecomp.constants import REFERENCE_PROFILE
 from lidecomp.graphs import Graph, generate_circulant, generate_regular, read_graph, write_graph
 from oracles import edge_index
 
@@ -440,6 +441,54 @@ def test_out_of_range_sizes_are_input_errors(argv, tmp_path, capsys) -> None:
     assert err.startswith("error:")
     assert "Traceback" not in err
     assert out == ""
+
+
+_REFERENCE_JSON = REFERENCE_PROFILE.to_json()
+
+
+@pytest.mark.parametrize(
+    "profile, message",
+    [
+        ({**_REFERENCE_JSON, "k": "abc"}, "profile field k must be a number, got 'abc'"),
+        ({**_REFERENCE_JSON, "k": None}, "profile field k must be a number, got None"),
+        ({**_REFERENCE_JSON, "r1": True}, "profile field r1 must be a number, got True"),
+        ({**_REFERENCE_JSON, "u": [0.1]}, "profile field u must be a number, got [0.1]"),
+        ({**_REFERENCE_JSON, "s": 10**400}, "profile field s is too large for a float"),
+        ("k s r u s1 r1 u1", "profile JSON must be an object, got str"),
+        (list(_REFERENCE_JSON), "profile JSON must be an object, got list"),
+        ({"k": 0.025}, "profile JSON missing fields ['s', 'r', 'u', 's1', 'r1', 'u1']"),
+    ],
+)
+@pytest.mark.parametrize("command", ["constants-check", "decompose"])
+def test_malformed_profile_file_is_input_error(command, profile, message, tmp_path, capsys) -> None:
+    # Exit 1 is a false verdict, so a profile file that is not an object of
+    # numbers must exit 2 with one error line, like any other bad input.
+    ppath = tmp_path / "profile.json"
+    ppath.write_text(json.dumps(profile))
+    gpath = tmp_path / "c6.txt"
+    write_graph(generate_circulant(6, [1]), gpath)
+    argv = {
+        "constants-check": ["constants", "check", "--d", "54000"],
+        "decompose": ["decompose", "--in", str(gpath)],
+    }[command]
+    code, out, err = run([*argv, "--profile", str(ppath)], capsys)
+    assert (code, out) == (2, "")
+    assert err == f"error: {message}\n"
+
+
+def test_exact_cli_runs_deep_searches_without_recursion(tmp_path, capsys) -> None:
+    # 600 disjoint 2-edge paths: locally irregular, and the search labels
+    # all 1200 edges one level deeper each.
+    gpath = tmp_path / "paths.txt"
+    paths = [(3 * i + j, 3 * i + j + 1) for i in range(600) for j in (0, 1)]
+    write_graph(Graph(1800, paths), gpath)
+    for extra in (["--k", "1"], ["--k", "2", "--force"]):
+        code, out, _ = run(["exact", "--in", str(gpath), *extra], capsys)
+        assert code == 0
+        assert json.loads(out)["decomposable"] is True
+    code, out, _ = run(["exact", "--in", str(gpath), "--k", "3", "--min-parts"], capsys)
+    assert code == 0
+    assert json.loads(out)["min_parts"] == 1
 
 
 def test_decompose_strict_rejects_infeasible_scale(tmp_path, capsys) -> None:

@@ -34,7 +34,6 @@ def test_reference_profile_splits() -> None:
     assert p.s2 == pytest.approx(0.0016, abs=1e-12)
     assert p.r2 == pytest.approx(0.018, abs=1e-12)
     assert p.u2 == pytest.approx(0.072, abs=1e-12)
-    p.validate()
 
 
 def test_bound_functions_at_reference_degree() -> None:
@@ -130,9 +129,8 @@ def test_check_profile_reports_all_failures_at_13() -> None:
 def test_check_profile_rejects_bad_inputs() -> None:
     with pytest.raises(InputError):
         check_profile(REFERENCE_PROFILE, 12)
-    bad = ConstantProfile(k=0.025, s=0.0031, r=0.26, u=0.131, s1=0.0031, r1=0.242, u1=0.059)
-    with pytest.raises(InputError):
-        check_profile(bad, 54000)  # s2 = 0
+    with pytest.raises(InputError):  # s2 = 0
+        ConstantProfile(k=0.025, s=0.0031, r=0.26, u=0.131, s1=0.0031, r1=0.242, u1=0.059)
 
 
 def test_dependency_count_always_holds() -> None:
@@ -143,16 +141,14 @@ def test_dependency_count_always_holds() -> None:
 
 @st.composite
 def valid_profiles(draw) -> ConstantProfile:
-    """Profiles that pass ``validate``: each split a fraction of its total."""
+    """Profiles that construct: each split a fraction of its total."""
     unit = st.floats(1e-6, 1 - 1e-6)
     k, s, r, u = (draw(unit) for _ in range(4))
     s1, r1, u1 = s * draw(unit), r * draw(unit), u * draw(unit)
-    prof = ConstantProfile(k=k, s=s, r=r, u=u, s1=s1, r1=r1, u1=u1)
     try:
-        prof.validate()
+        return ConstantProfile(k=k, s=s, r=r, u=u, s1=s1, r1=r1, u1=u1)
     except InputError:
         assume(False)
-    return prof
 
 
 @settings(max_examples=300, deadline=None)
@@ -239,11 +235,11 @@ def test_optimize_deterministic_and_never_worse() -> None:
 def _feasible_perturbations() -> list[ConstantProfile]:
     """The reference with one field scaled by 0.98 or 1.02, where still feasible."""
     out = []
-    for name, val in REFERENCE_PROFILE.to_json().items():
+    reference = REFERENCE_PROFILE.to_json()
+    for name, val in reference.items():
         for factor in (0.98, 1.02):
-            prof = ConstantProfile.from_json({**REFERENCE_PROFILE.to_json(), name: val * factor})
             try:
-                prof.validate()
+                prof = ConstantProfile.from_json({**reference, name: val * factor})
                 min_feasible_d(prof, hi=4 * REFERENCE_MIN_D)
             except (InputError, BudgetError):
                 continue

@@ -81,7 +81,7 @@ def test_precondition_modulus_budget() -> None:
     with pytest.raises(InputError):
         solve(inst, seed=0)
     with pytest.raises(InputError):
-        DcsInstance(g, (1,) * g.n, (0,) * g.n).validate(strict=False)
+        DcsInstance(g, (1,) * g.n, (0,) * g.n)
 
 
 def test_strict_validation_names_the_first_offending_vertex() -> None:
@@ -99,9 +99,9 @@ def test_strict_validation_names_the_first_offending_vertex() -> None:
     ]
     for moduli, message in cases:
         with pytest.raises(InputError) as info:
-            DcsInstance(g, moduli, (0,) * 14).validate(strict=True)
+            solve(DcsInstance(g, moduli, (0,) * 14), seed=0)
         assert str(info.value) == message
-    DcsInstance(g, (2,) * 14, (0,) * 14).validate(strict=False)
+    DcsInstance(g, (2,) * 14, (0,) * 14)
 
 
 @pytest.mark.parametrize("lam", [2**58, 2**62, 2**63, 2**70])
@@ -401,7 +401,6 @@ def reference_solve(
     A vertex's penalty is the distance from its degree to the nearest
     certifiable degree, found by listing them.
     """
-    inst.validate(strict=False)
     g = inst.graph
     edges = edge_list(g)
     if max_steps is None:

@@ -8,6 +8,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from lidecomp.coloring import VertexColoring
+from lidecomp.constants import REFERENCE_PROFILE, ConstantProfile
+from lidecomp.dcs import DcsInstance
 from lidecomp.errors import BudgetError, InputError
 from lidecomp.graphs import (
     Graph,
@@ -74,6 +77,61 @@ def test_construction_rejects_bad_edges() -> None:
 def test_construction_error_messages_pinned(n, edges, message) -> None:
     with pytest.raises(InputError) as info:
         Graph(n, edges)
+    assert str(info.value) == message
+
+
+_PROFILE = REFERENCE_PROFILE.to_json()
+_PATH3 = Graph(3, [(0, 1), (1, 2)])
+
+
+def _dcs(moduli, targets) -> dict:
+    return dict(graph=_PATH3, moduli=moduli, targets=targets)
+
+
+def _colouring(palette, first, second) -> dict:
+    return dict(palette=palette, first=first, second=second)
+
+
+@pytest.mark.parametrize(
+    "cls, fields, message",
+    [
+        *(
+            (ConstantProfile, {**_PROFILE, name: bad}, f"profile field {name}={bad} outside (0, 1)")
+            for name in ("k", "s", "r", "u")
+            for bad in (0.0, 1.0)
+        ),
+        (ConstantProfile, {**_PROFILE, "s1": 0.0}, "profile split s1=0.0 must be positive"),
+        (ConstantProfile, {**_PROFILE, "s1": 0.0031}, "profile split s2=0.0 must be positive"),
+        (ConstantProfile, {**_PROFILE, "r1": -0.1}, "profile split r1=-0.1 must be positive"),
+        (ConstantProfile, {**_PROFILE, "r1": 0.26}, "profile split r2=0.0 must be positive"),
+        (ConstantProfile, {**_PROFILE, "u1": 0.0}, "profile split u1=0.0 must be positive"),
+        (ConstantProfile, {**_PROFILE, "u1": 0.131}, "profile split u2=0.0 must be positive"),
+        # u2^2 underflows to 0, so the uncoloured tail base exp(-u2^2/8) is 1.
+        (
+            ConstantProfile,
+            {**_PROFILE, "u": 1e-200, "u1": 5e-201},
+            "tail base u3 not in (0, 1): exp(-0.0)",
+        ),
+        (DcsInstance, _dcs((2, 2), (0, 0, 0)), "moduli/targets must cover every vertex"),
+        (DcsInstance, _dcs((2, 2, 2), (0,) * 4), "moduli/targets must cover every vertex"),
+        (DcsInstance, _dcs((2, 2, 1), (0, 0, 0)), "modulus at vertex 2 must be >= 2, got 1"),
+        (DcsInstance, _dcs((0, 2, 1), (0, 0, 0)), "modulus at vertex 0 must be >= 2, got 0"),
+        (VertexColoring, _colouring(0, [1], [1]), "palette must be in 1..2**63 - 1, got 0"),
+        (
+            VertexColoring,
+            _colouring(2**63, [1], [1]),
+            f"palette must be in 1..2**63 - 1, got {2**63}",
+        ),
+        (VertexColoring, _colouring(3, [1, 0], [1, 1]), "colour value outside 1..palette"),
+        (VertexColoring, _colouring(3, [1, 1], [4, 1]), "colour value outside 1..palette"),
+        (VertexColoring, _colouring(3, [2**64], [1]), "colour value outside int64"),
+    ],
+)
+def test_input_types_reject_invalid_values_when_built(cls, fields, message) -> None:
+    # Every input type checks itself once, in its constructor, with the
+    # message a stage would otherwise have raised.
+    with pytest.raises(InputError) as info:
+        cls(**fields)
     assert str(info.value) == message
 
 
