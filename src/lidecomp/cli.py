@@ -3,8 +3,9 @@
 Machine-readable JSON goes to the output path (or stdout), human diagnostics
 to stderr. Every JSON payload embeds the resolved run manifest and the tool
 version, and identical manifests reproduce byte-identical output. Exit codes:
-0 success/true, 1 verified-false/fail, 2 rejected input, 3 budget exhausted
-or inconclusive.
+0 success/true, 1 verified-false/fail, 2 rejected input (an unreadable or
+non-UTF-8 input file and an unwritable output path included), 3 budget
+exhausted or inconclusive.
 
 A payload is written as the exact bytes of ``json.dumps(payload, indent=2,
 sort_keys=True)``. ``indent`` turns off CPython's C encoder, so :func:`_dumps`
@@ -130,7 +131,10 @@ def _emit(payload: dict, out: str | None) -> None:
     if out is None:
         sys.stdout.write(text)
     else:
-        Path(out).write_text(text, encoding="utf-8")
+        try:
+            Path(out).write_text(text, encoding="utf-8")
+        except OSError as exc:
+            raise InputError(f"cannot write payload file: {exc}") from None
 
 
 def _load_profile(path: str | None) -> ConstantProfile:
@@ -141,6 +145,8 @@ def _load_profile(path: str | None) -> ConstantProfile:
             data = json.load(fh)
     except OSError as exc:
         raise InputError(f"cannot read profile: {exc}") from None
+    except UnicodeDecodeError as exc:
+        raise InputError(f"{path}: not UTF-8 text: {exc}") from None
     except json.JSONDecodeError as exc:
         raise InputError(f"profile is not valid JSON: {exc}") from None
     return ConstantProfile.from_json(data)
@@ -152,6 +158,8 @@ def _load_json(path: str) -> dict | list:
             return json.load(fh)
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc}") from None
+    except UnicodeDecodeError as exc:
+        raise InputError(f"{path}: not UTF-8 text: {exc}") from None
     except json.JSONDecodeError as exc:
         raise InputError(f"{path} is not valid JSON: {exc}") from None
 
@@ -257,20 +265,22 @@ def cmd_round(args: argparse.Namespace) -> tuple[dict, bool]:
         except (ValueError, ZeroDivisionError):
             raise InputError(f"cannot parse weight {args.z!r}") from None
     else:
-        values = []
         try:
-            fh = open(args.z_file, "r", encoding="utf-8")
+            with open(args.z_file, "r", encoding="utf-8") as fh:
+                lines = fh.readlines()
         except OSError as exc:
             raise InputError(f"cannot read {args.z_file}: {exc}") from None
-        with fh:
-            for ln, raw in enumerate(fh, start=1):
-                line = raw.strip()
-                if not line or line.startswith("#"):
-                    continue
-                try:
-                    values.append(_weight(line))
-                except (ValueError, ZeroDivisionError):
-                    raise InputError(f"{args.z_file}: line {ln}: bad weight {line!r}") from None
+        except UnicodeDecodeError as exc:
+            raise InputError(f"{args.z_file}: not UTF-8 text: {exc}") from None
+        values = []
+        for ln, raw in enumerate(lines, start=1):
+            line = raw.strip()
+            if not line or line.startswith("#"):
+                continue
+            try:
+                values.append(_weight(line))
+            except (ValueError, ZeroDivisionError):
+                raise InputError(f"{args.z_file}: line {ln}: bad weight {line!r}") from None
         weights = FractionalEdgeWeights.from_values(g, values)
     labels = balanced_round(weights)
     report = verify_rounding(weights, labels)
@@ -445,6 +455,9 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         payload, ok = args.func(args)
+        payload["manifest"] = _manifest(args)
+        payload["version"] = __version__
+        _emit(payload, args.out)
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -455,9 +468,6 @@ def main(argv: list[str] | None = None) -> int:
     except BudgetError as exc:
         print(f"budget exhausted: {exc}", file=sys.stderr)
         return 3
-    payload["manifest"] = _manifest(args)
-    payload["version"] = __version__
-    _emit(payload, args.out)
     return 0 if ok else 1
 
 

@@ -345,8 +345,12 @@ def _parse_canonical(data: bytes) -> np.ndarray | None:
     return np.fromstring(data, dtype=np.int64, sep=" ")
 
 
-def _parse_lines(path: str | Path, text: str) -> np.ndarray:
-    """Line-by-line parser of the general format; raises on malformed lines."""
+def _parse_lines(path: str | Path, data: bytes) -> np.ndarray:
+    """Line-by-line parser of the general format; raises on malformed lines or non-UTF-8 bytes."""
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise InputError(f"{path}: not UTF-8 text: {exc}") from None
     values: list[int] = []
     for ln, raw in enumerate(io.StringIO(text, newline=None), start=1):
         line = raw.strip()
@@ -383,7 +387,7 @@ def read_graph(path: str | Path) -> Graph:
         raise InputError(f"cannot read graph file: {exc}") from None
     values = _parse_canonical(data)
     if values is None:
-        values = _parse_lines(path, data.decode("utf-8"))
+        values = _parse_lines(path, data)
     del data
     n, m = (int(x) for x in values[:2])
     pairs = values[2:].reshape(-1, 2)
@@ -395,10 +399,50 @@ def read_graph(path: str | Path) -> Graph:
         raise InputError(f"{path}: {exc}") from None
 
 
+def _edge_lines(eu: np.ndarray, ev: np.ndarray) -> bytes:
+    """The lines ``"u v\\n"`` of the non-empty endpoint arrays, laid out by numpy.
+
+    With ``w`` the digit count of the largest id in ``ev``, a uint8 grid of
+    ``2w + 2`` rows by ``m`` columns holds one line per column: ``u``'s digits
+    right-aligned in rows ``0..w-1``, a space, ``v``'s digits in rows
+    ``w+1..2w`` and a newline. The digits come from ``w`` floor divisions by
+    10, on int32 copies while the ids fit. A leading position, whose
+    remaining quotient is already 0, holds byte 0, so the grid read column by
+    column without its zero bytes is the lines.
+    """
+    top = int(ev.max())
+    width = len(str(top))
+    grid = np.empty((2 * width + 2, len(eu)), dtype=np.uint8)
+    grid[width] = ord(" ")
+    grid[-1] = ord("\n")
+    dtype = np.int32 if top < 2**31 else np.int64
+    for ends, units in ((eu, width - 1), (ev, 2 * width)):
+        rest = ends.astype(dtype)
+        for row in range(units, units - width, -1):
+            # Floor division by a constant is far cheaper than divmod.
+            high = rest // 10
+            digits = rest - 10 * high
+            digits += ord("0")
+            if row != units:
+                digits[rest == 0] = 0
+            grid[row] = digits
+            rest = high
+    lines = grid.T.ravel()
+    return lines[lines != 0].tobytes()
+
+
 def write_graph(g: Graph, path: str | Path) -> None:
-    """Write the canonical form: ``n m`` header, then edges in canonical order."""
-    eu, ev = g.endpoint_arrays()
-    ends = np.column_stack((eu, ev)).ravel().tolist()
-    text = ("%d %d\n" * (g.m + 1)) % (g.n, g.m, *ends)
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text)
+    """Write the canonical form: ``n m`` header, then edges in canonical order.
+
+    The edge lines are laid out by numpy (:func:`_edge_lines`) and the file
+    is written in one binary write. A path that cannot be written raises
+    ``InputError``.
+    """
+    data = b"%d %d\n" % (g.n, g.m)
+    if g.m:
+        data += _edge_lines(*g.endpoint_arrays())
+    try:
+        with open(path, "wb") as fh:
+            fh.write(data)
+    except OSError as exc:
+        raise InputError(f"cannot write graph file: {exc}") from None

@@ -476,6 +476,57 @@ def test_malformed_profile_file_is_input_error(command, profile, message, tmp_pa
     assert err == f"error: {message}\n"
 
 
+@pytest.mark.parametrize("bad", ["graph", "z-file", "t-file", "decomp", "profile"])
+def test_non_utf8_input_file_is_input_error(bad, tmp_path, capsys) -> None:
+    # UnicodeDecodeError is a ValueError, not a JSONDecodeError, so each
+    # reader must turn it into an input error itself: exit 1 is a false verdict.
+    good = {
+        "graph": tmp_path / "c6.txt",
+        "z-file": tmp_path / "z.txt",
+        "t-file": tmp_path / "t.json",
+        "decomp": tmp_path / "decomp.json",
+        "profile": tmp_path / "profile.json",
+    }
+    write_graph(generate_circulant(6, [1]), good["graph"])
+    good["z-file"].write_text("1/2\n" * 6)
+    good["t-file"].write_text(json.dumps([0] * 6))
+    good["decomp"].write_text(json.dumps({"parts": [[0, 1, 2, 3, 4, 5], [], [], []]}))
+    good["profile"].write_text(json.dumps(_REFERENCE_JSON))
+    paths = {**good, bad: tmp_path / f"bad-{bad}"}
+    paths[bad].write_bytes(good[bad].read_bytes() + b"\xff\n")
+    argv = {
+        "graph": ["round", "--in", str(paths["graph"]), "--z", "1/2"],
+        "z-file": ["round", "--in", str(paths["graph"]), "--z-file", str(paths["z-file"])],
+        "t-file": ["dcs", "--in", str(paths["graph"]), "--lambda", "4", "--relaxed",
+                   "--t-file", str(paths["t-file"])],
+        "decomp": ["verify", "--graph", str(paths["graph"]), "--decomp", str(paths["decomp"])],
+        "profile": ["constants", "check", "--d", "54000", "--profile", str(paths["profile"])],
+    }[bad]
+    code, out, err = run(argv, capsys)
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: {paths[bad]}: not UTF-8 text: ")
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "argv, what",
+    [
+        (["gen-regular", "--n", "10", "--d", "3", "--out", "{missing}"], "graph"),
+        (["gen-circulant", "--n", "6", "--offsets", "1", "--out", "{missing}"], "graph"),
+        (["round", "--in", "{graph}", "--z", "1/2", "--out", "{dir}"], "payload"),
+    ],
+    ids=["gen-regular", "gen-circulant", "round"],
+)
+def test_unwritable_output_is_input_error(argv, what, tmp_path, capsys) -> None:
+    graph = tmp_path / "c6.txt"
+    write_graph(generate_circulant(6, [1]), graph)
+    paths = {"missing": tmp_path / "missing" / "g.txt", "graph": graph, "dir": tmp_path}
+    code, out, err = run([arg.format(**paths) for arg in argv], capsys)
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: cannot write {what} file: ")
+    assert err.count("\n") == 1
+
+
 def test_exact_cli_runs_deep_searches_without_recursion(tmp_path, capsys) -> None:
     # 600 disjoint 2-edge paths: locally irregular, and the search labels
     # all 1200 edges one level deeper each.

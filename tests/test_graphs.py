@@ -14,6 +14,7 @@ from lidecomp.dcs import DcsInstance
 from lidecomp.errors import BudgetError, InputError
 from lidecomp.graphs import (
     Graph,
+    _edge_lines,
     degree_vector,
     generate_circulant,
     generate_regular,
@@ -594,9 +595,13 @@ def reference_write_graph(g: Graph, path) -> None:
 
 @st.composite
 def writable_graphs(draw) -> Graph:
-    """A small graph, possibly with isolated trailing vertices, its ids shifted by 0 or 10**6."""
+    """A small graph, possibly with isolated trailing vertices, its ids shifted.
+
+    Shifts just below a power of ten put ids of two digit counts on one line,
+    so a short ``u`` sits beside a wider ``v``.
+    """
     core = draw(st.integers(0, 9))
-    shift = draw(st.sampled_from([0, 10**6]))
+    shift = draw(st.sampled_from([0, 5, 95, 995, 99_995, 10**6]))
     trail = draw(st.integers(0, 3))
     pairs = list(itertools.combinations(range(core), 2))
     keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
@@ -615,6 +620,16 @@ def test_write_graph_matches_fstring_writer(tmp_path_factory, g) -> None:
     reference_write_graph(g, d / "ref.txt")
     assert (d / "new.txt").read_bytes() == (d / "ref.txt").read_bytes()
     assert read_graph(d / "new.txt") == g
+
+
+def test_edge_lines_match_fstring_lines_past_int32() -> None:
+    # Ids from 2**31 on take the int64 digit path; no Graph that large fits
+    # in memory, so the layout is checked on endpoint arrays directly.
+    for top in (2**31 - 1, 2**31, 10**18 - 1, 10**18):
+        eu = np.array([0, 9, top - 10, top - 1], dtype=np.int64)
+        ev = np.array([top, top - 1, top, top], dtype=np.int64)
+        expected = "".join(f"{u} {v}\n" for u, v in zip(eu.tolist(), ev.tolist()))
+        assert _edge_lines(eu, ev) == expected.encode()
 
 
 def test_generation_budget_error() -> None:
