@@ -14,9 +14,10 @@ lays out dicts and nested lists itself and hands each list of plain scalars
 ``",\n"`` plus the indentation as its item separator. A payload may also hold
 1-D integer numpy arrays, written as the JSON lists of their entries: the
 decompose and exact parts arrive as the ascending edge-index arrays the
-solvers hold. A non-negative, non-decreasing array is laid out by numpy
-directly (:func:`_ascending_digits`); any other integer array goes through
-``tolist()`` and the list path.
+solvers hold. A non-empty, non-negative array that int64 holds is laid out
+by numpy directly, by the digit grid that also writes graph files
+(:func:`~lidecomp.graphs._decimal_rows`); any other integer array goes
+through ``tolist()`` and the list path.
 """
 
 from __future__ import annotations
@@ -43,6 +44,7 @@ from lidecomp.errors import BudgetError, InputError, json_int
 from lidecomp.exact import is_decomposable, min_parts, witness_parts
 from lidecomp.graphs import (
     Graph,
+    _decimal_rows,
     generate_circulant,
     generate_regular,
     read_graph,
@@ -62,52 +64,23 @@ def _manifest(args: argparse.Namespace) -> dict:
 
 _SCALARS = frozenset((int, float, str, bool, type(None)))
 
-#: 10, 100, ..., 10**18: an int64 has at most 19 decimal digits.
-_POWERS_OF_TEN = 10 ** np.arange(1, 19, dtype=np.int64)
-
-
-def _ascending_digits(ids: np.ndarray, sep: str) -> str:
-    """The decimal entries of ``ids`` joined by ``sep``, laid out by numpy.
-
-    ``ids`` is a non-empty, non-negative, non-decreasing int64 array and
-    ``sep`` is ASCII. ``searchsorted`` against the powers of ten cuts it
-    into runs of equal digit count; each run of width ``w`` becomes a
-    ``(count, w + len(sep))`` byte matrix of its digits and the separator.
-    """
-    tail = np.frombuffer(sep.encode("ascii"), dtype=np.uint8)
-    cuts = np.concatenate(([0], np.searchsorted(ids, _POWERS_OF_TEN), [len(ids)])).tolist()
-    runs = []
-    for width, (lo, hi) in enumerate(zip(cuts, cuts[1:]), start=1):
-        if lo == hi:
-            continue
-        run = np.empty((hi - lo, width + len(tail)), dtype=np.uint8)
-        run[:, width:] = tail
-        rest = ids[lo:hi]
-        for col in range(width - 1, -1, -1):
-            # Floor division by a constant is far cheaper than divmod.
-            high = rest // 10
-            run[:, col] = rest - 10 * high + ord("0")
-            rest = high
-        runs.append(run.ravel())
-    return np.concatenate(runs)[: -len(tail)].tobytes().decode("ascii")
-
 
 def _dumps(obj, pad: str = "") -> str:
     """``json.dumps(obj, indent=2, sort_keys=True)``, each line after the first led by ``pad``.
 
     Dicts with string keys and lists recurse here; a list of scalars is one
     call of the C encoder, which ``indent`` would turn off. A 1-D integer
-    array is written as the list of its entries, by :func:`_ascending_digits`
-    when it is non-empty, non-negative and non-decreasing and through
+    array is written as the list of its entries, by :func:`_decimal_rows`
+    when it is non-empty, non-negative and held by int64, and through
     ``tolist()`` otherwise. A scalar is one plain ``json.dumps`` call. Anything
     else is left to ``json.dumps`` itself (JSON text has no raw newline inside
     a string, so indenting its lines is safe).
     """
     inner = pad + "  "
     if type(obj) is np.ndarray and obj.ndim == 1 and obj.dtype.kind in "iu":
-        wide = np.can_cast(obj.dtype, np.int64)
-        if wide and obj.size and obj[0] >= 0 and (obj[1:] >= obj[:-1]).all():
-            body = _ascending_digits(obj.astype(np.int64, copy=False), ",\n" + inner)
+        if np.can_cast(obj.dtype, np.int64) and obj.size and obj.min() >= 0:
+            sep = (",\n" + inner).encode("ascii")
+            body = _decimal_rows((obj,), (sep,))[: -len(sep)].decode("ascii")
             return f"[\n{inner}{body}\n{pad}]"
         return _dumps(obj.tolist(), pad)
     if type(obj) is dict and obj and set(map(type, obj)) == {str}:

@@ -39,7 +39,7 @@ import numpy as np
 
 from lidecomp.constants import ConstantProfile, DerivedQuantities
 from lidecomp.errors import InputError, json_int
-from lidecomp.graphs import Graph, _read_only, degree_vector
+from lidecomp.graphs import Graph, _ranges, _read_only, degree_vector
 
 
 def mod_distance(m: int, n: int, modulus: int) -> int:
@@ -234,10 +234,7 @@ def _row_slots(indptr: np.ndarray, vertices: np.ndarray) -> tuple[np.ndarray, np
     """The CSR slots of ``vertices``' rows, row after row, and each row's length."""
     starts = indptr[vertices]
     lens = indptr[vertices + 1] - starts
-    # Concatenated ranges starts[i]:starts[i]+lens[i]: each position plus its range's shift.
-    slots = np.repeat(starts - (np.cumsum(lens) - lens), lens)
-    slots += np.arange(slots.size)
-    return slots, lens
+    return _ranges(starts, lens), lens
 
 
 def _first_violator(

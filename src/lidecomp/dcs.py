@@ -23,19 +23,22 @@ degrees 0..d(v); the tables lie end to end in one flat array. The search keeps e
 edge's flip gain between steps, as a key ``2 + gain`` if the edge has a
 violating endpoint, else -1. A restart sets up on arrays: degrees by
 :func:`~lidecomp.graphs.degree_vector`, every edge's key in one expression,
-and one heap, sorted once, of codes ``key*m + e`` for the keys up to 2 (gain
-at most 0). An entry is live while its edge's key is still the one it was
+and one heap, sorted once, of codes ``key*m + e`` for the keys 0 and 1 (gain
+-2 and -1). An entry is live while its edge's key is still the one it was
 pushed with (lazy deletion), so the lowest live code names the lowest gain and
-its lowest-index edge. No step takes a positive gain, so those keys are never
-pushed; when the lowest live gain is 0, every live entry is a zero-gain edge,
-and these are the plateau draw's ties and the new heap. A flip changes only
-the degrees of its two endpoints, so only the edges on their CSR rows are
-re-scored and re-pushed: a step costs O(d log m) rather than a rescan of
-every candidate.
+its lowest-index edge. With no live entry the step is a plateau move, a draw
+among the zero-gain edges (key 2); no step takes a positive gain. Those edges
+are listed in ascending order from the keys at the restart's first plateau
+move, and from then on a key change into or out of 2 inserts or deletes its
+edge by bisection, so a restart without plateau moves never lists them. A flip
+changes only the degrees of its two endpoints, so only the edges on their CSR
+rows are re-scored: a step costs O(d log m) rather than a rescan of every
+candidate, plus a list insertion or deletion per zero-gain change.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left, insort
 from collections.abc import Collection
 from dataclasses import dataclass
 from heapq import heappop, heappush
@@ -222,8 +225,8 @@ def solve(
         pu, pv = pen_a[eu], pen_a[ev]
         gain = flat[at[eu] + step] - pu + flat[at[ev] + step] - pv
         keys = np.where((pu != 0) | (pv != 0), offset + gain, -1)
-        # Candidates that do not raise the potential, as codes key*m + e; sorted, a heap.
-        todo = np.flatnonzero((keys >= 0) & (keys <= offset))
+        # Candidates that lower the potential, as codes key*m + e; sorted, a heap.
+        todo = np.flatnonzero((keys >= 0) & (keys < offset))
         heap = np.sort(keys[todo] * m + todo).tolist()
         slot = keys.tolist()
         inside = flags.tolist()
@@ -231,22 +234,21 @@ def solve(
         pen = pen_a.tolist()
         violating = int(np.count_nonzero(pen_a))
         plateau_left = 4 * g.n + g.m // 2
+        ties = None  # the zero-gain edges, ascending, once a plateau move needs them
         for _ in range(max_steps):
             if not violating:
                 break
             # An entry is live while its edge's key is still the one it was pushed with.
             while heap and slot[heap[0] % m] != heap[0] // m:
                 heappop(heap)
-            if not heap:
-                break  # no candidate, or a local minimum with no sideways escape
-            low, e = divmod(heap[0], m)
-            if low == offset:
-                if plateau_left <= 0:
-                    break
+            if heap:
+                e = heap[0] % m
+            else:
+                if ties is None:
+                    ties = [f for f, key in enumerate(slot) if key == offset]
+                if not ties or plateau_left <= 0:
+                    break  # a local minimum, with no sideways escape or no budget left
                 plateau_left -= 1
-                # Only keys up to offset are pushed, so every live entry is a zero-gain edge.
-                ties = sorted({c % m for c in heap if slot[c % m] == offset})
-                heap = [offset * m + f for f in ties]  # ascending, so still a heap
                 e = ties[int(rng.integers(0, len(ties)))]
             d = -1 if inside[e] else 1
             inside[e] = not inside[e]
@@ -273,8 +275,13 @@ def solve(
                     else:
                         key = -1
                     if key != slot[f]:
+                        if ties is not None:
+                            if slot[f] == offset:
+                                del ties[bisect_left(ties, f)]
+                            elif key == offset:
+                                insort(ties, f)
                         slot[f] = key
-                        if 0 <= key <= offset:
+                        if 0 <= key < offset:
                             heappush(heap, key * m + f)
         if not violating:
             del heap  # stale entries pile up in the heap; free it before verify

@@ -56,6 +56,14 @@ def _read_only(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
+def _ranges(starts: np.ndarray, lens: np.ndarray) -> np.ndarray:
+    """The ranges ``starts[i] : starts[i] + lens[i]`` end to end, as one array."""
+    # Each position plus its range's shift.
+    out = np.repeat(starts - (np.cumsum(lens) - lens), lens)
+    out += np.arange(out.size)
+    return out
+
+
 def _first_bad_pair(n: int, pairs: Iterable[tuple[int, int]]) -> None:
     """Raise for the first self-loop or out-of-range pair in input order."""
     for u, v in pairs:
@@ -399,48 +407,49 @@ def read_graph(path: str | Path) -> Graph:
         raise InputError(f"{path}: {exc}") from None
 
 
-def _edge_lines(eu: np.ndarray, ev: np.ndarray) -> bytes:
-    """The lines ``"u v\\n"`` of the non-empty endpoint arrays, laid out by numpy.
+def _decimal_rows(columns: Sequence[np.ndarray], seps: Sequence[bytes]) -> bytes:
+    """Row ``i``: each column's entry ``i`` in decimal, followed by that column's separator.
 
-    With ``w`` the digit count of the largest id in ``ev``, a uint8 grid of
-    ``2w + 2`` rows by ``m`` columns holds one line per column: ``u``'s digits
-    right-aligned in rows ``0..w-1``, a space, ``v``'s digits in rows
-    ``w+1..2w`` and a newline. The digits come from ``w`` floor divisions by
-    10, on int32 copies while the ids fit. A leading position, whose
-    remaining quotient is already 0, holds byte 0, so the grid read column by
-    column without its zero bytes is the lines.
+    The columns are non-empty, non-negative integer arrays of one length. A
+    uint8 grid holds output row ``i`` in its column ``i``: each input column's
+    digits, right-aligned in the width of that column's largest entry, then
+    its separator's bytes. The digits come from floor divisions by 10, on
+    int32 copies while the entries fit. A leading position, whose remaining
+    quotient is already 0, holds byte 0, so the grid read column by column
+    without its zero bytes is the rows.
     """
-    top = int(ev.max())
-    width = len(str(top))
-    grid = np.empty((2 * width + 2, len(eu)), dtype=np.uint8)
-    grid[width] = ord(" ")
-    grid[-1] = ord("\n")
-    dtype = np.int32 if top < 2**31 else np.int64
-    for ends, units in ((eu, width - 1), (ev, 2 * width)):
-        rest = ends.astype(dtype)
-        for row in range(units, units - width, -1):
+    tops = [int(col.max()) for col in columns]
+    widths = [len(str(top)) for top in tops]
+    grid = np.empty((sum(widths) + sum(map(len, seps)), len(columns[0])), dtype=np.uint8)
+    row = 0
+    for col, top, width, sep in zip(columns, tops, widths, seps):
+        rest = col.astype(np.int32 if top < 2**31 else np.int64)
+        units = row + width - 1
+        for r in range(units, row - 1, -1):
             # Floor division by a constant is far cheaper than divmod.
             high = rest // 10
             digits = rest - 10 * high
             digits += ord("0")
-            if row != units:
+            if r != units:
                 digits[rest == 0] = 0
-            grid[row] = digits
+            grid[r] = digits
             rest = high
-    lines = grid.T.ravel()
-    return lines[lines != 0].tobytes()
+        row += width + len(sep)
+        grid[row - len(sep) : row] = np.frombuffer(sep, dtype=np.uint8)[:, None]
+    cells = grid.T.ravel()
+    return cells[cells != 0].tobytes()
 
 
 def write_graph(g: Graph, path: str | Path) -> None:
     """Write the canonical form: ``n m`` header, then edges in canonical order.
 
-    The edge lines are laid out by numpy (:func:`_edge_lines`) and the file
-    is written in one binary write. A path that cannot be written raises
-    ``InputError``.
+    The edge lines ``"u v\\n"`` are laid out by numpy (:func:`_decimal_rows`)
+    and the file is written in one binary write. A path that cannot be
+    written raises ``InputError``.
     """
     data = b"%d %d\n" % (g.n, g.m)
     if g.m:
-        data += _edge_lines(*g.endpoint_arrays())
+        data += _decimal_rows(g.endpoint_arrays(), (b" ", b"\n"))
     try:
         with open(path, "wb") as fh:
             fh.write(data)

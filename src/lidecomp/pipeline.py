@@ -37,7 +37,7 @@ from lidecomp.constants import (
 from lidecomp.dcs import DcsInstance, solve as dcs_solve
 from lidecomp.errors import BudgetError, InputError
 from lidecomp.graphs import (
-    Graph, _read_only, degree_vector, subgraph_conflicts, validate_edge_subset
+    Graph, _ranges, _read_only, degree_vector, subgraph_conflicts, validate_edge_subset
 )
 from lidecomp.rounding import round_half_edges
 
@@ -180,13 +180,10 @@ def choose_selections(
 
     adjusted = np.asarray(adjusted)
     conflicts = inside[adjusted[eu[inside]] == adjusted[ev[inside]]]
-    # Vertex v selects its first sizes[v] fringe edges, which start at starts[v].
+    # Vertex v selects the first sizes[v] edges of its fringe row.
     sizes = deg_half - adjusted
-    starts = np.cumsum(fcount) - fcount
-    slots = np.repeat(starts - (np.cumsum(sizes) - sizes), sizes)
-    slots += np.arange(slots.size)
     selected = np.zeros(g.m, dtype=bool)
-    selected[fringe[slots]] = True
+    selected[fringe[_ranges(np.cumsum(fcount) - fcount, sizes)]] = True
     return SelectionResult(
         *map(_read_only, (selected, failures, conflicts, deg_half, deg_inside, fcount))
     )
@@ -213,7 +210,8 @@ def _peel_core_host(
     drop = np.flatnonzero(alive & (deg < min_degree))
     while drop.size:
         alive[drop] = False
-        hit = np.concatenate([nbr[ptr[v] : ptr[v + 1]] for v in drop.tolist()])
+        # The rows' lengths come from ptr: deg counts only the live neighbours.
+        hit = nbr[_ranges(ptr[drop], ptr[drop + 1] - ptr[drop])]
         hit = hit[alive[hit]]
         np.subtract.at(deg, hit, 1)
         hit = np.unique(hit)

@@ -7,6 +7,9 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+import numpy as np
+
+from lidecomp.coloring import VertexColoring
 from lidecomp.dcs import DcsInstance
 from lidecomp.errors import InputError
 from lidecomp.graphs import Graph
@@ -27,6 +30,29 @@ def edge_index(g: Graph) -> dict[tuple[int, int], int]:
 def neighbors(g: Graph, v: int) -> tuple[int, ...]:
     """The neighbours of ``v``, ascending, read from the CSR adjacency."""
     return tuple(g.indices[g.indptr[v] : g.indptr[v + 1]].tolist())
+
+
+def double_cover(h: Graph) -> Graph:
+    """The bipartite double cover of ``h``: vertex ``(v, s)`` is ``v + s*h.n``.
+
+    Each edge uv of ``h`` gives the edges (u, 0)-(v, 1) and (v, 0)-(u, 1), so
+    a d-regular ``h`` gives a d-regular bipartite graph on ``2*h.n`` vertices.
+    """
+    eu, ev = h.endpoint_arrays()
+    return Graph(2 * h.n, np.concatenate((np.column_stack((eu, ev + h.n)),
+                                          np.column_stack((ev, eu + h.n)))))
+
+
+def planted_coloring(n_h: int, palette: int) -> VertexColoring:
+    """Colour pairs for the double cover of an ``n_h``-vertex graph, P the palette.
+
+    Side 0 gets the pair (1, 1) and side 1 the pair (1 + P/2, 1 + P/2), with
+    P/2 rounded down. Adjacent vertices differ in both coordinates by P/2, as
+    far apart as the cycle of colours allows, so no edge is special or
+    uncoloured, and none is risky while the closeness bound stays below P/2.
+    """
+    side = np.repeat([1, 1 + palette // 2], n_h)
+    return VertexColoring(palette, side, side)
 
 
 def weight_fractions(w: FractionalEdgeWeights) -> list[Fraction]:

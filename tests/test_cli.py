@@ -717,17 +717,19 @@ def test_payload_encoder_writes_int_arrays_as_lists(tree) -> None:
 
 
 def test_only_ascending_non_negative_arrays_take_the_digit_kernel(monkeypatch) -> None:
-    # The rest go through tolist(); so does a uint64 array, which int64 may
-    # not hold. Boolean and float arrays are not integer lists: json.dumps
+    # Every non-empty, non-negative array that int64 holds takes the digit
+    # grid, ascending or not. The rest go through tolist(): an empty array,
+    # one with a negative entry, and a uint64 array, which int64 may not
+    # hold. Boolean and float arrays are not integer lists: json.dumps
     # rejects them and so does the encoder.
     taken: list[list[int]] = []
-    kernel = cli._ascending_digits
+    kernel = cli._decimal_rows
 
-    def spy(ids: np.ndarray, sep: str) -> str:
-        taken.append(ids.tolist())
-        return kernel(ids, sep)
+    def spy(columns, seps) -> bytes:
+        taken.append([col.tolist() for col in columns])
+        return kernel(columns, seps)
 
-    monkeypatch.setattr(cli, "_ascending_digits", spy)
+    monkeypatch.setattr(cli, "_decimal_rows", spy)
     arrays = [
         np.array([0, 9, 10, 10, 99, 100]), np.array([5], dtype=np.uint8),
         np.array([3, 3, 3], dtype=np.int32), np.zeros(0, dtype=np.int64),
@@ -735,7 +737,7 @@ def test_only_ascending_non_negative_arrays_take_the_digit_kernel(monkeypatch) -
     ]
     for a in arrays:
         assert cli._dumps([a]) == json.dumps([a.tolist()], indent=2)
-    assert taken == [[0, 9, 10, 10, 99, 100], [5], [3, 3, 3]]
+    assert taken == [[[0, 9, 10, 10, 99, 100]], [[5]], [[3, 3, 3]], [[2, 1]]]
     for bad in (np.array([True]), np.array([1.0]), np.array([[1, 2]])):
         with pytest.raises(TypeError):
             cli._dumps({"x": bad})

@@ -473,9 +473,21 @@ def small_instances(draw) -> DcsInstance:
     return DcsInstance(g, tuple(moduli), tuple(targets))
 
 
+@st.composite
+def relaxed_regular_instances(draw) -> DcsInstance:
+    """Regular hosts with 6*lambda > d, where about half the solves take plateau moves."""
+    d = draw(st.integers(6, 10))
+    n = draw(st.integers(d + 1, 40))
+    n -= n * d % 2  # d odd and n odd means n >= d + 2
+    g = generate_regular(n, d, seed=draw(st.integers(0, 10_000)))
+    lam = draw(st.integers(3, 4))
+    targets = draw(st.lists(st.integers(0, 9), min_size=n, max_size=n))
+    return DcsInstance(g, (lam,) * n, tuple(targets))
+
+
 @settings(max_examples=400, deadline=None)
 @given(
-    small_instances(),
+    small_instances() | relaxed_regular_instances(),
     st.integers(0, 10_000),
     st.integers(1, 4),
     st.none() | st.integers(0, 40),

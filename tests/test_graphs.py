@@ -14,7 +14,7 @@ from lidecomp.dcs import DcsInstance
 from lidecomp.errors import BudgetError, InputError
 from lidecomp.graphs import (
     Graph,
-    _edge_lines,
+    _decimal_rows,
     degree_vector,
     generate_circulant,
     generate_regular,
@@ -624,12 +624,18 @@ def test_write_graph_matches_fstring_writer(tmp_path_factory, g) -> None:
 
 def test_edge_lines_match_fstring_lines_past_int32() -> None:
     # Ids from 2**31 on take the int64 digit path; no Graph that large fits
-    # in memory, so the layout is checked on endpoint arrays directly.
+    # in memory, so the layout is checked on endpoint arrays directly. One
+    # column with the payload's multi-byte separator is the JSON list layout,
+    # whose entries need not ascend.
+    sep = ",\n    "
     for top in (2**31 - 1, 2**31, 10**18 - 1, 10**18):
         eu = np.array([0, 9, top - 10, top - 1], dtype=np.int64)
         ev = np.array([top, top - 1, top, top], dtype=np.int64)
         expected = "".join(f"{u} {v}\n" for u, v in zip(eu.tolist(), ev.tolist()))
-        assert _edge_lines(eu, ev) == expected.encode()
+        assert _decimal_rows((eu, ev), (b" ", b"\n")) == expected.encode()
+        ids = np.concatenate((ev, eu))
+        expected = "".join(f"{i}{sep}" for i in ids.tolist())
+        assert _decimal_rows((ids,), (sep.encode(),)) == expected.encode()
 
 
 def test_generation_budget_error() -> None:

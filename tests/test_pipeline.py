@@ -46,7 +46,7 @@ from lidecomp.pipeline import (
     verify_decomposition,
 )
 from lidecomp.rounding import FractionalEdgeWeights, balanced_round, verify_rounding
-from oracles import edge_index, edge_list
+from oracles import double_cover, edge_index, edge_list, planted_coloring
 
 DEMO = ConstantProfile(k=0.1, s=0.05, r=0.3, u=0.2, s1=0.024, r1=0.279, u1=0.09)
 
@@ -287,6 +287,46 @@ def test_decompose_half_core_path_pinned(m, k, seed, digest) -> None:
     assert all(h["core"] for h in halves)
     text = json.dumps(halves, sort_keys=True)
     assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+def _planted_run(n: int, d: int, palette: int, seed: int) -> tuple:
+    """Stage two on the double cover of a d-regular graph, coloured by side.
+
+    The profile's k gives the palette ``palette`` at degree d. With s*d < 1
+    the closeness bound is 3, below P/2, so every edge is residual and each
+    half's core host is the whole half. Returns the verifier's cover
+    flag, verdicts and conflicts, and each half's peeled vertices.
+    """
+    g = double_cover(generate_regular(n // 2, d, seed))
+    c = planted_coloring(n // 2, palette)
+    prof = dataclasses.replace(REFERENCE_PROFILE, k=(palette - 0.5) / d)
+    assert DerivedQuantities.derive(prof, d).palette == palette
+    sets = distinguish(g, c, prof, d)
+    assert not sets.special.any() and not sets.risky.any() and not sets.uncolored.size
+    split = split_edges(g, c, sets)
+    halves = [decompose_half(g, c, sets, split, h, prof, d, seed=seed) for h in (0, 1)]
+    parts = [np.flatnonzero(p) for half in halves for p in (half.first_part, half.second_part)]
+    return (*verify_decomposition(g, parts), [half.core_excluded for half in halves])
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("n, d, palette", [(800, 256, 8), (800, 256, 10), (600, 192, 8)])
+def test_planted_double_cover_decomposes(n, d, palette, seed) -> None:
+    # 6 * lambda = 12P <= d/2, the host degree of each half, so DCS certifies
+    # a core on the whole half and all four parts verify.
+    cover_ok, verdicts, _, excluded = _planted_run(n, d, palette, seed)
+    assert cover_ok and verdicts == (True,) * 4
+    assert not any(ex.size for ex in excluded)
+
+
+def test_planted_double_cover_peels_below_six_lambda() -> None:
+    # P = 11: 6 * lambda = 132 exceeds the host degree 96, so every coloured
+    # vertex is peeled, the cores are empty, and each second part is a whole
+    # 96-regular half: every one of its 600 * 96 / 2 edges conflicts.
+    cover_ok, verdicts, conflicts, excluded = _planted_run(600, 192, 11, 0)
+    assert cover_ok and verdicts == (True, False, True, False)
+    assert [c.size for c in conflicts] == [0, 28_800, 0, 28_800]
+    assert [ex.size for ex in excluded] == [600, 600]
 
 
 def _graph_state(g: Graph) -> dict:
