@@ -193,9 +193,12 @@ def cmd_verify(args: argparse.Namespace) -> tuple[dict, bool]:
         print("parts do not partition the edge set", file=sys.stderr)
     eu, ev = g.endpoint_arrays()
     for part_idx, conf in enumerate(conflicts):
-        for i in conf.tolist():
-            u, v = eu[i], ev[i]
-            print(f"part {part_idx}: conflicting edge {i} = ({u},{v})", file=sys.stderr)
+        if conf.size:
+            # One line "part p: conflicting edge i = (u,v)" per edge, written
+            # as one block: each line's prefix rides on the separator before it.
+            prefix = b"part %d: conflicting edge " % part_idx
+            rows = _decimal_rows((conf, eu[conf], ev[conf]), (b" = (", b",", b")\n" + prefix))
+            sys.stderr.write((prefix + rows[: -len(prefix)]).decode())
     payload = {
         "cover_ok": cover_ok,
         "verdicts": list(verdicts),

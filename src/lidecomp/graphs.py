@@ -6,11 +6,15 @@ that order is its canonical index, a contract relied on by the file format
 and by every "first feasible" tie-break elsewhere in the package.
 
 A :class:`Graph` is held as arrays. The canonical edge list is two int64
-endpoint arrays (sorted once, on the key ``u*n + v``), and the adjacency is
-in CSR form: the neighbours of ``v`` are ``indices[indptr[v]:indptr[v+1]]``,
-ascending, and ``slot_edges`` holds the edge id of each of those slots.
-Every attribute is set in the constructor and every array is read-only, so
-graphs are immutable after construction and safe to share between threads.
+endpoint arrays (sorted once, on the key ``u*n + v``, unless they arrive in
+that order; a canonical graph file's two columns become them), and the
+adjacency is in CSR form: the neighbours of ``v`` are
+``indices[indptr[v]:indptr[v+1]]``, ascending. ``slot_edges``, the edge id
+of each of those slots, is built on first read and then kept: it costs 16
+bytes per edge, and only DCS needs it, which builds its own copy so that no
+stage changes a graph. Every other attribute is set in the constructor and
+every array is read-only, so graphs are immutable after construction and
+safe to share between threads.
 
 Every input type checks itself once, when it is built, and raises
 ``InputError`` there: :class:`Graph`, ``FractionalEdgeWeights``,
@@ -42,6 +46,7 @@ edge once.
 
 from __future__ import annotations
 
+import functools
 import io
 from collections.abc import Collection, Iterable, Sequence
 from pathlib import Path
@@ -62,6 +67,13 @@ def _ranges(starts: np.ndarray, lens: np.ndarray) -> np.ndarray:
     out = np.repeat(starts - (np.cumsum(lens) - lens), lens)
     out += np.arange(out.size)
     return out
+
+
+def _strictly_ascending(lo: np.ndarray, hi: np.ndarray) -> bool:
+    """Whether the pairs ``(lo[j], hi[j])`` rise strictly, compared without a key ``lo*n + hi``."""
+    rises = lo[1:] > lo[:-1]
+    rises |= (lo[1:] == lo[:-1]) & (hi[1:] > hi[:-1])
+    return bool(rises.all())
 
 
 def _first_bad_pair(n: int, pairs: Iterable[tuple[int, int]]) -> None:
@@ -102,39 +114,80 @@ class Graph:
             pairs = pairs.reshape(0, 2)
         if pairs.ndim != 2 or pairs.shape[1] != 2:
             raise InputError(f"edges must be (u, v) pairs, got shape {pairs.shape}")
-        u, v = pairs[:, 0], pairs[:, 1]
-        lo, hi = np.minimum(u, v), np.maximum(u, v)
+        # Copies, so that the graph never shares memory with the caller's array.
+        self._build(n, pairs[:, 0].copy(), pairs[:, 1].copy())
+
+    @classmethod
+    def _from_columns(cls, n: int, u: np.ndarray, v: np.ndarray) -> Graph:
+        """``Graph(n, column_stack((u, v)))`` for contiguous int64 columns and ``n >= 0``.
+
+        Columns already in canonical order become the read-only endpoint
+        arrays themselves, without a copy, so the caller hands over arrays
+        it no longer uses.
+        """
+        g = cls.__new__(cls)
+        g._build(n, u, v)
+        return g
+
+    def _build(self, n: int, u: np.ndarray, v: np.ndarray) -> None:
+        lo, hi = u, v
+        if (u > v).any():
+            lo, hi = np.minimum(u, v), np.maximum(u, v)
         bad = (u == v) | (lo < 0) | (hi >= n)
         if bad.any():
-            _first_bad_pair(n, [pairs[int(np.argmax(bad))].tolist()])
-        key = lo * n + hi
-        if not (key[1:] > key[:-1]).all():
+            at = int(np.argmax(bad))
+            _first_bad_pair(n, [(int(u[at]), int(v[at]))])
+        del bad
+        if not _strictly_ascending(lo, hi):
+            key = lo * n + hi
             order = np.argsort(key)
             key = key[order]
             dup = np.flatnonzero(key[1:] == key[:-1])
             if dup.size:
                 first = int(key[dup[0]])
                 raise InputError(f"duplicate edge {(first // n, first % n)}")
+            del key
             lo, hi = lo[order], hi[order]
-        del key
-        # Neighbours of x: the lower ends of its edges (ascending, since the
-        # edges are sorted), then the upper ends; a stable sort on the source
-        # keeps that order. The narrowest dtype lets numpy use a radix sort.
-        vertex = np.min_scalar_type(max(n - 1, 0))
-        src = np.concatenate((hi.astype(vertex), lo.astype(vertex)))
-        deg = np.bincount(src, minlength=n)
         self.n = n
         self.m = len(lo)
-        self.degrees = _read_only(deg)
-        slots = np.argsort(src, kind="stable")
-        del src
-        self.indptr = _read_only(np.concatenate(([0], np.cumsum(deg))))
-        self.indices = _read_only(np.concatenate((lo, hi))[slots])
-        # Entry p of src is an end of edge p mod m; slot j holds edge slot_edges[j].
+        self._eu, self._ev = _read_only(lo), _read_only(hi)
+        # Every end lies in 0..n-1, which the narrowest dtype holds.
+        vertex = np.min_scalar_type(max(n - 1, 0))
+        ends = np.concatenate((self._eu, self._ev), dtype=vertex, casting="unsafe")
+        self.degrees = _read_only(np.bincount(ends, minlength=n))
+        self.indptr = _read_only(np.concatenate(([0], np.cumsum(self.degrees))))
+        # Gathered narrow; the int64 copy is made once the slot order is freed.
+        ends = ends[self._slots()]
+        self.indices = _read_only(ends.astype(np.int64))
+
+    def _slots(self) -> np.ndarray:
+        """Entry ``j`` is the position in ``concatenate((eu, ev))`` of slot ``j``'s neighbour.
+
+        The neighbours of x are the lower ends of its edges (ascending, since
+        the edges are sorted), then the upper ends; a stable sort on the other
+        end keeps that order. The narrowest dtype lets numpy use a radix sort.
+        """
+        vertex = np.min_scalar_type(max(self.n - 1, 0))
+        return np.argsort(
+            np.concatenate((self._ev.astype(vertex), self._eu.astype(vertex))), kind="stable"
+        )
+
+    def _slot_edge_ids(self) -> np.ndarray:
+        """:attr:`slot_edges`, computed afresh and not kept on the graph."""
+        # Entry p of concatenate((eu, ev)) is an end of edge p mod m.
+        slots = self._slots()
         slots %= max(self.m, 1)
-        self.slot_edges = _read_only(slots)
-        self._eu = _read_only(np.ascontiguousarray(lo))
-        self._ev = _read_only(np.ascontiguousarray(hi))
+        return slots
+
+    @functools.cached_property
+    def slot_edges(self) -> np.ndarray:
+        """The read-only int64 edge id of each CSR slot, built on first read and kept.
+
+        Slot ``j`` of row ``v`` joins ``v`` to ``indices[j]`` by edge
+        ``slot_edges[j]``. No stage reads it: DCS, which needs it, calls
+        :meth:`_slot_edge_ids`, so that no stage changes a graph.
+        """
+        return _read_only(self._slot_edge_ids())
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Graph):
@@ -328,28 +381,31 @@ def _parse_canonical(data: bytes) -> np.ndarray | None:
     line-by-line parser then handles, error messages included.
     """
     buf = np.frombuffer(data, dtype=np.uint8)
+    # The digit count first, while no per-token array is alive; below "0"
+    # the uint8 difference wraps past 9.
+    digits = np.count_nonzero(buf - np.uint8(48) < 10)
     sep = buf == 32
     sep |= buf == 10
-    seps = np.flatnonzero(sep)
+    # Byte positions, in the narrowest dtype that numbers them.
+    seps = np.flatnonzero(sep).astype(np.min_scalar_type(len(buf)))
     del sep
     if not seps.size or seps[-1] != len(buf) - 1 or seps.size % 2:
         return None
+    # Each token is 1..18 bytes, so the first separator is at 1..18 and each
+    # next one 2..19 bytes after the one before; only digits are left.
+    steps = np.diff(seps)
     kinds = buf[seps]
-    # Each token is 1..18 bytes between separators, and only digits are left.
-    widths = np.diff(seps, prepend=-1)
-    widths -= 1
-    digit = buf >= 48
-    digit &= buf <= 57
     if (
         (kinds[0::2] != 32).any()
         or (kinds[1::2] != 10).any()
-        or widths.min() < 1
-        or widths.max() > 18
-        or np.count_nonzero(digit) != len(buf) - seps.size
+        or not 1 <= seps[0] <= 18
+        or steps.min() < 2
+        or steps.max() > 19
+        or digits != len(buf) - seps.size
     ):
         return None
-    # Free the per-byte and per-token checks before the values are built.
-    del seps, kinds, widths, digit
+    # Free the per-token checks before the values are built.
+    del seps, steps, kinds
     return np.fromstring(data, dtype=np.int64, sep=" ")
 
 
@@ -398,11 +454,15 @@ def read_graph(path: str | Path) -> Graph:
         values = _parse_lines(path, data)
     del data
     n, m = (int(x) for x in values[:2])
-    pairs = values[2:].reshape(-1, 2)
-    if len(pairs) != m:
-        raise InputError(f"{path}: header declares m={m} but found {len(pairs)} edge lines")
+    if len(values) - 2 != 2 * m:
+        raise InputError(f"{path}: header declares m={m} but found {len(values) // 2 - 1} edge lines")
     try:
-        return Graph(n, pairs if pairs.dtype == np.int64 else pairs.tolist())
+        if values.dtype != np.int64:
+            return Graph(n, values[2:].reshape(-1, 2).tolist())
+        # The columns become the endpoint arrays; the values go first.
+        u, v = values[2::2].copy(), values[3::2].copy()
+        del values
+        return Graph._from_columns(n, u, v)
     except InputError as exc:
         raise InputError(f"{path}: {exc}") from None
 

@@ -79,16 +79,20 @@ def split_edges(g: Graph, coloring: VertexColoring, sets: DistinguishedSets) -> 
     labels[special] = np.where(second_eq, 0, 1)
     rules[special] = np.where(second_eq, RULE_SPECIAL_TO_ZERO, RULE_SPECIAL_TO_ONE)
 
+    del special, first_eq, second_eq
     inside = sets.uncolored_edges
-    risky = sets.risky & ~sets.special
-    fringe = sets.touching & ~inside
-    plain = sets.residual & ~sets.special
+    # Vertex and edge ids in the narrowest dtype that holds them. A group is
+    # gathered through its edge ids, which numpy does far faster than through
+    # a mask, and its mask is built only when its turn comes.
+    vertex = np.min_scalar_type(max(g.n - 1, 0))
+    edge = np.min_scalar_type(max(g.m - 1, 0))
+    eu, ev = eu.astype(vertex), ev.astype(vertex)
     for rule, group in (
-        (RULE_RISKY_OR_INSIDE, risky | inside),
-        (RULE_TOUCHING_FRINGE, fringe),
-        (RULE_RESIDUAL_PLAIN, plain),
+        (RULE_RISKY_OR_INSIDE, lambda: (sets.risky & ~sets.special) | inside),
+        (RULE_TOUCHING_FRINGE, lambda: sets.touching & ~inside),
+        (RULE_RESIDUAL_PLAIN, lambda: sets.residual & ~sets.special),
     ):
-        members = np.flatnonzero(group)
+        members = np.flatnonzero(group()).astype(edge)
         labels[members] = round_half_edges(g.n, eu[members], ev[members])
         rules[members] = rule
     if (labels < 0).any():

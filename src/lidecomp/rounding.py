@@ -62,7 +62,7 @@ from fractions import Fraction
 import numpy as np
 
 from lidecomp.errors import BudgetError, InputError
-from lidecomp.graphs import Graph, _read_only
+from lidecomp.graphs import Graph, _read_only, _strictly_ascending
 
 
 def _as_fraction(value) -> Fraction:
@@ -325,7 +325,8 @@ def _round_half_euler(n: int, eu: np.ndarray, ev: np.ndarray) -> np.ndarray:
     the seams, not on the head spacing.
     """
     k = len(eu)
-    if (eu >= ev).any() or (np.diff(eu * n + ev) <= 0).any():
+    # The pairs themselves are compared: a narrow dtype could not hold eu*n + ev.
+    if (eu >= ev).any() or not _strictly_ascending(eu, ev):
         raise ValueError("edges must be canonical pairs in canonical order")
     if not k:
         return np.zeros(0, dtype=np.uint8)
@@ -337,7 +338,10 @@ def _round_half_euler(n: int, eu: np.ndarray, ev: np.ndarray) -> np.ndarray:
     # ends, then upper ends), so a stable sort on the source, with the hub
     # entries of the odd vertices moved after their real ones, lays out the
     # rows. The narrowest dtype lets numpy use a radix sort.
-    rank = 2 * np.concatenate((ev, odd, eu, np.full(len(odd), n))).astype(np.min_scalar_type(2 * n))
+    rank = np.concatenate(
+        (ev, odd, eu, np.full(len(odd), n)), dtype=np.min_scalar_type(2 * n), casting="unsafe"
+    )  # every entry is at most n
+    rank *= 2
     rank[k:size] += 1
     order = np.argsort(rank, kind="stable").astype(np.int32)
     del rank
@@ -358,6 +362,7 @@ def _round_half_euler(n: int, eu: np.ndarray, ev: np.ndarray) -> np.ndarray:
     nxt = twin[slots ^ 1]
     del slots
     owner, off, succ, gap = _segments(nxt, head)
+    del head
     ahead = succ.tolist()
     cycle = [-1] * len(ahead)
     count = 0
@@ -379,9 +384,13 @@ def _round_half_euler(n: int, eu: np.ndarray, ev: np.ndarray) -> np.ndarray:
     row_begins = np.zeros(size, dtype=bool)
     row_begins[first // 2] = True
     at = np.flatnonzero(~row_begins[1:] & (trail[:-1] != trail[1:]))
-    lo = np.minimum(trail[at], trail[at + 1]).astype(np.int64)
-    hi = np.maximum(trail[at], trail[at + 1])
-    at = at[np.sort(np.unique(lo * count + hi, return_index=True)[1])]
+    a, b = trail[at], trail[at + 1]
+    pair = np.minimum(a, b).astype(np.int64)
+    pair *= count
+    pair += np.maximum(a, b)
+    del a, b
+    at = at[np.sort(np.unique(pair, return_index=True)[1])]
+    del pair
     parent = list(range(count))
     moved: dict[int, int] = {}
     for t, a, b in zip(at.tolist(), trail[at].tolist(), trail[at + 1].tolist()):
@@ -399,14 +408,18 @@ def _round_half_euler(n: int, eu: np.ndarray, ev: np.ndarray) -> np.ndarray:
         keys = np.fromiter(moved, dtype=np.int32, count=len(moved))
         nxt[keys] = twin[list(moved.values())]
         owner, off, succ, gap = _cut(nxt, keys, owner, off, succ, gap)
+    # Only the rankings and each edge's two slots are read from here on.
+    del nxt, trail, row_begins, at, parent, moved
+    # The hub's row comes last in the layout and its circuit first.
+    starts = np.roll(first, 1) if len(odd) else first
+    backs = twin[starts]
+    del twin
 
     # Number the heads of each circuit from its seam; heads on the unused
     # direction keep -1.
     succ, gap = succ.tolist(), gap.tolist()
     pos = [-1] * len(succ)
-    # The hub's row comes last in the layout and its circuit first.
-    starts = np.roll(first, 1) if len(odd) else first
-    for f, h in zip(owner[starts].tolist(), owner[twin[starts]].tolist()):
+    for f, h in zip(owner[starts].tolist(), owner[backs].tolist()):
         # One of the two is on a circuit numbered already if the component is.
         if pos[f] >= 0 or pos[h] >= 0:
             continue

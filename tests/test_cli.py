@@ -230,6 +230,32 @@ def test_verify_prints_conflicts_without_the_edge_tuple_view(tmp_path, capsys) -
     )
 
 
+def test_verify_conflict_lines_match_fstring_lines(tmp_path, capsys) -> None:
+    # Conflicts in parts 0 and 2, none in part 1 (two edges at vertex 0, a
+    # path), and edge m - 1 in no part. Ids and vertices of one to three
+    # digits share a block, so each column's padding is dropped per line.
+    g = generate_regular(200, 6, seed=3)
+    gpath = tmp_path / "g.txt"
+    write_graph(g, gpath)
+    eu, ev = g.endpoint_arrays()
+    assert eu[0] == eu[1] == 0
+    parts = [list(range(2, 300)), [0, 1], list(range(300, g.m - 1))]
+    dpath = tmp_path / "d.json"
+    dpath.write_text(json.dumps({"parts": parts}))
+    code, out, err = run(["verify", "--graph", str(gpath), "--decomp", str(dpath)], capsys)
+    data = json.loads(out)
+    assert code == 1 and data["cover_ok"] is False
+    conflicts = data["conflicts"]
+    assert conflicts[0] and not conflicts[1] and conflicts[2]
+    expected = ["parts do not partition the edge set"] + [
+        f"part {p}: conflicting edge {i} = ({eu[i]},{ev[i]})"
+        for p, conf in enumerate(conflicts)
+        for i in conf
+    ]
+    assert err.splitlines() == expected
+    assert err.endswith("\n")
+
+
 def test_verify_rejects_broken_partition(tmp_path, capsys) -> None:
     gpath = tmp_path / "g.txt"
     write_graph(Graph(3, [(0, 1), (1, 2)]), gpath)

@@ -250,6 +250,15 @@ def test_endpoint_arrays_cached_and_read_only() -> None:
     assert degree_vector(Graph(0, []), np.zeros(0, dtype=bool)).tolist() == []
 
 
+def test_graph_does_not_share_the_callers_array() -> None:
+    # Canonical pairs need no reordering, and a one-row or column-major array
+    # has contiguous columns; the endpoint arrays are still the graph's own.
+    for pairs in (np.array([[0, 1]]), np.asfortranarray([[0, 1], [1, 2]])):
+        g = Graph(3, pairs)
+        pairs[0] = (1, 2)
+        assert edge_list(g)[0] == (0, 1)
+
+
 def test_subgraph_degree_sum_matches_edge_count() -> None:
     rng = np.random.default_rng(7)
     g = generate_regular(20, 5, seed=3)
@@ -301,6 +310,32 @@ def test_degree_vector_mask_matches_bincount_reference(case) -> None:
     ends = np.sort(np.stack((rows, g.indices)), axis=0)
     assert ends[0].tolist() == eu[g.slot_edges].tolist()
     assert ends[1].tolist() == ev[g.slot_edges].tolist()
+
+
+def _eager_slot_edges(g: Graph) -> np.ndarray:
+    """slot_edges as the constructor once built it: the stable sort of the other ends, mod m."""
+    eu, ev = g.endpoint_arrays()
+    vertex = np.min_scalar_type(max(g.n - 1, 0))
+    slots = np.argsort(np.concatenate((ev.astype(vertex), eu.astype(vertex))), kind="stable")
+    slots %= max(g.m, 1)
+    return slots
+
+
+@settings(max_examples=200, deadline=None)
+@given(masked_graphs())
+@example((Graph(0, []), np.zeros(0, dtype=bool)))
+@example((Graph(4, []), np.zeros(0, dtype=bool)))
+def test_slot_edges_built_on_first_read_match_the_eager_definition(case) -> None:
+    g = case[0]
+    assert "slot_edges" not in vars(g)
+    slots = g.slot_edges
+    assert "slot_edges" in vars(g) and g.slot_edges is slots
+    assert slots.dtype == np.int64 and not slots.flags.writeable
+    assert slots.tobytes() == _eager_slot_edges(g).tobytes()
+    # Slot j of row v holds the edge joining v to indices[j].
+    index = edge_index(g)
+    rows = np.repeat(np.arange(g.n), np.diff(g.indptr)).tolist()
+    assert slots.tolist() == [index[min(v, w), max(v, w)] for v, w in zip(rows, g.indices.tolist())]
 
 
 def test_degree_vector_rejects_wrong_mask_length_and_index_arrays() -> None:

@@ -886,6 +886,38 @@ def test_array_dataclasses_compare_by_identity() -> None:
         assert obj != twin
 
 
+def test_slot_edges_built_by_dcs_only(monkeypatch) -> None:
+    # Only DCS needs a slot's edge id. The desk-scale pipeline peels its core
+    # host empty, so it never solves DCS and must never build the map; a DCS
+    # solve builds it once without keeping it on the graph; reading
+    # slot_edges keeps it there. Building slot_edges in the constructor
+    # again fails the first check.
+    built: list[int] = []
+    build = Graph._slot_edge_ids
+
+    def spy(g: Graph) -> np.ndarray:
+        built.append(g.m)
+        return build(g)
+
+    solves: list[int] = []
+    solve = lidecomp.pipeline.dcs_solve
+
+    def spy_solve(inst, **kwargs):
+        solves.append(inst.graph.m)
+        return solve(inst, **kwargs)
+
+    monkeypatch.setattr(Graph, "_slot_edge_ids", spy)
+    monkeypatch.setattr(lidecomp.pipeline, "dcs_solve", spy_solve)
+    g = generate_regular(300, 24, seed=1)
+    decompose_to_four(g, DEMO, mode="best-effort", seed=1, max_rounds=5)
+    assert solves == [] and built == [] and "slot_edges" not in vars(g)
+    h = generate_regular(60, 24, seed=3)
+    _solve_dcs(h)
+    assert built == [h.m] and "slot_edges" not in vars(h)
+    assert h.slot_edges.tolist() == build(h).tolist() and "slot_edges" in vars(h)
+    assert built == [h.m, h.m]
+
+
 def _traced_peak(action) -> int:
     """Peak traced bytes above the level at entry while ``action()`` runs.
 
@@ -906,12 +938,13 @@ def _traced_peak(action) -> int:
 
 
 def test_decompose_and_read_peak_memory_stay_within_budget(tmp_path) -> None:
-    # Bounds are multiples of the graph's own array bytes (48 per edge plus
-    # the per-vertex arrays), about 15% above what narrow, freed per-edge
-    # temporaries give: 1.55x for the pipeline and 1.68x for reading. With
-    # int64 temporaries and dead arrays kept alive they were 2.41x and 2.09x.
+    # Bounds in bytes per edge, about 15% above what a (1000, 64) run gives
+    # with the lazily built slot_edges, narrow per-edge temporaries and the
+    # walk's state freed after its splices: 56.2 for the pipeline, 51.5 for
+    # split_edges and 40.8 for reading (the graph included). With slot_edges
+    # built eagerly, int64 rule-group copies, int64 token offsets and the
+    # read path's copies alive together they were 75.3, 71.3 and 81.6.
     g = generate_regular(1000, 64, seed=1)
-    graph_bytes = sum(a.nbytes for a in vars(g).values() if isinstance(a, np.ndarray))
     path = tmp_path / "graph.txt"
     write_graph(g, path)
 
@@ -919,5 +952,7 @@ def test_decompose_and_read_peak_memory_stay_within_budget(tmp_path) -> None:
         decompose_to_four(g, DEMO, mode="best-effort", seed=1, max_rounds=5)
 
     run()  # the first call also imports what numpy loads lazily
-    assert _traced_peak(run) <= 1.8 * graph_bytes
-    assert _traced_peak(lambda: read_graph(path)) <= 1.95 * graph_bytes
+    resampled = resample_until_good(g, DEMO, 64, seed=1, max_rounds=5)
+    assert _traced_peak(run) <= 64.6 * g.m
+    assert _traced_peak(lambda: split_edges(g, resampled.coloring, resampled.sets)) <= 59.2 * g.m
+    assert _traced_peak(lambda: read_graph(path)) <= 46.9 * g.m

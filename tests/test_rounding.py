@@ -757,6 +757,35 @@ def test_euler_walk_rejects_edges_out_of_canonical_order() -> None:
     assert len(_round_half_euler(g.n, eu[:0], ev[:0])) == 0
 
 
+def test_round_half_edges_takes_int32_endpoints_past_the_key_range() -> None:
+    # At n = 100 000 an int32 key eu*n + ev wraps: where the lower end jumps
+    # by 25 000 or more, the next key's wrapped difference is negative, so
+    # comparing keys would reject this canonical list. The walk compares the
+    # pairs themselves. The graph is one random graph on 1000 vertices,
+    # shifted to four places.
+    n = 100_000
+    pairs = np.random.default_rng(5).integers(0, 1000, size=(2000, 2))
+    base = {(int(min(a, b)), int(max(a, b))) for a, b in pairs if a != b}
+    g = Graph(n, [(a + s, b + s) for s in (0, 25_000, 60_000, 99_000) for a, b in base])
+    eu, ev = g.endpoint_arrays()
+    narrow_u, narrow_v = eu.astype(np.int32), ev.astype(np.int32)
+    assert (np.diff(narrow_u * n + narrow_v) <= 0).any()
+    bits = round_half_edges(n, eu, ev)
+    assert round_half_edges(n, narrow_u, narrow_v).tobytes() == bits.tobytes()
+    # A repeated, a reversed and an out-of-order pair, all at high ids.
+    i = len(eu) - 2
+    swapped = np.r_[0:i, i + 1, i]
+    flipped_u, flipped_v = narrow_u.copy(), narrow_v.copy()
+    flipped_u[i], flipped_v[i] = narrow_v[i], narrow_u[i]
+    for bad_u, bad_v in (
+        (np.insert(narrow_u, i, narrow_u[i]), np.insert(narrow_v, i, narrow_v[i])),
+        (flipped_u, flipped_v),
+        (narrow_u[swapped], narrow_v[swapped]),
+    ):
+        with pytest.raises(ValueError, match="canonical order"):
+            round_half_edges(n, bad_u, bad_v)
+
+
 def test_exact_weights_pass_through_unchanged() -> None:
     g = generate_circulant(6, [1])
     values = [Fraction(k, 7) for k in range(6)]
