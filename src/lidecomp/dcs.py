@@ -212,7 +212,7 @@ def solve(
     end_u, end_v = eu.tolist(), ev.tolist()
     ptr = g.indptr.tolist()
     nbr = g.indices.tolist()
-    slot_edge = g._slot_edge_ids().tolist()
+    slot_edge = g.slot_edges.tolist()
 
     for restart in range(restarts):
         rng = np.random.default_rng([seed, restart])

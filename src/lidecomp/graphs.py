@@ -10,11 +10,10 @@ endpoint arrays (sorted once, on the key ``u*n + v``, unless they arrive in
 that order; a canonical graph file's two columns become them), and the
 adjacency is in CSR form: the neighbours of ``v`` are
 ``indices[indptr[v]:indptr[v+1]]``, ascending. ``slot_edges``, the edge id
-of each of those slots, is built on first read and then kept: it costs 16
-bytes per edge, and only DCS needs it, which builds its own copy so that no
-stage changes a graph. Every other attribute is set in the constructor and
-every array is read-only, so graphs are immutable after construction and
-safe to share between threads.
+of each of those slots, is built on each read and not kept: it costs 16
+bytes per edge, and only DCS reads it, once per solve. Every other attribute
+is set in the constructor and every array is read-only, so graphs are
+immutable after construction and safe to share between threads.
 
 Every input type checks itself once, when it is built, and raises
 ``InputError`` there: :class:`Graph`, ``FractionalEdgeWeights``,
@@ -46,7 +45,6 @@ edge once.
 
 from __future__ import annotations
 
-import functools
 import io
 from collections.abc import Collection, Iterable, Sequence
 from pathlib import Path
@@ -172,22 +170,17 @@ class Graph:
             np.concatenate((self._ev.astype(vertex), self._eu.astype(vertex))), kind="stable"
         )
 
-    def _slot_edge_ids(self) -> np.ndarray:
-        """:attr:`slot_edges`, computed afresh and not kept on the graph."""
+    @property
+    def slot_edges(self) -> np.ndarray:
+        """The read-only int64 edge id of each CSR slot, built afresh on each read.
+
+        Slot ``j`` of row ``v`` joins ``v`` to ``indices[j]`` by edge
+        ``slot_edges[j]``. Only DCS reads it, so no graph keeps it.
+        """
         # Entry p of concatenate((eu, ev)) is an end of edge p mod m.
         slots = self._slots()
         slots %= max(self.m, 1)
-        return slots
-
-    @functools.cached_property
-    def slot_edges(self) -> np.ndarray:
-        """The read-only int64 edge id of each CSR slot, built on first read and kept.
-
-        Slot ``j`` of row ``v`` joins ``v`` to ``indices[j]`` by edge
-        ``slot_edges[j]``. No stage reads it: DCS, which needs it, calls
-        :meth:`_slot_edge_ids`, so that no stage changes a graph.
-        """
-        return _read_only(self._slot_edge_ids())
+        return _read_only(slots)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Graph):

@@ -201,6 +201,9 @@ def shuffled_edge_lists(draw) -> tuple[int, list[tuple[int, int]]]:
 
 @settings(max_examples=300, deadline=None)
 @given(shuffled_edge_lists(), st.booleans())
+@example((0, []), False)
+@example((4, []), True)
+@example((6, [(4, 1), (1, 3)]), True)
 def test_array_graph_matches_reference(case, as_array) -> None:
     n, edges = case
     ref = ref_graph(n, edges)
@@ -210,6 +213,7 @@ def test_array_graph_matches_reference(case, as_array) -> None:
     assert tuple(g.degrees.tolist()) == ref["degrees"]
     assert all(neighbors(g, v) == ref["adjacency"][v] for v in range(n))
     # Slot j of v's CSR row holds the edge joining v to its j-th neighbour.
+    assert g.slot_edges.dtype == np.int64 and not g.slot_edges.flags.writeable
     for v in range(n):
         for j in range(g.indptr[v], g.indptr[v + 1]):
             w = int(g.indices[j])
@@ -310,32 +314,6 @@ def test_degree_vector_mask_matches_bincount_reference(case) -> None:
     ends = np.sort(np.stack((rows, g.indices)), axis=0)
     assert ends[0].tolist() == eu[g.slot_edges].tolist()
     assert ends[1].tolist() == ev[g.slot_edges].tolist()
-
-
-def _eager_slot_edges(g: Graph) -> np.ndarray:
-    """slot_edges as the constructor once built it: the stable sort of the other ends, mod m."""
-    eu, ev = g.endpoint_arrays()
-    vertex = np.min_scalar_type(max(g.n - 1, 0))
-    slots = np.argsort(np.concatenate((ev.astype(vertex), eu.astype(vertex))), kind="stable")
-    slots %= max(g.m, 1)
-    return slots
-
-
-@settings(max_examples=200, deadline=None)
-@given(masked_graphs())
-@example((Graph(0, []), np.zeros(0, dtype=bool)))
-@example((Graph(4, []), np.zeros(0, dtype=bool)))
-def test_slot_edges_built_on_first_read_match_the_eager_definition(case) -> None:
-    g = case[0]
-    assert "slot_edges" not in vars(g)
-    slots = g.slot_edges
-    assert "slot_edges" in vars(g) and g.slot_edges is slots
-    assert slots.dtype == np.int64 and not slots.flags.writeable
-    assert slots.tobytes() == _eager_slot_edges(g).tobytes()
-    # Slot j of row v holds the edge joining v to indices[j].
-    index = edge_index(g)
-    rows = np.repeat(np.arange(g.n), np.diff(g.indptr)).tolist()
-    assert slots.tolist() == [index[min(v, w), max(v, w)] for v, w in zip(rows, g.indices.tolist())]
 
 
 def test_degree_vector_rejects_wrong_mask_length_and_index_arrays() -> None:

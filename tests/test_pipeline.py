@@ -889,11 +889,10 @@ def test_array_dataclasses_compare_by_identity() -> None:
 def test_slot_edges_built_by_dcs_only(monkeypatch) -> None:
     # Only DCS needs a slot's edge id. The desk-scale pipeline peels its core
     # host empty, so it never solves DCS and must never build the map; a DCS
-    # solve builds it once without keeping it on the graph; reading
-    # slot_edges keeps it there. Building slot_edges in the constructor
-    # again fails the first check.
+    # solve builds it once. Building slot_edges in the constructor again
+    # fails the first check.
     built: list[int] = []
-    build = Graph._slot_edge_ids
+    build = Graph.slot_edges.fget
 
     def spy(g: Graph) -> np.ndarray:
         built.append(g.m)
@@ -906,16 +905,14 @@ def test_slot_edges_built_by_dcs_only(monkeypatch) -> None:
         solves.append(inst.graph.m)
         return solve(inst, **kwargs)
 
-    monkeypatch.setattr(Graph, "_slot_edge_ids", spy)
+    monkeypatch.setattr(Graph, "slot_edges", property(spy))
     monkeypatch.setattr(lidecomp.pipeline, "dcs_solve", spy_solve)
     g = generate_regular(300, 24, seed=1)
     decompose_to_four(g, DEMO, mode="best-effort", seed=1, max_rounds=5)
-    assert solves == [] and built == [] and "slot_edges" not in vars(g)
+    assert solves == [] and built == []
     h = generate_regular(60, 24, seed=3)
     _solve_dcs(h)
-    assert built == [h.m] and "slot_edges" not in vars(h)
-    assert h.slot_edges.tolist() == build(h).tolist() and "slot_edges" in vars(h)
-    assert built == [h.m, h.m]
+    assert built == [h.m]
 
 
 def _traced_peak(action) -> int:
