@@ -110,31 +110,28 @@ def _emit(payload: dict, out: str | None) -> None:
             raise InputError(f"cannot write payload file: {exc}") from None
 
 
-def _load_profile(path: str | None) -> ConstantProfile:
-    if path is None:
-        return REFERENCE_PROFILE
+def _read_text(path: str) -> str:
+    """The file's text; an unreadable or non-UTF-8 file is an input error naming it."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
-    except OSError as exc:
-        raise InputError(f"cannot read profile: {exc}") from None
-    except UnicodeDecodeError as exc:
-        raise InputError(f"{path}: not UTF-8 text: {exc}") from None
-    except json.JSONDecodeError as exc:
-        raise InputError(f"profile is not valid JSON: {exc}") from None
-    return ConstantProfile.from_json(data)
-
-
-def _load_json(path: str) -> dict | list:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+            return fh.read()
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc}") from None
     except UnicodeDecodeError as exc:
         raise InputError(f"{path}: not UTF-8 text: {exc}") from None
+
+
+def _load_json(path: str) -> dict | list:
+    try:
+        return json.loads(_read_text(path))
     except json.JSONDecodeError as exc:
         raise InputError(f"{path} is not valid JSON: {exc}") from None
+
+
+def _load_profile(path: str | None) -> ConstantProfile:
+    if path is None:
+        return REFERENCE_PROFILE
+    return ConstantProfile.from_json(_load_json(path))
 
 
 def cmd_gen_regular(args: argparse.Namespace) -> tuple[dict, bool]:
@@ -241,15 +238,8 @@ def cmd_round(args: argparse.Namespace) -> tuple[dict, bool]:
         except (ValueError, ZeroDivisionError):
             raise InputError(f"cannot parse weight {args.z!r}") from None
     else:
-        try:
-            with open(args.z_file, "r", encoding="utf-8") as fh:
-                lines = fh.readlines()
-        except OSError as exc:
-            raise InputError(f"cannot read {args.z_file}: {exc}") from None
-        except UnicodeDecodeError as exc:
-            raise InputError(f"{args.z_file}: not UTF-8 text: {exc}") from None
         values = []
-        for ln, raw in enumerate(lines, start=1):
+        for ln, raw in enumerate(_read_text(args.z_file).split("\n"), start=1):
             line = raw.strip()
             if not line or line.startswith("#"):
                 continue

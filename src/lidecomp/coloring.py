@@ -7,22 +7,20 @@ set, edges agreeing in exactly one coordinate (*special*), and edges whose
 coordinates are cyclically too close (*risky*) are split out, leaving a
 residual. A per-vertex audit checks the three incidence counts against their
 thresholds. The resampling loop redraws the two-hop neighbourhood of the
-lowest failing vertex until no vertex fails or the budget runs out. A round
-only looks for that first violator, scanning ascending vertex blocks on the
-CSR adjacency and reading a vertex's uncoloured flag from its row when a block
-first needs it. A round thus costs the rows of the first violating block's
-closed neighbourhood (and of the blocks before it), plus at most one pass
-over the 2m slots for the flags. Rounds centred on vertex 0 run in chunks.
-Vertex 0 has no lower vertex, so it is the centre exactly when it violates,
-its counts read only its two-hop ball, and each such round redraws that ball
-whole: the rounds are independent trials. Up to ``_CHUNK_ROUNDS`` of them
-are drawn in one ``integers`` call and judged together on the ball's slot
-layout, built once per resampling. The chunk is a constant, kept small so
-that the per-slot arrays, and with them peak memory, stay near one round's.
-The payload stays byte-identical because numpy's bounded draws consume the
-bit generator value by value: one call of shape (R, 2, k) gives the values,
-and leaves the state, of R rounds' two calls of size k (a test pins this).
-The full sets and the audit are evaluated once, after the loop.
+lowest failing vertex until no vertex fails or the budget runs out.
+
+Two evaluators name a round's centre. Vertex 0 has no lower vertex, so it is
+the centre exactly when it violates, and its counts read only its two-hop
+ball: a batch judge decides it on the ball's slot layout, built once per
+resampling. When vertex 0 passes, the full sets and audit name the lowest
+violator, or show that none is left. Each round centred on vertex 0 redraws
+its ball whole, so those rounds are independent trials: up to
+``_CHUNK_ROUNDS`` of them are drawn in one ``integers`` call and judged
+together. The chunk is a constant, kept small so that the per-slot arrays,
+and with them peak memory, stay near one round's. The payload stays
+byte-identical because numpy's bounded draws consume the bit generator value
+by value: one call of shape (R, 2, k) gives the values, and leaves the
+state, of R rounds' two calls of size k (a test pins this).
 
 Set membership must be bit-stable, so the risky closeness threshold and all
 audit thresholds are evaluated in exact rational arithmetic.
@@ -33,11 +31,10 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
-from lidecomp.constants import ConstantProfile, DerivedQuantities
+from lidecomp.constants import ConstantProfile, DerivedQuantities, _dec
 from lidecomp.errors import InputError, json_int
 from lidecomp.graphs import Graph, _ranges, _read_only, degree_vector
 
@@ -118,7 +115,7 @@ class DistinguishedSets:
 
 def closeness_bound(profile: ConstantProfile, d: int) -> int:
     """Largest integer cyclic distance counted as risky: floor((s*d + 7)/2)."""
-    return math.floor((Fraction(str(profile.s)) * d + 7) / 2)
+    return math.floor((_dec(profile.s) * d + 7) / 2)
 
 
 def _close(a: np.ndarray, b: np.ndarray, palette: int, bound: int) -> np.ndarray:
@@ -133,7 +130,8 @@ def _set_masks(
 ) -> DistinguishedSets:
     """Evaluate the set definitions for colour arrays with values in 1..palette."""
     eu, ev = g.endpoint_arrays()
-    # As in _first_violator: the narrowest type holding [-palette, palette].
+    # Colours, their differences and cyclic gaps lie in [-palette, palette];
+    # the narrowest type that holds them keeps the per-edge arrays small.
     small = np.min_scalar_type(-palette - 1)
     first, second = first.astype(small), second.astype(small)
     fu, fv, su, sv = first[eu], first[ev], second[eu], second[ev]
@@ -209,7 +207,7 @@ def _audit_caps(profile: ConstantProfile, d: int) -> np.ndarray:
     everything.
     """
     return np.array(
-        [max(0, math.ceil(Fraction(str(t)) * d) - 1) for t in (profile.s, profile.r, profile.u)],
+        [max(0, math.ceil(_dec(t) * d) - 1) for t in (profile.s, profile.r, profile.u)],
         dtype=np.int64,
     )
 
@@ -235,69 +233,6 @@ def _row_slots(indptr: np.ndarray, vertices: np.ndarray) -> tuple[np.ndarray, np
     starts = indptr[vertices]
     lens = indptr[vertices + 1] - starts
     return _ranges(starts, lens), lens
-
-
-def _first_violator(
-    g: Graph,
-    first: np.ndarray,
-    second: np.ndarray,
-    palette: int,
-    bound: int,
-    caps: np.ndarray,
-) -> int:
-    """The lowest vertex :func:`_violating` reports for these colours, or -1 if none.
-
-    The counts are taken on the CSR half-edges of ascending vertex blocks
-    that start at one vertex and double, so the scan stops at the first block
-    holding a violator. A vertex's uncoloured flag is read from its own row
-    the first time a block needs it: a block's own rows give its vertices'
-    flags, and each neighbour outside the scanned blocks costs its row once
-    per call. A call thus reads the rows of the closed neighbourhood of the
-    blocks up to the first violating one (only N[0]'s when vertex 0
-    violates), and the flags add at most one pass over the 2m slots to a
-    scan that finds nothing.
-    """
-    indptr, indices = g.indptr, g.indices
-    # Colours, their differences and cyclic gaps lie in [-palette, palette];
-    # the narrowest type that holds them keeps the per-slot arrays small.
-    small = np.min_scalar_type(-palette - 1)
-    first, second = first.astype(small), second.astype(small)
-    uflag = np.zeros(g.n, dtype=bool)
-    known = np.zeros(g.n, dtype=bool)
-    a, size = 0, 1
-    while a < g.n:
-        b = min(a + size, g.n)
-        offsets = indptr[a : b + 1] - indptr[a]
-        deg = np.diff(offsets)
-        dst = indices[indptr[a] : indptr[b]]
-        fs, ft = np.repeat(first[a:b], deg), first[dst]
-        ss, st = np.repeat(second[a:b], deg), second[dst]
-        first_eq, second_eq = fs == ft, ss == st
-        hits = np.flatnonzero(first_eq & second_eq)
-        uflag[a + np.searchsorted(offsets[1:], hits, side="right")] = True
-        known[a:b] = True
-        fresh = np.zeros(g.n, dtype=bool)
-        fresh[dst] = True
-        new = np.flatnonzero(fresh & ~known)
-        known[new] = True
-        slots, lens = _row_slots(indptr, new)
-        nbr = indices[slots]
-        same_first = first[nbr] == np.repeat(first[new], lens)
-        hits = np.flatnonzero(same_first & (second[nbr] == np.repeat(second[new], lens)))
-        uflag[new[np.searchsorted(np.cumsum(lens), hits, side="right")]] = True
-        touch = np.repeat(uflag[a:b], deg) | uflag[dst]
-        # Per-row sums; the spare last column keeps every row start in range.
-        masks = np.zeros((3, dst.size + 1), dtype=bool)
-        masks[0, :-1] = ~touch & (first_eq | second_eq)  # special
-        masks[1, :-1] = ~touch & (_close(fs, ft, palette, bound) | _close(ss, st, palette, bound))
-        masks[2, :-1] = uflag[dst]
-        counts = np.add.reduceat(masks, offsets[:-1], axis=1, dtype=np.int64)
-        counts[:, deg == 0] = 0  # reduceat reads one slot for an empty row
-        bad = _violating(counts, caps)
-        if bad.size:
-            return a + int(bad[0])
-        a, size = b, 2 * size
-    return -1
 
 
 def _two_hop_ball(g: Graph, centre: int) -> np.ndarray:
@@ -451,18 +386,20 @@ def resample_until_good(
     """Redraw two-hop neighbourhoods of violating vertices until the audit passes.
 
     Per round, the lowest-indexed violating vertex has every vertex within
-    distance 2 redrawn (the support that determines its events); the sets and
-    the audit are evaluated once, for the colouring the loop ends with. Exhausting
+    distance 2 redrawn (the support that determines its events). Exhausting
     ``max_rounds`` is a flagged return, not an error; termination is budgeted,
     not guaranteed.
 
-    While vertex 0 is the centre, :func:`_redraw_zero` runs the rounds in
-    chunks of ``_CHUNK_ROUNDS`` (a constant, small so that peak memory stays
-    near one round's), judging vertex 0 on every drawn round at once and
-    keeping the rounds up to the first it passes. A chunk is one ``integers``
-    call, which numpy fills with the values, and leaves the generator state,
-    of the per-round calls, so the result is that of the round-by-round loop.
-    Every other centre takes one scan and one redraw per round.
+    Vertex 0 is the centre exactly when it violates, so the loop first judges
+    it alone with :func:`_zero_violates`. While it violates, :func:`_redraw_zero`
+    runs the rounds in chunks of ``_CHUNK_ROUNDS`` (a constant, small so that
+    peak memory stays near one round's), judging vertex 0 on every drawn round
+    at once and keeping the rounds up to the first it passes. A chunk is one
+    ``integers`` call, which numpy fills with the values, and leaves the
+    generator state, of the per-round calls, so the result is that of the
+    round-by-round loop. Once vertex 0 passes, one full evaluation of the sets
+    and the audit names the centre; the evaluation that finds no violator, or
+    that follows the last round, is the one returned.
     """
     if max_rounds < 1:
         raise InputError(f"max_rounds must be >= 1, got {max_rounds}")
@@ -478,24 +415,25 @@ def resample_until_good(
     caps = _audit_caps(profile, d)
 
     rounds = 0
-    zero = None  # vertex 0's ball layout, built when vertex 0 first violates
-    while rounds < max_rounds:
-        centre = _first_violator(g, first, second, palette, bound, caps)
-        if centre < 0:
+    zero = _zero_ball(g) if g.n else None
+    while True:
+        if zero is not None and rounds < max_rounds:
+            # The current colours, judged as one drawn round.
+            current = np.stack((first[zero.ball], second[zero.ball]))[None]
+            if _zero_violates(zero, current, palette, bound, caps)[0]:
+                rounds += _redraw_zero(
+                    zero, first, second, rng, palette, bound, caps, max_rounds - rounds
+                )
+        # Vertex 0 now passes, or the budget is spent.
+        sets = _set_masks(g, first, second, palette, bound)
+        result = audit(g, sets, profile, d)
+        if result.passed or rounds == max_rounds:
             break
-        if centre == 0:
-            if zero is None:
-                zero = _zero_ball(g)
-            rounds += _redraw_zero(
-                zero, first, second, rng, palette, bound, caps, max_rounds - rounds
-            )
-            continue
-        redraw = _two_hop_ball(g, centre)
+        redraw = _two_hop_ball(g, int(result.violations[0]))
+        del sets, result  # so that the next evaluation is the only one held
         first[redraw] = rng.integers(1, palette + 1, size=redraw.size)
         second[redraw] = rng.integers(1, palette + 1, size=redraw.size)
         rounds += 1
 
-    sets = _set_masks(g, first, second, palette, bound)
     coloring = VertexColoring(palette, first, second)
-    result = audit(g, sets, profile, d)
     return ResampleResult(coloring, sets, result, result.passed, rounds)

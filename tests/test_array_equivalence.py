@@ -24,7 +24,6 @@ from lidecomp.coloring import (
     VertexColoring,
     _audit_caps,
     _audit_counts,
-    _first_violator,
     _set_masks,
     _violating,
     _zero_ball,
@@ -74,8 +73,9 @@ def sparse_graphs(draw, max_n: int = 24) -> Graph:
 def isolated_prefix(draw, inner: st.SearchStrategy[Graph]) -> Graph:
     """A graph from ``inner`` behind 0-300 isolated vertices.
 
-    An isolated vertex never violates, so the first violator lies past
-    several of the first-violation scan's doubling blocks.
+    An isolated vertex never violates, so vertex 0's judge sees a ball of
+    one vertex that passes, and the full evaluation must name a first
+    violator that lies well past it.
     """
     g = draw(inner)
     k = draw(st.integers(0, 300))
@@ -211,13 +211,12 @@ def test_masks_and_counts_match_references(case, profile, d) -> None:
     PROFILES[0],
     1,
 )
-def test_first_violator_matches_full_audit(case, profile, d) -> None:
+def test_zero_violates_matches_full_audit(case, profile, d) -> None:
     g, c = case
     first, second = c.first, c.second
     bound, caps = closeness_bound(profile, d), _audit_caps(profile, d)
     bad = _violating(_audit_counts(g, _set_masks(g, first, second, c.palette, bound)), caps)
     expected = int(bad[0]) if bad.size else -1
-    assert _first_violator(g, first, second, c.palette, bound, caps) == expected
     if g.n:  # the batch judge, on one round holding these colours
         zero = _zero_ball(g)
         draws = np.stack((first[zero.ball], second[zero.ball]))[None]
@@ -225,8 +224,8 @@ def test_first_violator_matches_full_audit(case, profile, d) -> None:
 
 
 @pytest.mark.parametrize("palette", [127, 128, 2**15 - 1, 2**15, 2**31 - 1, 2**31])
-def test_first_violator_matches_full_audit_at_wide_palettes(palette) -> None:
-    # The scan narrows colours to the smallest type holding +-palette. Values
+def test_zero_violates_matches_full_audit_at_wide_palettes(palette) -> None:
+    # The judge narrows colours to the smallest type holding +-palette. Values
     # at both ends of the palette make the cyclic gaps wrap, and the caps
     # leave the risky count alone to decide (nothing is risky at bound 0).
     rng = np.random.default_rng(palette)
@@ -238,7 +237,8 @@ def test_first_violator_matches_full_audit_at_wide_palettes(palette) -> None:
         first, second = rng.choice(ends, g.n), rng.choice(ends, g.n)
         bad = _violating(_audit_counts(g, _set_masks(g, first, second, palette, bound)), caps)
         expected = int(bad[0]) if bad.size else -1
-        assert _first_violator(g, first, second, palette, bound, caps) == expected
+        now = np.stack((first[zero.ball], second[zero.ball]))[None]
+        assert _zero_violates(zero, now, palette, bound, caps).tolist() == [expected == 0]
         # The batch judge, on rounds drawn from the same ends over vertex 0's ball.
         draws = batch_rng.choice(ends, (8, 2, zero.ball.size))
         verdicts = []
@@ -312,24 +312,23 @@ def test_resample_matches_round_by_round_reference(g, profile, d, seed, max_roun
 def test_long_resample_matches_round_by_round_reference(
     monkeypatch, shape, profile, d, max_rounds, centres
 ) -> None:
-    # A round's centre comes from the scan, or, for each round after the
-    # first while vertex 0 is the centre, from the batch verdict that vertex
-    # 0 still violates: the leading violating verdicts of each batch.
+    # A round centred on vertex 0 is one _redraw_zero reports running; every
+    # other round takes its centre's ball from _two_hop_ball. _zero_ball takes
+    # vertex 0's ball once before any round, which is the first call seen.
     seen: list[int] = []
-    first_violator, zero_violates = coloring._first_violator, coloring._zero_violates
+    redraw_zero, two_hop_ball = coloring._redraw_zero, coloring._two_hop_ball
 
-    def record(*args):
-        seen.append(first_violator(*args))
-        return seen[-1]
+    def record_zero(*args):
+        ran = redraw_zero(*args)
+        seen.extend([0] * ran)
+        return ran
 
-    def record_batch(*args):
-        bad = zero_violates(*args)
-        passes = np.flatnonzero(~bad)
-        seen.extend([0] * (int(passes[0]) if passes.size else bad.size))
-        return bad
+    def record_ball(g, centre):
+        seen.append(centre)
+        return two_hop_ball(g, centre)
 
-    monkeypatch.setattr(coloring, "_first_violator", record)
-    monkeypatch.setattr(coloring, "_zero_violates", record_batch)
+    monkeypatch.setattr(coloring, "_redraw_zero", record_zero)
+    monkeypatch.setattr(coloring, "_two_hop_ball", record_ball)
     g = generate_regular(*shape, seed=1)
     result = resample_until_good(g, profile, d, seed=0, max_rounds=max_rounds)
     ref = reference_resample(g, profile, d, 0, max_rounds)
@@ -337,12 +336,31 @@ def test_long_resample_matches_round_by_round_reference(
         ref.coloring.to_json(), ref.audit.to_json(), ref.success, ref.rounds
     )
     assert as_sets(result.sets) == as_sets(ref.sets)
-    rounds = [c for c in seen if c >= 0]
+    assert seen[0] == 0
+    rounds = seen[1:]
     assert len(rounds) == result.rounds
     if centres == "repeat":
         assert rounds == [0] * max_rounds
     else:
         assert len(set(rounds)) > 1
+
+
+def test_vertex_zero_rounds_take_one_full_evaluation(monkeypatch) -> None:
+    # The benchmark's regime: every vertex fails, so vertex 0 is the centre
+    # of all forty rounds. Its judge alone finds it; the full sets are taken
+    # once, for the result, not per vertex-0 chunk or per round.
+    calls = []
+    set_masks = coloring._set_masks
+
+    def record(*args):
+        calls.append(args)
+        return set_masks(*args)
+
+    monkeypatch.setattr(coloring, "_set_masks", record)
+    g = generate_regular(60, 12, seed=1)
+    result = resample_until_good(g, PROFILES[0], 12, seed=0, max_rounds=40)
+    assert (result.rounds, result.success) == (40, False)
+    assert len(calls) == 1
 
 
 def reference_verify(weights: FractionalEdgeWeights, labels: BinaryEdgeLabels) -> dict:

@@ -377,14 +377,38 @@ def test_dcs_cli_instance_object(tmp_path, capsys) -> None:
     assert code == 2  # lambda fixed twice
 
 
-def test_round_missing_z_file_is_input_error(tmp_path, capsys) -> None:
+@pytest.mark.parametrize(
+    "option, fault",
+    [
+        ("--z-file", "missing"),
+        ("--profile", "missing"),
+        ("--profile", "not-json"),
+        ("--t-file", "missing"),
+        ("--t-file", "not-json"),
+        ("--decomp", "missing"),
+        ("--decomp", "not-json"),
+    ],
+    ids=lambda x: x.lstrip("-"),
+)
+def test_missing_or_non_json_input_file_is_input_error(option, fault, tmp_path, capsys) -> None:
+    # Every text input goes through one reader: exit 2 and one error line
+    # that names the file, never a false verdict or a traceback.
     gpath = tmp_path / "g.txt"
     write_graph(generate_circulant(6, [1]), gpath)
-    missing = tmp_path / "absent.txt"
-    code, out, err = run(["round", "--in", str(gpath), "--z-file", str(missing)], capsys)
-    assert code == 2
-    assert out == ""
-    assert err.startswith(f"error: cannot read {missing}: ")
+    path = tmp_path / "input"
+    if fault == "not-json":
+        path.write_text("{not json\n")
+    argv = {
+        "--z-file": ["round", "--in", str(gpath)],
+        "--profile": ["constants", "check", "--d", "54000"],
+        "--t-file": ["dcs", "--in", str(gpath), "--lambda", "4", "--relaxed"],
+        "--decomp": ["verify", "--graph", str(gpath)],
+    }[option]
+    code, out, err = run([*argv, option, str(path)], capsys)
+    assert (code, out) == (2, "")
+    message = "cannot read {}: " if fault == "missing" else "{} is not valid JSON: "
+    assert err.startswith("error: " + message.format(path))
+    assert err.count("\n") == 1
 
 
 def test_dcs_target_object_without_t_is_input_error(tmp_path, capsys) -> None:
